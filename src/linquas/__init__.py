@@ -2,9 +2,9 @@
 
 __version__ = "1.0.0"
 
-from .groupoid import (CayleyTable, LinearGroupoid, LocalElement, apply,
-                       cayley_table, is_latin_square, is_quasigroup,
-                       left_divide, left_inverse, local_left_identity,
+from .groupoid import (LinearGroupoid, LocalElement, apply, cayley_table,
+                       is_latin_square, is_quasigroup, left_divide,
+                       left_inverse, local_left_identity,
                        local_right_identity, orthogonal, orthogonal_det,
                        right_divide, right_inverse)
 from .termlang import (AffineForm, Identity, NotApplicable, TermSyntaxError,
@@ -12,11 +12,8 @@ from .termlang import (AffineForm, Identity, NotApplicable, TermSyntaxError,
                        parse_term)
 from .catalog import (ConditionPredicate, ExampleStatus, HypAtom,
                       IdentityEntry, ModulusKind, StructureKind, TableRow,
-                      catalog_entries, condition_holds, get_entry,
-                      hypothesis_holds)
+                      catalog_entries, get_entry, hypothesis_holds)
 from .engine import (CapExceeded, CheckOutcome, CrosscheckReport,
                      DiscrepancyLedger, Finding, Method, Verdict, Witness,
                      classify, crosscheck, crosscheck_all, holds_bruteforce,
                      holds_symbolic, search_witnesses, verify_examples)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -163,10 +163,6 @@ class ConditionPredicate:
         return " and ".join(parts) if parts else "always"
 
 
-def condition_holds(p: ConditionPredicate, g: LinearGroupoid) -> bool:
-    return p.holds(g)
-
-
 @dataclass(frozen=True)
 class TableRow:
     """One characterization-table cell group: who it is about and what it claims."""

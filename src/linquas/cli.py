@@ -243,18 +243,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
     g = _groupoid_from(args)
     table = cayley_table(g)
     latin = is_latin_square(table)
+    cells = table.tolist()
     if args.format == "csv":
-        _emit(table.csv_text(), args.out)
+        _emit("".join(",".join(map(str, row)) + "\n" for row in cells), args.out)
     elif args.format == "json":
-        result = {"n": g.n, "a": g.a, "b": g.b, "c": g.c,
-                  "cells": [list(row) for row in table.cells],
+        result = {"n": g.n, "a": g.a, "b": g.b, "c": g.c, "cells": cells,
                   "latin": latin, "quasigroup": is_quasigroup(g)}
         _emit(_envelope("table", {"n": g.n, "a": g.a, "b": g.b, "c": g.c},
                         [result]), args.out)
     else:
         width = len(str(g.n - 1))
         lines = [f"x*y = {g.polynomial_text()} (mod {g.n})"]
-        lines += [" ".join(f"{v:>{width}}" for v in row) for row in table.cells]
+        lines += [" ".join(f"{v:>{width}}" for v in row) for row in cells]
         lines.append(f"latin: {str(latin).lower()}")
         _emit("\n".join(lines) + "\n", args.out)
     return EX_OK
@@ -436,6 +436,9 @@ def main(argv: list[str] | None = None) -> int:
         workers = getattr(args, "workers", 1)
         if workers < 1:
             parser.error(f"--workers must be >= 1, got {workers}")
+        limit = getattr(args, "limit", 1)
+        if limit < 1:
+            parser.error(f"--limit must be >= 1, got {limit}")
         if isinstance(getattr(args, "n", None), int) and args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")
         return args.func(args)

@@ -239,31 +239,39 @@ def _sweep_moduli(row: TableRow, n_values: list[int]) -> list[int]:
     return list(n_values)
 
 
-def _crosscheck_cell(args: tuple) -> tuple[int, int, list[list]]:
-    """Worker task: one (entry row, modulus) cell of a cross-check sweep."""
-    entry_id, table_number, variant, n, cap = args
-    entry = get_entry(entry_id)
-    row = next(r for r in entry.rows
-               if r.table_number == table_number and r.variant == variant)
-    checked = 0
-    na = 0
-    mismatches: list[list] = []
+def _groupoids(n: int):
+    """Every groupoid of modulus n, lexicographic in (a, b, c)."""
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                g = LinearGroupoid(n, a, b, c)
-                if not row_sweep_admits(row, g):
-                    continue
-                outcome = holds_bruteforce(g, entry.identity, cap)
-                if outcome.verdict is Verdict.NOT_APPLICABLE:
-                    na += 1
-                    continue
-                checked += 1
-                cond = row.condition.holds(g)
-                oracle = outcome.verdict is Verdict.HOLDS
-                if cond != oracle:
-                    mismatches.append([n, a, b, c, cond, outcome.verdict.value])
-    return checked, na, mismatches
+                yield LinearGroupoid(n, a, b, c)
+
+
+def _crosscheck_task(args: tuple) -> list[list]:
+    """Worker task: the listed rows of one law at one modulus.
+
+    Each triple that any of the rows admits gets one oracle call, and every
+    admitting row tallies that verdict: (checked, NA, mismatches) per row.
+    """
+    entry_id, row_indexes, n, cap = args
+    entry = get_entry(entry_id)
+    rows = [entry.rows[i] for i in row_indexes]
+    tallies = [[0, 0, []] for _ in rows]
+    for g in _groupoids(n):
+        admitting = [(row, tally) for row, tally in zip(rows, tallies)
+                     if row_sweep_admits(row, g)]
+        if not admitting:
+            continue
+        outcome = holds_bruteforce(g, entry.identity, cap)
+        for row, tally in admitting:
+            if outcome.verdict is Verdict.NOT_APPLICABLE:
+                tally[1] += 1
+                continue
+            tally[0] += 1
+            cond = row.condition.holds(g)
+            if cond != (outcome.verdict is Verdict.HOLDS):
+                tally[2].append(Mismatch(*g.triple(), cond, outcome.verdict.value))
+    return tallies
 
 
 def _run_tasks(func, tasks: list[tuple], workers: int) -> list:
@@ -274,50 +282,52 @@ def _run_tasks(func, tasks: list[tuple], workers: int) -> list:
         return pool.map(func, tasks, chunksize=1)
 
 
+def _crosscheck(selected: list[tuple[IdentityEntry, list[int]]],
+                n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
+    """Reports for the selected rows (indexes into each entry's rows), in
+    selection order, from one pool task per (law, n)."""
+    reports: list[CrosscheckReport] = []
+    tasks: list[tuple] = []
+    owners: list[list[CrosscheckReport]] = []
+    for entry, row_indexes in selected:
+        law: dict[int, CrosscheckReport] = {}
+        for i in row_indexes:
+            row = entry.rows[i]
+            law[i] = CrosscheckReport(entry.id, row.table_number, row.variant,
+                                      row.label(), _sweep_moduli(row, n_values))
+        reports.extend(law.values())
+        for n in n_values:
+            swept = [i for i, report in law.items() if n in report.n_values]
+            if swept:
+                tasks.append((entry.id, swept, n, cap))
+                owners.append([law[i] for i in swept])
+    for owned, tallies in zip(owners, _run_tasks(_crosscheck_task, tasks, workers)):
+        for report, (checked, na, mismatches) in zip(owned, tallies):
+            report.checked += checked
+            report.na_excluded += na
+            report.mismatches.extend(mismatches)
+    return reports
+
+
 def crosscheck(entry: IdentityEntry, row: TableRow, n_values: list[int],
                cap: int = DEFAULT_CAP, workers: int = 1) -> CrosscheckReport:
     """Compare the row's condition with the exhaustive oracle over the sweep."""
     if entry.identity is None:
         raise ValueError(f"entry {entry.id!r} has no defining identity")
-    moduli = _sweep_moduli(row, n_values)
-    report = CrosscheckReport(entry.id, row.table_number, row.variant,
-                              row.label(), moduli)
-    tasks = [(entry.id, row.table_number, row.variant, n, cap) for n in moduli]
-    for checked, na, mismatches in _run_tasks(_crosscheck_cell, tasks, workers):
-        report.checked += checked
-        report.na_excluded += na
-        report.mismatches.extend(Mismatch(*m[:4], m[4], m[5]) for m in mismatches)
-    return report
+    return _crosscheck([(entry, [entry.rows.index(row)])], n_values, cap, workers)[0]
 
 
 def crosscheck_all(n_values: list[int], entry_ids: list[str] | None = None,
                    cap: int = DEFAULT_CAP, workers: int = 1) -> list[CrosscheckReport]:
-    """Cross-check every row of the selected entries; deterministic order."""
+    """Cross-check every row of the selected entries; deterministic order.
+
+    The rows of one law share each triple's oracle verdict.
+    """
     entries = ([get_entry(i) for i in entry_ids] if entry_ids is not None
                else list(catalog_entries()))
-    plan: list[tuple[IdentityEntry, TableRow, list[int]]] = []
-    tasks: list[tuple] = []
-    for entry in entries:
-        if entry.identity is None:
-            continue
-        for row in entry.rows:
-            moduli = _sweep_moduli(row, n_values)
-            plan.append((entry, row, moduli))
-            tasks.extend((entry.id, row.table_number, row.variant, n, cap)
-                         for n in moduli)
-    results = _run_tasks(_crosscheck_cell, tasks, workers)
-    reports = []
-    pos = 0
-    for entry, row, moduli in plan:
-        report = CrosscheckReport(entry.id, row.table_number, row.variant,
-                                  row.label(), moduli)
-        for checked, na, mismatches in results[pos:pos + len(moduli)]:
-            report.checked += checked
-            report.na_excluded += na
-            report.mismatches.extend(Mismatch(*m[:4], m[4], m[5]) for m in mismatches)
-        pos += len(moduli)
-        reports.append(report)
-    return reports
+    selected = [(entry, list(range(len(entry.rows)))) for entry in entries
+                if entry.identity is not None]
+    return _crosscheck(selected, n_values, cap, workers)
 
 
 # --- witness search -------------------------------------------------------------
@@ -352,18 +362,14 @@ def search_witnesses(entry: IdentityEntry, row: TableRow, n_values: list[int],
         raise ValueError(f"entry {entry.id!r} has no defining identity")
     found: list[Witness] = []
     for n in sorted(_sweep_moduli(row, n_values)):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    g = LinearGroupoid(n, a, b, c)
-                    if not row_sweep_admits(row, g):
-                        continue
-                    outcome = holds_bruteforce(g, entry.identity, cap)
-                    if outcome.verdict is Verdict.HOLDS:
-                        found.append(Witness(n, a, b, c, entry.id, row.label(),
-                                             row.structure_kind.value))
-                        if len(found) >= limit:
-                            return found
+        for g in _groupoids(n):
+            if not row_sweep_admits(row, g):
+                continue
+            if holds_bruteforce(g, entry.identity, cap).verdict is Verdict.HOLDS:
+                found.append(Witness(*g.triple(), entry.id, row.label(),
+                                     row.structure_kind.value))
+                if len(found) >= limit:
+                    return found
     return found
 
 
@@ -371,14 +377,8 @@ def _scan_failures(args: tuple) -> list[tuple[int, int, int, int]]:
     """Worker task: triples of one modulus whose oracle verdict is Fails."""
     entry_id, n, cap = args
     ident = get_entry(entry_id).identity
-    failures = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                out = holds_bruteforce(LinearGroupoid(n, a, b, c), ident, cap)
-                if out.verdict is Verdict.FAILS:
-                    failures.append((n, a, b, c))
-    return failures
+    return [g.triple() for g in _groupoids(n)
+            if holds_bruteforce(g, ident, cap).verdict is Verdict.FAILS]
 
 
 def universality_scan(entry_ids: list[str], n_values: list[int],

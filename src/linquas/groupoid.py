@@ -57,29 +57,18 @@ def is_quasigroup(g: LinearGroupoid) -> bool:
     return gcd(g.b, g.n) == 1 and gcd(g.c, g.n) == 1
 
 
-@dataclass(frozen=True)
-class CayleyTable:
-    n: int
-    cells: tuple[tuple[int, ...], ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.cells, dtype=np.int64)
-
-    def csv_text(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.cells) + "\n"
-
-
-def cayley_table(g: LinearGroupoid) -> CayleyTable:
+def cayley_table(g: LinearGroupoid) -> np.ndarray:
+    """Read-only n x n array with entry [x, y] = x*y."""
     arr = _op_array(g)
-    return CayleyTable(g.n, tuple(tuple(int(v) for v in row) for row in arr))
+    arr.setflags(write=False)
+    return arr
 
 
-def is_latin_square(table: CayleyTable) -> bool:
+def is_latin_square(table: np.ndarray) -> bool:
     """True iff every row and every column is a permutation of 0..n-1."""
-    arr = table.as_array()
-    want = np.arange(table.n)
-    rows_ok = bool((np.sort(arr, axis=1) == want).all())
-    cols_ok = bool((np.sort(arr, axis=0) == want[:, None]).all())
+    want = np.arange(table.shape[0])
+    rows_ok = bool((np.sort(table, axis=1) == want).all())
+    cols_ok = bool((np.sort(table, axis=0) == want[:, None]).all())
     return rows_ok and cols_ok
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class NotAUnitError(ValueError):
@@ -64,66 +63,3 @@ def is_prime(n: int) -> bool:
             return False
         f += 6
     return True
-
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi."""
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
-
-
-@dataclass(frozen=True)
-class Modulus:
-    """A ring modulus n >= 2; n = 1 is rejected as degenerate."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A canonical representative in [0, n) of an element of Z_n."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.modulus.n)
-
-    @property
-    def n(self) -> int:
-        return self.modulus.n
-
-    def _coerce(self, other: Residue | int) -> int:
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli in residue arithmetic")
-            return other.value
-        return other % self.n
-
-    def __add__(self, other: Residue | int) -> Residue:
-        return Residue(self.value + self._coerce(other), self.modulus)
-
-    def __sub__(self, other: Residue | int) -> Residue:
-        return Residue(self.value - self._coerce(other), self.modulus)
-
-    def __mul__(self, other: Residue | int) -> Residue:
-        return Residue(self.value * self._coerce(other), self.modulus)
-
-    def __neg__(self) -> Residue:
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def is_unit(self) -> bool:
-        return is_unit(self.value, self.n)
-
-    def inverse(self) -> Residue:
-        return Residue(inverse_mod(self.value, self.n), self.modulus)
-
-
-def residue(value: int, n: int) -> Residue:
-    return Residue(value, Modulus(n))

@@ -3,8 +3,8 @@ from collections import Counter
 
 from linquas.catalog import (ExampleStatus, HypAtom, ModulusKind,
                              StructureKind, atom_holds, catalog_entries,
-                             condition_holds, export_json, get_entry,
-                             hypothesis_holds, poly, table_numbers_covered)
+                             export_json, get_entry, hypothesis_holds, poly,
+                             table_numbers_covered)
 from linquas.groupoid import LinearGroupoid
 from linquas.termlang import identity_text
 
@@ -78,7 +78,7 @@ def test_abel_grassman_entry_matches_source_row():
     assert entry.rows[0].example == (6, 2, 4, 2)
     assert entry.rows[1].example == (9, 2, 4, 2)
     g = LinearGroupoid(6, 2, 4, 2)
-    assert condition_holds(entry.rows[0].condition, g)
+    assert entry.rows[0].condition.holds(g)
 
 
 def test_medial_row_condition_is_empty():
@@ -87,7 +87,7 @@ def test_medial_row_condition_is_empty():
     for row in entry.rows:
         assert row.condition.congruences == ()
         assert row.condition.text == "always"
-        assert condition_holds(row.condition, LinearGroupoid(12, 7, 4, 9))
+        assert row.condition.holds(LinearGroupoid(12, 7, 4, 9))
 
 
 def test_hypothesis_atom_examples():
@@ -100,9 +100,9 @@ def test_hypothesis_atom_examples():
 
 def test_condition_examples():
     stein = get_entry("stein_third").rows[2]
-    assert condition_holds(stein.condition, LinearGroupoid(5, 3, 2, 4))
+    assert stein.condition.holds(LinearGroupoid(5, 3, 2, 4))
     cip = get_entry("r_cip_1").rows[0]
-    assert condition_holds(cip.condition, LinearGroupoid(11, 2, 3, 4))
+    assert cip.condition.holds(LinearGroupoid(11, 2, 3, 4))
     external_medial = poly("b2-c2")
     assert external_medial.evaluate(9, 2, 8, 1) == 0
 

@@ -69,6 +69,15 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == 64
 
 
+def test_search_limit_below_one_exits_64(capsys):
+    for limit in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--entry", "stein_third", "--n", "2..7",
+                  "--limit", limit])
+        assert exc.value.code == 64
+        assert "--limit must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_entry_exits_65(capsys):
     code, _, err = _run(capsys, "check", "--n", "6", "--a", "2", "--b", "4",
                         "--c", "2", "--entry", "no_such_law")

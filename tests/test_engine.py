@@ -132,12 +132,20 @@ def test_crosscheck_requires_identity():
 
 
 def test_crosscheck_all_deterministic_across_workers():
-    ids = ["unipotent", "commutative", "abel_grassman"]
-    one = [r.to_dict() for r in crosscheck_all(list(range(2, 7)), ids, workers=1)]
-    two = [r.to_dict() for r in crosscheck_all(list(range(2, 7)), ids, workers=2)]
-    again = [r.to_dict() for r in crosscheck_all(list(range(2, 7)), ids, workers=2)]
+    # stein_third and r_wip mix Z_n and Z_p rows, hypotheses and mismatches
+    ids = ["unipotent", "commutative", "abel_grassman", "stein_third", "r_wip"]
+    n_values = list(range(2, 7))
+    one = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=1)]
+    two = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=2)]
+    again = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=2)]
     assert json.dumps(one) == json.dumps(two) == json.dumps(again)
-    assert all(r["mismatch_count"] == 0 for r in one)
+    assert all(r["mismatch_count"] == 0 for r in one if r["entry"] in ids[:3])
+    assert any(r["mismatch_count"] for r in one)
+    assert any(r["na_excluded"] for r in one)
+    # the one-row plan gives the same report as the whole-law plan
+    per_row = [crosscheck(get_entry(i), row, n_values).to_dict()
+               for i in ids for row in get_entry(i).rows]
+    assert per_row == one
 
 
 def test_search_witnesses_examples():

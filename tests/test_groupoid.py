@@ -38,12 +38,13 @@ def test_is_quasigroup_examples():
 
 def test_cayley_table_examples():
     add3 = cayley_table(LinearGroupoid(3, 0, 1, 1))
-    assert add3.cells == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert cayley_table(LinearGroupoid(2, 1, 1, 1)).cells == ((1, 0), (0, 1))
+    assert add3.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert not add3.flags.writeable
+    assert cayley_table(LinearGroupoid(2, 1, 1, 1)).tolist() == [[1, 0], [0, 1]]
     t = cayley_table(LinearGroupoid(6, 1, 5, 5))
-    for row in t.as_array():
+    for row in t:
         assert sorted(row) == list(range(6))
-    for col in t.as_array().T:
+    for col in t.T:
         assert sorted(col) == list(range(6))
 
 
