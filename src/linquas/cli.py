@@ -266,6 +266,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cells_in_table_order = sorted(
         ((row, entry) for entry in catalog_entries() for row in entry.rows),
         key=lambda pair: (pair[0].table_number, pair[0].variant, pair[1].id))
+    swept = [(entry, [i for i, row in enumerate(entry.rows)
+                      if row.example_status in (ExampleStatus.BANG,
+                                                ExampleStatus.NOT_LISTED)])
+             for entry in catalog_entries() if entry.identity is not None]
+    reports = {(r.entry_id, r.table_number, r.variant): r for r in
+               engine.crosscheck_rows(swept, check_ns, args.cap, args.workers)}
     rows = []
     for row, entry in cells_in_table_order:
         cell: dict = {"table": row.table_number, "variant": row.variant,
@@ -294,7 +300,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 cell["status"] = "unresolved"
                 cell["detail"] = f"no witness with n up to {args.search_max}"
         else:
-            report = engine.crosscheck(entry, row, check_ns, args.cap, args.workers)
+            report = reports[(entry.id, row.table_number, row.variant)]
             if report.clean:
                 cell["status"] = "confirmed"
                 cell["detail"] = (f"condition matches the oracle on n up to "
@@ -433,12 +439,13 @@ def main(argv: list[str] | None = None) -> int:
             args.cap = _default_cap()
         if args.cap < 1000:
             parser.error(f"--cap must be >= 1000, got {args.cap}")
-        workers = getattr(args, "workers", 1)
-        if workers < 1:
-            parser.error(f"--workers must be >= 1, got {workers}")
-        limit = getattr(args, "limit", 1)
-        if limit < 1:
-            parser.error(f"--limit must be >= 1, got {limit}")
+        for flag, least in (("workers", 1), ("limit", 1), ("search_max", 2),
+                            ("crosscheck_max", 2)):
+            value = getattr(args, flag, least)
+            if value < least:
+                parser.error(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+        if getattr(args, "variant", None) is not None and (args.structure or args.modulus):
+            parser.error("--variant cannot be combined with --structure or --modulus")
         if isinstance(getattr(args, "n", None), int) and args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")
         return args.func(args)

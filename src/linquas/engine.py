@@ -74,34 +74,26 @@ def _env_grids(n: int, k: int) -> tuple[np.ndarray, ...]:
 
 
 def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray:
-    """Evaluate over all assignments at once; -1 marks an undefined value."""
+    """Evaluate over all assignments at once; -1 marks an undefined value,
+    which propagates by indexing the tables' -1 slot at index n."""
     if isinstance(term, Var):
         return env[term.name]
     if isinstance(term, (Prod, LDiv, RDiv)):
         left = _eval_table(term.left, env, tables)
         right = _eval_table(term.right, env, tables)
-        bad = (left < 0) | (right < 0)
-        ls = np.where(bad, 0, left)
-        rs = np.where(bad, 0, right)
         if isinstance(term, Prod):
-            out = tables.mul[ls, rs]
-        elif isinstance(term, LDiv):
-            out = tables.ldiv[ls, rs]
-        else:
-            out = tables.rdiv[rs, ls]  # z / x solves w*x = z: divisor indexes first
-        return np.where(bad, -1, out)
+            return tables.mul[left, right]
+        if isinstance(term, LDiv):
+            return tables.ldiv[left, right]
+        return tables.rdiv[right, left]  # z / x solves w*x = z: divisor indexes first
     child = _eval_table(term.child, env, tables)
-    bad = child < 0
-    cs = np.where(bad, 0, child)
     if isinstance(term, Rho):
-        out = tables.rho[cs]
-    elif isinstance(term, Lam):
-        out = tables.lam[cs]
-    elif isinstance(term, ERho):
-        out = tables.e_rho[cs]
-    else:
-        out = tables.e_lam[cs]
-    return np.where(bad, -1, out)
+        return tables.rho[child]
+    if isinstance(term, Lam):
+        return tables.lam[child]
+    if isinstance(term, ERho):
+        return tables.e_rho[child]
+    return tables.e_lam[child]
 
 
 def _env_at(ident: Identity, grids: tuple[np.ndarray, ...], flat_index: int) -> dict[str, int]:
@@ -282,10 +274,11 @@ def _run_tasks(func, tasks: list[tuple], workers: int) -> list:
         return pool.map(func, tasks, chunksize=1)
 
 
-def _crosscheck(selected: list[tuple[IdentityEntry, list[int]]],
-                n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
+def crosscheck_rows(selected: list[tuple[IdentityEntry, list[int]]],
+                    n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
     """Reports for the selected rows (indexes into each entry's rows), in
-    selection order, from one pool task per (law, n)."""
+    selection order, from one pool task per (law, n): the selected rows of
+    one law share each triple's oracle verdict."""
     reports: list[CrosscheckReport] = []
     tasks: list[tuple] = []
     owners: list[list[CrosscheckReport]] = []
@@ -314,7 +307,7 @@ def crosscheck(entry: IdentityEntry, row: TableRow, n_values: list[int],
     """Compare the row's condition with the exhaustive oracle over the sweep."""
     if entry.identity is None:
         raise ValueError(f"entry {entry.id!r} has no defining identity")
-    return _crosscheck([(entry, [entry.rows.index(row)])], n_values, cap, workers)[0]
+    return crosscheck_rows([(entry, [entry.rows.index(row)])], n_values, cap, workers)[0]
 
 
 def crosscheck_all(n_values: list[int], entry_ids: list[str] | None = None,
@@ -327,7 +320,7 @@ def crosscheck_all(n_values: list[int], entry_ids: list[str] | None = None,
                else list(catalog_entries()))
     selected = [(entry, list(range(len(entry.rows)))) for entry in entries
                 if entry.identity is not None]
-    return _crosscheck(selected, n_values, cap, workers)
+    return crosscheck_rows(selected, n_values, cap, workers)
 
 
 # --- witness search -------------------------------------------------------------

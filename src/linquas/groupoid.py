@@ -156,7 +156,8 @@ def orthogonal_det(g1: LinearGroupoid, g2: LinearGroupoid) -> bool:
 
 @dataclass(frozen=True)
 class OpTables:
-    """Operation tables for one groupoid; -1 marks an undefined entry."""
+    """Operation tables for one groupoid; -1 marks an undefined entry.  Each
+    axis has one more slot, at index n, holding -1, so index -1 reads -1."""
 
     n: int
     mul: np.ndarray     # mul[x, y] = x*y
@@ -174,41 +175,31 @@ def _op_array(g: LinearGroupoid) -> np.ndarray:
 
 
 def _invert_rows(t: np.ndarray) -> np.ndarray:
-    """inv[x, v] = the unique w with t[x, w] = v, or -1."""
+    """inv[x, v] = the unique w with t[x, w] = v, or -1; padded to n + 1."""
     n = t.shape[0]
-    inv = np.full((n, n), -1, dtype=np.int64)
+    inv = np.full((n + 1, n + 1), -1, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)
     for x in range(n):
         row = t[x]
-        counts = np.bincount(row, minlength=n)
-        winv = np.full(n, -1, dtype=np.int64)
-        winv[row] = cols
-        winv[counts != 1] = -1
-        inv[x] = winv
+        inv[x, row] = cols
+        inv[x, :n][np.bincount(row, minlength=n) != 1] = -1
     return inv
-
-
-def _chase(table2d: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Index table2d[x, target[x]] treating -1 targets as undefined."""
-    n = table2d.shape[0]
-    idx = np.arange(n)
-    safe = np.where(target >= 0, target, 0)
-    out = table2d[idx, safe]
-    return np.where(target >= 0, out, -1)
 
 
 @lru_cache(maxsize=4096)
 def op_tables(triple: tuple[int, int, int, int]) -> OpTables:
     """Build lookup tables for the groupoid (n, a, b, c) by table scan."""
     g = LinearGroupoid(*triple)
-    mul = _op_array(g)
-    ldiv = _invert_rows(mul)
-    rdiv = _invert_rows(mul.T)
-    idx = np.arange(g.n)
+    table = _op_array(g)
+    mul = np.full((g.n + 1, g.n + 1), -1, dtype=np.int64)
+    mul[:g.n, :g.n] = table
+    ldiv = _invert_rows(table)
+    rdiv = _invert_rows(table.T)
+    idx = np.arange(g.n + 1)
     e_rho = ldiv[idx, idx]
     e_lam = rdiv[idx, idx]
-    rho = _chase(ldiv, e_rho)
-    lam = _chase(rdiv, e_lam)
+    rho = ldiv[idx, e_rho]
+    lam = rdiv[idx, e_lam]
     for arr in (mul, ldiv, rdiv, e_rho, e_lam, rho, lam):
         arr.setflags(write=False)
     return OpTables(g.n, mul, ldiv, rdiv, e_rho, e_lam, rho, lam)

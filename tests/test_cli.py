@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from linquas import engine
 from linquas.cli import main
 
 SCHEMA = json.loads(
@@ -76,6 +77,24 @@ def test_search_limit_below_one_exits_64(capsys):
                   "--limit", limit])
         assert exc.value.code == 64
         assert "--limit must be >= 1" in capsys.readouterr().err
+
+
+def test_report_maxima_below_two_exit_64(capsys):
+    for flag in ("--search-max", "--crosscheck-max"):
+        for value in ("0", "1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["report", flag, value])
+            assert exc.value.code == 64
+            assert f"{flag} must be >= 2" in capsys.readouterr().err
+
+
+def test_search_variant_with_structure_or_modulus_exits_64(capsys):
+    for extra in (["--structure", "Q"], ["--modulus", "Zp"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--entry", "medial", "--variant", "0", "--n", "2..3",
+                  *extra])
+        assert exc.value.code == 64
+        assert "--variant cannot be combined" in capsys.readouterr().err
 
 
 def test_unknown_entry_exits_65(capsys):
@@ -204,10 +223,15 @@ def test_examples_verify_json(capsys):
     assert "text:stein_third:groupoid" in sources
 
 
-def test_report_statuses(capsys):
+def test_report_statuses(capsys, monkeypatch):
+    calls = []
+    crosscheck_rows = engine.crosscheck_rows
+    monkeypatch.setattr(engine, "crosscheck_rows",
+                        lambda *args: calls.append(args) or crosscheck_rows(*args))
     code, out, _ = _run(capsys, "report", "--search-max", "5",
                         "--crosscheck-max", "4", "--format", "json")
     assert code == 0
+    assert len(calls) == 1  # one sweep shared by every cross-checked cell
     payload = _validate(out)
     cells = {(c["table"], c["variant"]): c for c in payload["results"][0]["cells"]}
     assert cells[(2, 0)]["status"] == "confirmed"

@@ -193,3 +193,10 @@ def test_op_tables_match_scalar_operations():
                 rd = right_divide(g, y, x)
                 assert t.rdiv[x, y] == (rd.value if rd.defined else -1)
         assert isinstance(t.mul, np.ndarray)
+        # The -1 sentinel slot: an undefined operand indexes it and reads -1.
+        for table in (t.mul, t.ldiv, t.rdiv):
+            assert table.shape == (n + 1, n + 1)
+            assert (table[-1, :] == -1).all() and (table[:, -1] == -1).all()
+        for table in (t.e_rho, t.e_lam, t.rho, t.lam):
+            assert table.shape == (n + 1,)
+            assert table[-1] == -1

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from linquas.groupoid import LinearGroupoid
@@ -172,3 +173,43 @@ def test_expansion_agrees_with_direct_evaluation_pointwise():
             assert direct == form.evaluate(env)
             checked += 1
     assert checked > 1000
+
+
+def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
+    # engine._eval_table over the full grid against evaluate at every
+    # assignment: -1 exactly where evaluate is NotApplicable, equal elsewhere.
+    from itertools import product
+
+    from linquas.engine import _eval_table
+    from linquas.groupoid import op_tables
+
+    def kinds(term):
+        if isinstance(term, Var):
+            return {Var}
+        if hasattr(term, "child"):
+            return {type(term)} | kinds(term.child)
+        return {type(term)} | kinds(term.left) | kinds(term.right)
+
+    rng = random.Random(2718)
+    seen: set = set()
+    undefined = defined = 0
+    for n in range(2, 9):
+        for _ in range(12):
+            g = LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            term = _random_term(rng, rng.randint(1, 4))
+            seen |= kinds(term)
+            names = sorted({v for v in canonical_print(term) if v in "wxyz"})
+            envs = list(product(range(n), repeat=len(names)))
+            grid = {name: np.array([env[i] for env in envs])
+                    for i, name in enumerate(names)}
+            got = _eval_table(term, grid, op_tables(g.triple()))
+            for env, value in zip(envs, got.tolist()):
+                want = evaluate(term, dict(zip(names, env)), g)
+                if isinstance(want, NotApplicable):
+                    assert value == -1
+                    undefined += 1
+                else:
+                    assert value == want
+                    defined += 1
+    assert seen == {Var, Prod, LDiv, RDiv, Rho, Lam, ERho, ELam}
+    assert undefined > 1000 and defined > 1000
