@@ -272,6 +272,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
              for entry in catalog_entries() if entry.identity is not None]
     reports = {(r.entry_id, r.table_number, r.variant): r for r in
                engine.crosscheck_rows(swept, check_ns, args.cap, args.workers)}
+    ledger = engine.verify_examples(args.cap)
+    findings = {f.source: f for f in ledger.findings}
     rows = []
     for row, entry in cells_in_table_order:
         cell: dict = {"table": row.table_number, "variant": row.variant,
@@ -280,9 +282,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             cell["status"] = "unresolved"
             cell["detail"] = "defining identity unknown"
         elif row.example_status is ExampleStatus.GIVEN:
-            finding = engine.check_example(
-                f"table:{row.table_number:02d}.{row.variant}:{entry.id}",
-                entry, row.structure_kind, row.example, row, args.cap)
+            finding = findings.get(f"table:{row.table_number:02d}.{row.variant}:{entry.id}")
             if finding is None:
                 cell["status"] = "confirmed"
                 cell["detail"] = f"example {row.example} checks out"
@@ -311,7 +311,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 cell["detail"] = (f"{len(report.mismatches)} oracle mismatches, "
                                   f"first at ({first.n},{first.a},{first.b},{first.c})")
         rows.append(cell)
-    ledger = engine.verify_examples(args.cap)
     results = [{"cells": rows, "findings": [f.to_dict() for f in ledger.findings]}]
     input_dict = {"search_max": args.search_max, "crosscheck_max": args.crosscheck_max}
     if args.format == "json":

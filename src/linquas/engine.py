@@ -23,7 +23,7 @@ from . import termlang as tl
 from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
                       TableRow, catalog_entries, get_entry, hypothesis_holds,
                       row_sweep_admits)
-from .groupoid import LinearGroupoid, is_quasigroup, op_tables
+from .groupoid import BLOCK, LinearGroupoid, is_quasigroup, op_tables
 from .modring import is_prime
 from .termlang import (ELam, ERho, Identity, Lam, LDiv, NotApplicable, Prod,
                        RDiv, Rho, Var)
@@ -66,11 +66,19 @@ class CheckOutcome:
 
 
 @lru_cache(maxsize=64)
-def _env_grids(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """Flat coordinate arrays for all n**k assignments, lexicographic order."""
-    grids = np.indices((n,) * k).reshape(k, -1)
-    grids.setflags(write=False)
-    return tuple(grids)
+def _blocks(n: int, k: int) -> tuple[tuple[int, tuple[np.ndarray, ...]], ...]:
+    """The n**k assignments in lexicographic blocks of at most BLOCK (at least
+    one leading value each): (start, grid) pairs, where start is the block's
+    first leading value and grid[i] is an open grid of variable i's values,
+    shaped along axis i, so that table lookups broadcast to the block."""
+    step = max(1, BLOCK // n ** (k - 1))
+    blocks = tuple((start, np.ix_(np.arange(start, min(start + step, n)),
+                                  *[np.arange(n)] * (k - 1)))
+                   for start in range(0, n, step))
+    for _, grid in blocks:
+        for values in grid:
+            values.setflags(write=False)
+    return blocks
 
 
 def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray:
@@ -96,8 +104,17 @@ def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray
     return tables.e_lam[child]
 
 
-def _env_at(ident: Identity, grids: tuple[np.ndarray, ...], flat_index: int) -> dict[str, int]:
-    return {name: int(grids[i][flat_index]) for i, name in enumerate(ident.variables)}
+def _first(mask: np.ndarray, ident: Identity, start: int) -> dict[str, int] | None:
+    """The first flagged assignment of the block whose leading values begin
+    at start, or None; the mask spans the block, one axis per variable."""
+    index = int(mask.argmax())
+    if not mask.flat[index]:
+        return None
+    trailing = []
+    for size in mask.shape[:0:-1]:
+        index, value = divmod(index, size)
+        trailing.append(value)
+    return dict(zip(ident.variables, [start + index, *reversed(trailing)]))
 
 
 def holds_bruteforce(g: LinearGroupoid, ident: Identity,
@@ -107,26 +124,27 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     Fails carries the lexicographically first counterexample.  If any
     assignment makes either side undefined the whole check is NotApplicable:
     skipping such tuples would silently weaken the universal quantifier.
+    Assignments are evaluated in lexicographic blocks (see _blocks), so
+    memory grows with max(BLOCK, n**(k-1)), not with n**k.
     """
     k = len(ident.variables)
     if g.n ** k > cap:
         raise CapExceeded(f"{g.n}**{k} assignments exceed the cap of {cap}")
     tables = op_tables(g.triple())
-    grids = _env_grids(g.n, max(k, 1))
-    env = {name: grids[i] for i, name in enumerate(ident.variables)}
-    lhs = _eval_table(ident.lhs, env, tables)
-    rhs = _eval_table(ident.rhs, env, tables)
-    undefined = (lhs < 0) | (rhs < 0)
-    if undefined.any():
-        first = int(np.argmax(undefined))
-        scalar_env = _env_at(ident, grids, first)
-        reason = _na_reason(ident, scalar_env, g)
-        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE, na_reason=reason)
-    diff = lhs != rhs
-    if diff.any():
-        first = int(np.argmax(diff))
+    counterexample = None
+    for start, grid in _blocks(g.n, max(k, 1)):
+        env = dict(zip(ident.variables, grid))
+        lhs = _eval_table(ident.lhs, env, tables)
+        rhs = _eval_table(ident.rhs, env, tables)
+        undefined = _first((lhs < 0) | (rhs < 0), ident, start)
+        if undefined is not None:
+            return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                                na_reason=_na_reason(ident, undefined, g))
+        if counterexample is None:
+            counterexample = _first(lhs != rhs, ident, start)
+    if counterexample is not None:
         return CheckOutcome(Verdict.FAILS, Method.BRUTE_FORCE,
-                            counterexample=_env_at(ident, grids, first))
+                            counterexample=counterexample)
     return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
 
 

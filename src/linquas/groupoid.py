@@ -13,6 +13,11 @@ import numpy as np
 
 from .modring import gcd, solve_linear
 
+# Cells per numpy block, for the exhaustive checker's assignments and for
+# _invert_rows: a block's int64 arrays (2 MiB each) stay in cache, which made
+# both run faster than with 2**20-cell blocks.
+BLOCK = 1 << 18
+
 
 class ModulusMismatchError(ValueError):
     """Two groupoids with different moduli were combined."""
@@ -175,31 +180,40 @@ def _op_array(g: LinearGroupoid) -> np.ndarray:
 
 
 def _invert_rows(t: np.ndarray) -> np.ndarray:
-    """inv[x, v] = the unique w with t[x, w] = v, or -1; padded to n + 1."""
+    """inv[x, v] = the unique w with t[x, w] = v, or -1; padded to n + 1.
+    Inverts blocks of at most BLOCK cells at a time."""
     n = t.shape[0]
     inv = np.full((n + 1, n + 1), -1, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)
-    for x in range(n):
-        row = t[x]
-        inv[x, row] = cols
-        inv[x, :n][np.bincount(row, minlength=n) != 1] = -1
+    step = max(1, BLOCK // n)
+    for start in range(0, n, step):
+        rows = t[start:start + step]
+        at = np.arange(len(rows))[:, None]
+        counts = np.bincount((at * n + rows).ravel(), minlength=rows.size)
+        block = inv[start:start + len(rows), :n]
+        block[at, rows] = cols
+        block[counts.reshape(rows.shape) != 1] = -1
     return inv
 
 
 @lru_cache(maxsize=4096)
 def op_tables(triple: tuple[int, int, int, int]) -> OpTables:
     """Build lookup tables for the groupoid (n, a, b, c) by table scan."""
-    g = LinearGroupoid(*triple)
-    table = _op_array(g)
-    mul = np.full((g.n + 1, g.n + 1), -1, dtype=np.int64)
-    mul[:g.n, :g.n] = table
+    return _scan_tables(_op_array(LinearGroupoid(*triple)))
+
+
+def _scan_tables(table: np.ndarray) -> OpTables:
+    """Lookup tables of any finite groupoid, from its n x n Cayley table."""
+    n = table.shape[0]
+    mul = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    mul[:n, :n] = table
     ldiv = _invert_rows(table)
     rdiv = _invert_rows(table.T)
-    idx = np.arange(g.n + 1)
+    idx = np.arange(n + 1)
     e_rho = ldiv[idx, idx]
     e_lam = rdiv[idx, idx]
     rho = ldiv[idx, e_rho]
     lam = rdiv[idx, e_lam]
     for arr in (mul, ldiv, rdiv, e_rho, e_lam, rho, lam):
         arr.setflags(write=False)
-    return OpTables(g.n, mul, ldiv, rdiv, e_rho, e_lam, rho, lam)
+    return OpTables(n, mul, ldiv, rdiv, e_rho, e_lam, rho, lam)

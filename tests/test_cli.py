@@ -228,10 +228,15 @@ def test_report_statuses(capsys, monkeypatch):
     crosscheck_rows = engine.crosscheck_rows
     monkeypatch.setattr(engine, "crosscheck_rows",
                         lambda *args: calls.append(args) or crosscheck_rows(*args))
+    examples = []
+    check_example = engine.check_example
+    monkeypatch.setattr(engine, "check_example",
+                        lambda *args: examples.append(args[0]) or check_example(*args))
     code, out, _ = _run(capsys, "report", "--search-max", "5",
                         "--crosscheck-max", "4", "--format", "json")
     assert code == 0
     assert len(calls) == 1  # one sweep shared by every cross-checked cell
+    assert len(examples) == len(set(examples))  # each example checked once
     payload = _validate(out)
     cells = {(c["table"], c["variant"]): c for c in payload["results"][0]["cells"]}
     assert cells[(2, 0)]["status"] == "confirmed"
@@ -239,6 +244,14 @@ def test_report_statuses(capsys, monkeypatch):
     assert cells[(14, 0)]["status"] == "witness_found"
     assert cells[(14, 0)]["witness"] == [5, 0, 1, 3]
     assert cells[(14, 2)]["status"] == "discrepancy"
+    # a cited example cell reports its ledger finding
+    findings = {f["source"]: f["observed"] for f in payload["results"][0]["findings"]}
+    given = [(c, findings.get(f"table:{c['table']:02d}.{c['variant']}:{c['entry']}"))
+             for c in payload["results"][0]["cells"]]
+    assert any(observed for _, observed in given)
+    for cell, observed in given:
+        if observed:
+            assert (cell["status"], cell["detail"]) == ("discrepancy", observed)
 
 
 def test_catalog_command(capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from linquas import engine
@@ -197,3 +198,102 @@ def test_verify_examples_is_deterministic():
     one = verify_examples().to_json()
     two = verify_examples().to_json()
     assert one == two
+
+
+@pytest.fixture
+def one_value_per_block(monkeypatch):
+    """BLOCK = 1: every leading value is its own block."""
+    monkeypatch.setattr(engine, "BLOCK", 1)
+    engine._blocks.cache_clear()
+    yield
+    engine._blocks.cache_clear()
+
+
+def test_blocks_match_scalar_reference_on_random_identities(one_value_per_block):
+    # The verdict, the first counterexample and the first undefined
+    # assignment must come out of the block scan, not out of one block.
+    from itertools import product
+
+    from test_termlang import _random_term
+
+    from linquas.termlang import Identity, NotApplicable, evaluate
+
+    def reference(g, ident):
+        """(verdict, counterexample, na_reason, the deciding assignment)."""
+        first_fail = None
+        for values in product(range(g.n), repeat=len(ident.variables)):
+            env = dict(zip(ident.variables, values))
+            lhs, rhs = (evaluate(side, env, g) for side in (ident.lhs, ident.rhs))
+            for side in (lhs, rhs):
+                if isinstance(side, NotApplicable):
+                    return Verdict.NOT_APPLICABLE, None, side.reason, env
+            if first_fail is None and lhs != rhs:
+                first_fail = env
+        if first_fail is None:
+            return Verdict.HOLDS, None, None, None
+        return Verdict.FAILS, first_fail, None, first_fail
+
+    rng = random.Random(31415)
+    cases = []
+    for _ in range(1000):
+        n = rng.randint(2, 6)
+        g = LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
+        cases.append((g, Identity(_random_term(rng, rng.randint(1, 3)),
+                                  _random_term(rng, rng.randint(1, 3)))))
+    for entry in catalog_entries():  # laws that hold somewhere
+        if entry.identity is not None:
+            n = rng.randint(2, 5)
+            g = LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            cases.append((g, entry.identity))
+    seen = {verdict: 0 for verdict in Verdict}
+    past_first_block = 0
+    for g, ident in cases:
+        if g.n ** len(ident.variables) > 2000:
+            continue
+        verdict, counterexample, na_reason, deciding = reference(g, ident)
+        out = holds_bruteforce(g, ident)
+        assert (out.verdict, out.counterexample, out.na_reason) == \
+            (verdict, counterexample, na_reason), (g, ident)
+        seen[verdict] += 1
+        past_first_block += bool(deciding and deciding[ident.variables[0]] > 0)
+    assert min(seen.values()) >= 50, seen
+    assert past_first_block >= 10, past_first_block
+    assert len(engine._blocks(6, 3)) == 6
+
+
+def test_bruteforce_scans_for_undefined_values_past_a_failing_block(monkeypatch,
+                                                                  one_value_per_block):
+    # Over linear groupoids each operation is undefined everywhere or
+    # nowhere, so use a groupoid whose last row is constant: x\y is defined
+    # for x < 3 (x = 0 already fails the law) and undefined for x = 3.
+    from linquas.groupoid import _scan_tables
+
+    table = np.array([[1, 0, 3, 2], [0, 1, 2, 3], [2, 3, 0, 1], [0, 0, 0, 0]])
+    monkeypatch.setattr(engine, "op_tables", lambda triple: _scan_tables(table))
+    g = LinearGroupoid(4, 0, 1, 1)
+    assert holds_bruteforce(g, parse("x*y = y")).counterexample == {"x": 0, "y": 0}
+    assert holds_bruteforce(g, parse("x\\y = y")).verdict is Verdict.NOT_APPLICABLE
+
+
+def test_bruteforce_memory_is_bounded_at_the_cap():
+    # ~10**7 assignments each: medial at n = 56 holds (a full scan), and
+    # r_aaip at n = 3162 holds while using the division tables.
+    import tracemalloc
+
+    from linquas.groupoid import op_tables
+
+    cases = [("medial", LinearGroupoid(56, 3, 5, 7)),
+             ("r_aaip", LinearGroupoid(3162, 2544, 947, 947))]
+    try:
+        for entry_id, g in cases:
+            op_tables(g.triple())
+            tracemalloc.start()
+            try:
+                out = holds_bruteforce(g, get_entry(entry_id).identity)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.verdict is Verdict.HOLDS
+            assert peak < 64 * 2**20, (entry_id, peak)
+    finally:
+        op_tables.cache_clear()
