@@ -7,15 +7,16 @@ inverses, left/right division, and orthogonality of pairs of tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .modring import gcd, solve_linear
 
 # Cells per numpy block, for the exhaustive checker's assignments and for
-# _invert_rows: a block's int64 arrays (2 MiB each) stay in cache, which made
-# both run faster than with 2**20-cell blocks.
+# _invert_rows: a block's arrays (2 MiB each at int64) stay in cache, which
+# made both run faster than with 2**20-cell blocks.  Operation tables larger
+# than one block are stored compact (see _padded).
 BLOCK = 1 << 18
 
 
@@ -64,9 +65,7 @@ def is_quasigroup(g: LinearGroupoid) -> bool:
 
 def cayley_table(g: LinearGroupoid) -> np.ndarray:
     """Read-only n x n array with entry [x, y] = x*y."""
-    arr = _op_array(g)
-    arr.setflags(write=False)
-    return arr
+    return op_tables(g.triple()).mul[:g.n, :g.n]
 
 
 def is_latin_square(table: np.ndarray) -> bool:
@@ -141,8 +140,8 @@ def orthogonal(g1: LinearGroupoid, g2: LinearGroupoid) -> bool:
     """
     if g1.n != g2.n:
         raise ModulusMismatchError(f"moduli differ: {g1.n} != {g2.n}")
-    t1 = _op_array(g1)
-    t2 = _op_array(g2)
+    t1 = cayley_table(g1)
+    t2 = cayley_table(g2)
     combined = t1.astype(np.int64) * g1.n + t2
     return int(np.unique(combined).size) == g1.n * g1.n
 
@@ -159,31 +158,72 @@ def orthogonal_det(g1: LinearGroupoid, g2: LinearGroupoid) -> bool:
 # the brute-force path stays independent of the symbolic expansion.
 
 
-@dataclass(frozen=True)
 class OpTables:
     """Operation tables for one groupoid; -1 marks an undefined entry.  Each
-    axis has one more slot, at index n, holding -1, so index -1 reads -1."""
+    axis has one more slot, at index n, holding -1, so index -1 reads -1.
 
-    n: int
-    mul: np.ndarray     # mul[x, y] = x*y
-    ldiv: np.ndarray    # ldiv[x, z] = unique w with x*w = z, else -1
-    rdiv: np.ndarray    # rdiv[x, z] = unique w with w*x = z, else -1
-    e_rho: np.ndarray   # e_rho[x] = unique e with x*e = x, else -1
-    e_lam: np.ndarray   # e_lam[x] = unique e with e*x = x, else -1
-    rho: np.ndarray     # rho[x] = unique s with x*s = e_rho(x), else -1
-    lam: np.ndarray     # lam[x] = unique s with s*x = e_lam(x), else -1
+    Only mul is given; the others are scanned from it on first access, so a
+    check builds just the tables its identity uses.  All are read-only and
+    share mul's dtype.
+    """
+
+    def __init__(self, mul: np.ndarray) -> None:
+        mul.setflags(write=False)
+        self.n = mul.shape[0] - 1
+        self.mul = mul  # mul[x, y] = x*y
+
+    @cached_property
+    def ldiv(self) -> np.ndarray:
+        """ldiv[x, z] = unique w with x*w = z, else -1."""
+        return _invert_rows(self.mul[:-1, :-1])
+
+    @cached_property
+    def rdiv(self) -> np.ndarray:
+        """rdiv[x, z] = unique w with w*x = z, else -1."""
+        return _invert_rows(self.mul[:-1, :-1].T)
+
+    @cached_property
+    def e_rho(self) -> np.ndarray:
+        """e_rho[x] = unique e with x*e = x, else -1."""
+        return self.ldiv.diagonal()
+
+    @cached_property
+    def e_lam(self) -> np.ndarray:
+        """e_lam[x] = unique e with e*x = x, else -1."""
+        return self.rdiv.diagonal()
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """rho[x] = unique s with x*s = e_rho(x), else -1."""
+        return _read_only(self.ldiv[np.arange(self.n + 1), self.e_rho])
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """lam[x] = unique s with s*x = e_lam(x), else -1."""
+        return _read_only(self.rdiv[np.arange(self.n + 1), self.e_lam])
 
 
-def _op_array(g: LinearGroupoid) -> np.ndarray:
-    idx = np.arange(g.n, dtype=np.int64)
-    return (g.a + g.b * idx[:, None] + g.c * idx[None, :]) % g.n
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _padded(n: int) -> np.ndarray:
+    """An (n+1) x (n+1) table of -1.  A table of at most BLOCK cells is
+    int64, numpy's index type, which lookups use without a cast; a larger
+    one takes the smallest signed type holding -2n, and so the sums below
+    2n written while building mul, so that it stays in cache (int16 up to
+    n = 16384)."""
+    cells = (n + 1) ** 2
+    dtype = np.int64 if cells <= BLOCK else np.min_scalar_type(-2 * n)
+    return np.full((n + 1, n + 1), -1, dtype=dtype)
 
 
 def _invert_rows(t: np.ndarray) -> np.ndarray:
     """inv[x, v] = the unique w with t[x, w] = v, or -1; padded to n + 1.
     Inverts blocks of at most BLOCK cells at a time."""
     n = t.shape[0]
-    inv = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    inv = _padded(n)
     cols = np.arange(n, dtype=np.int64)
     step = max(1, BLOCK // n)
     for start in range(0, n, step):
@@ -193,27 +233,19 @@ def _invert_rows(t: np.ndarray) -> np.ndarray:
         block = inv[start:start + len(rows), :n]
         block[at, rows] = cols
         block[counts.reshape(rows.shape) != 1] = -1
-    return inv
+    return _read_only(inv)
 
 
 @lru_cache(maxsize=4096)
 def op_tables(triple: tuple[int, int, int, int]) -> OpTables:
-    """Build lookup tables for the groupoid (n, a, b, c) by table scan."""
-    return _scan_tables(_op_array(LinearGroupoid(*triple)))
-
-
-def _scan_tables(table: np.ndarray) -> OpTables:
-    """Lookup tables of any finite groupoid, from its n x n Cayley table."""
-    n = table.shape[0]
-    mul = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    mul[:n, :n] = table
-    ldiv = _invert_rows(table)
-    rdiv = _invert_rows(table.T)
-    idx = np.arange(n + 1)
-    e_rho = ldiv[idx, idx]
-    e_lam = rdiv[idx, idx]
-    rho = ldiv[idx, e_rho]
-    lam = rdiv[idx, e_lam]
-    for arr in (mul, ldiv, rdiv, e_rho, e_lam, rho, lam):
-        arr.setflags(write=False)
-    return OpTables(n, mul, ldiv, rdiv, e_rho, e_lam, rho, lam)
+    """Lookup tables for the groupoid (n, a, b, c); the Cayley table is
+    written straight into mul, the others are scanned from it."""
+    n, a, b, c = LinearGroupoid(*triple).triple()
+    mul = _padded(n)
+    body = mul[:n, :n]
+    i = np.arange(n, dtype=np.int64)
+    # each term is below n, so their sum (below 2n) fits the table's dtype
+    np.add(((a + b * i) % n)[:, None], ((c * i) % n)[None, :], out=body,
+           casting="unsafe")
+    body %= n
+    return OpTables(mul)

@@ -112,6 +112,18 @@ def test_cap_exceeded_exits_70(capsys):
     assert code == 70 and "cap exceeded" in err
 
 
+def test_one_variable_check_past_the_table_cap_exits_70(capsys):
+    # 10**6 assignments pass the cap, but the 10**12-cell tables must not
+    code, out, err = _run(capsys, "check", "--n", "1000000", "--a", "0", "--b", "1",
+                          "--c", "0", "--entry", "idempotent")
+    assert (code, out) == (70, "")
+    assert err == ("linquas: cap exceeded: 1000000**2 table cells exceed the cap "
+                   "of 10000000\n")
+    code, _, _ = _run(capsys, "check", "--n", "3162", "--a", "0", "--b", "1",
+                      "--c", "0", "--entry", "idempotent")
+    assert code == 0
+
+
 def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LINQUAS_CAP", "100000")
     code, _, err = _run(capsys, "check", "--n", "200", "--a", "0", "--b", "1",

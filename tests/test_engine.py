@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from linquas import engine
+from linquas import engine, groupoid
 from linquas.catalog import catalog_entries, get_entry
 from linquas.engine import (CapExceeded, Method, Verdict, crosscheck,
                             crosscheck_all, holds_bruteforce, holds_symbolic,
                             search_witnesses, universality_scan,
                             verify_examples)
-from linquas.groupoid import LinearGroupoid
+from linquas.groupoid import LinearGroupoid, OpTables, op_tables
 from linquas.termlang import parse
 
 
@@ -200,6 +200,15 @@ def test_verify_examples_is_deterministic():
     assert one == two
 
 
+def test_verify_examples_checks_each_law_and_triple_once(monkeypatch):
+    calls = []
+    oracle = engine.holds_bruteforce
+    monkeypatch.setattr(engine, "holds_bruteforce",
+                        lambda g, ident, cap: calls.append((g, ident)) or oracle(g, ident, cap))
+    verify_examples()
+    assert len(calls) == len(set(calls)) == 113
+
+
 @pytest.fixture
 def one_value_per_block(monkeypatch):
     """BLOCK = 1: every leading value is its own block."""
@@ -209,9 +218,11 @@ def one_value_per_block(monkeypatch):
     engine._blocks.cache_clear()
 
 
-def test_blocks_match_scalar_reference_on_random_identities(one_value_per_block):
+def test_blocks_match_scalar_reference_on_random_identities(monkeypatch,
+                                                            one_value_per_block):
     # The verdict, the first counterexample and the first undefined
-    # assignment must come out of the block scan, not out of one block.
+    # assignment must come out of the block scan, not out of one block, for
+    # int64 tables and, with groupoid.BLOCK = 0, for compact (int8) ones.
     from itertools import product
 
     from test_termlang import _random_term
@@ -245,20 +256,27 @@ def test_blocks_match_scalar_reference_on_random_identities(one_value_per_block)
             n = rng.randint(2, 5)
             g = LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
             cases.append((g, entry.identity))
+    cases = [(g, ident) for g, ident in cases if g.n ** len(ident.variables) <= 2000]
+    expected = [reference(g, ident) for g, ident in cases]
     seen = {verdict: 0 for verdict in Verdict}
     past_first_block = 0
-    for g, ident in cases:
-        if g.n ** len(ident.variables) > 2000:
-            continue
-        verdict, counterexample, na_reason, deciding = reference(g, ident)
-        out = holds_bruteforce(g, ident)
-        assert (out.verdict, out.counterexample, out.na_reason) == \
-            (verdict, counterexample, na_reason), (g, ident)
+    for (_, ident), (verdict, _, _, deciding) in zip(cases, expected):
         seen[verdict] += 1
         past_first_block += bool(deciding and deciding[ident.variables[0]] > 0)
     assert min(seen.values()) >= 50, seen
     assert past_first_block >= 10, past_first_block
     assert len(engine._blocks(6, 3)) == 6
+    try:
+        for block, dtype in ((groupoid.BLOCK, np.int64), (0, np.int8)):
+            monkeypatch.setattr(groupoid, "BLOCK", block)
+            op_tables.cache_clear()
+            for (g, ident), (verdict, counterexample, na_reason, _) in zip(cases, expected):
+                out = holds_bruteforce(g, ident)
+                assert (out.verdict, out.counterexample, out.na_reason) == \
+                    (verdict, counterexample, na_reason), (g, ident, dtype)
+                assert op_tables(g.triple()).mul.dtype == dtype
+    finally:
+        op_tables.cache_clear()
 
 
 def test_bruteforce_scans_for_undefined_values_past_a_failing_block(monkeypatch,
@@ -266,10 +284,9 @@ def test_bruteforce_scans_for_undefined_values_past_a_failing_block(monkeypatch,
     # Over linear groupoids each operation is undefined everywhere or
     # nowhere, so use a groupoid whose last row is constant: x\y is defined
     # for x < 3 (x = 0 already fails the law) and undefined for x = 3.
-    from linquas.groupoid import _scan_tables
-
     table = np.array([[1, 0, 3, 2], [0, 1, 2, 3], [2, 3, 0, 1], [0, 0, 0, 0]])
-    monkeypatch.setattr(engine, "op_tables", lambda triple: _scan_tables(table))
+    tables = OpTables(np.pad(table, (0, 1), constant_values=-1))
+    monkeypatch.setattr(engine, "op_tables", lambda triple: tables)
     g = LinearGroupoid(4, 0, 1, 1)
     assert holds_bruteforce(g, parse("x*y = y")).counterexample == {"x": 0, "y": 0}
     assert holds_bruteforce(g, parse("x\\y = y")).verdict is Verdict.NOT_APPLICABLE
@@ -277,16 +294,15 @@ def test_bruteforce_scans_for_undefined_values_past_a_failing_block(monkeypatch,
 
 def test_bruteforce_memory_is_bounded_at_the_cap():
     # ~10**7 assignments each: medial at n = 56 holds (a full scan), and
-    # r_aaip at n = 3162 holds while using the division tables.
+    # r_aaip at n = 3162 holds while using a division table.  The window
+    # covers building the tables, which are int16 at n = 3162.
     import tracemalloc
-
-    from linquas.groupoid import op_tables
 
     cases = [("medial", LinearGroupoid(56, 3, 5, 7)),
              ("r_aaip", LinearGroupoid(3162, 2544, 947, 947))]
     try:
         for entry_id, g in cases:
-            op_tables(g.triple())
+            op_tables.cache_clear()
             tracemalloc.start()
             try:
                 out = holds_bruteforce(g, get_entry(entry_id).identity)
@@ -295,5 +311,18 @@ def test_bruteforce_memory_is_bounded_at_the_cap():
                 tracemalloc.stop()
             assert out.verdict is Verdict.HOLDS
             assert peak < 64 * 2**20, (entry_id, peak)
+    finally:
+        op_tables.cache_clear()
+
+
+def test_tables_are_built_on_first_use():
+    # medial reads only mul; r_aaip reads rho, which is scanned from ldiv
+    cases = [("medial", LinearGroupoid(12, 5, 7, 1), set()),
+             ("r_aaip", LinearGroupoid(11, 2, 4, 4), {"ldiv", "e_rho", "rho"})]
+    try:
+        for entry_id, g, scanned in cases:
+            op_tables.cache_clear()
+            assert holds_bruteforce(g, get_entry(entry_id).identity).verdict is Verdict.HOLDS
+            assert set(vars(op_tables(g.triple()))) == {"n", "mul", *scanned}, entry_id
     finally:
         op_tables.cache_clear()

@@ -200,3 +200,27 @@ def test_op_tables_match_scalar_operations():
         for table in (t.e_rho, t.e_lam, t.rho, t.lam):
             assert table.shape == (n + 1,)
             assert table[-1] == -1
+        for table in (t.mul, t.ldiv, t.rdiv, t.e_rho, t.e_lam, t.rho, t.lam):
+            assert table.dtype == np.int64 and not table.flags.writeable
+    # Past BLOCK cells the tables are int16; spot-check rows of a quasigroup
+    # (every entry defined) and of a groupoid with non-unit b and c.
+    for triple in [(515, 7, 2, 3), (600, 11, 4, 6)]:
+        g = LinearGroupoid(*triple)
+        t = op_tables(g.triple())
+        n = g.n
+        for x in (0, 1, 255, n - 2, n - 1):
+            erho, rho, lam = (local_right_identity(g, x), right_inverse(g, x),
+                              left_inverse(g, x))
+            assert t.e_rho[x] == (erho.value if erho.defined else -1)
+            assert t.rho[x] == (rho.value if rho.defined else -1)
+            assert t.lam[x] == (lam.value if lam.defined else -1)
+            assert t.mul[x, :n].tolist() == [apply(g, x, y) for y in range(n)]
+            assert t.ldiv[x, :n].tolist() == [
+                v.value if v.defined else -1 for v in (left_divide(g, x, y) for y in range(n))]
+            assert t.rdiv[x, :n].tolist() == [
+                v.value if v.defined else -1 for v in (right_divide(g, y, x) for y in range(n))]
+        for table in (t.mul, t.ldiv, t.rdiv):
+            assert table.dtype == np.int16 and table.shape == (n + 1, n + 1)
+            assert (table[-1, :] == -1).all() and (table[:, -1] == -1).all()
+        for table in (t.e_rho, t.e_lam, t.rho, t.lam):
+            assert table.dtype == np.int16 and table[-1] == -1
