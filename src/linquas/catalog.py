@@ -741,17 +741,12 @@ def table_numbers_covered() -> set[int]:
     return {row.table_number for entry in catalog_entries() for row in entry.rows}
 
 
-def structure_matches(row_kind: StructureKind, g: LinearGroupoid) -> bool:
-    """Quasigroup rows require a quasigroup; every linear polynomial gives a groupoid."""
-    if row_kind is StructureKind.QUASIGROUP:
-        return is_quasigroup(g)
-    return True
-
-
 def row_sweep_admits(row: TableRow, g: LinearGroupoid) -> bool:
-    """Whether a triple belongs in the sweep for this row: hypothesis plus
-    the structure restriction for quasigroup rows."""
-    return structure_matches(row.structure_kind, g) and hypothesis_holds(row.hypothesis, g)
+    """Whether a triple belongs in the sweep for this row: hypothesis plus,
+    for quasigroup rows, a quasigroup (every linear polynomial gives a
+    groupoid)."""
+    return ((row.structure_kind is not StructureKind.QUASIGROUP or is_quasigroup(g))
+            and hypothesis_holds(row.hypothesis, g))
 
 
 def export_json() -> str:

@@ -11,10 +11,12 @@ import io
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from . import engine
-from .catalog import (ExampleStatus, ModulusKind, StructureKind,
+from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
                       catalog_entries, entries_by_id, export_json)
 from .engine import CapExceeded, Verdict
 from .groupoid import (LinearGroupoid, cayley_table, is_latin_square,
@@ -58,11 +60,6 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _groupoid_from(args: argparse.Namespace) -> LinearGroupoid:
-    # Negative coefficient flags are accepted and normalized mod n here.
-    return LinearGroupoid(args.n, args.a, args.b, args.c)
-
-
 def _default_cap() -> int:
     env = os.environ.get("LINQUAS_CAP")
     if not env:
@@ -73,123 +70,130 @@ def _default_cap() -> int:
         raise DataError(f"LINQUAS_CAP must be an integer, got {env!r}") from None
 
 
+def _law(entry_id: str) -> IdentityEntry:
+    """The catalog entry with a defining identity, or a DataError."""
+    entry = entries_by_id().get(entry_id)
+    if entry is None:
+        raise DataError(f"unknown catalog entry {entry_id!r}")
+    if entry.identity is None:
+        raise DataError(f"entry {entry_id!r} has no defining identity")
+    return entry
+
+
 def _resolve_entries(spec: str) -> list[str]:
     if spec == "all":
         return [e.id for e in catalog_entries() if e.identity is not None]
-    ids = [token.strip() for token in spec.split(",") if token.strip()]
-    for entry_id in ids:
-        if entry_id not in entries_by_id():
-            raise DataError(f"unknown catalog entry {entry_id!r}")
-        if entries_by_id()[entry_id].identity is None:
-            raise DataError(f"entry {entry_id!r} has no defining identity")
+    ids = [_law(token.strip()).id for token in spec.split(",") if token.strip()]
+    if not ids:
+        raise DataError(f"no catalog entry in {spec!r}")
     return ids
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+class _Result(NamedTuple):
+    """One command's output: the JSON input and results, the CSV header (None
+    for no header row) and rows, the pretty lines, and the exit code.  Rows
+    and lines may be generators, so only the format asked for is built."""
+
+    input: dict
+    results: list
+    header: list[str] | None
+    rows: Iterable[list]
+    pretty: Iterable[str]
+    code: int = EX_OK
+
+
+def _columns(dicts: list[dict], keys: list[str]) -> Iterable[list]:
+    return ([d[key] for key in keys] for d in dicts)
+
+
+def _write(args: argparse.Namespace, result: _Result | str) -> int:
+    """Render the result in --format and write it to --out or stdout, the
+    only place that does either; a str (catalog's JSON) is written as it is.
+    Returns the exit code."""
+    code = EX_OK if isinstance(result, str) else result.code
+    if isinstance(result, str):
+        text = result
+    elif args.format == "json":
+        text = json.dumps({"tool_version": __version__, "command": args.command,
+                           "input": result.input, "results": result.results},
+                          indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if result.header is not None:
+            writer.writerow(result.header)
+        writer.writerows(result.rows)
+        text = buf.getvalue()
     else:
+        text = "\n".join(result.pretty) + "\n"
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _envelope(command: str, input_dict: dict, results) -> str:
-    payload = {"tool_version": __version__, "command": command,
-               "input": input_dict, "results": results}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"linquas: error: cannot write {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EX_USAGE
+    return code
 
 
 # --- commands ----------------------------------------------------------------
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    g = _groupoid_from(args)
+def _cmd_check(args: argparse.Namespace) -> _Result:
+    g = LinearGroupoid(args.n, args.a, args.b, args.c)
     if args.entry:
-        entry = entries_by_id().get(args.entry)
-        if entry is None:
-            raise DataError(f"unknown catalog entry {args.entry!r}")
-        if entry.identity is None:
-            raise DataError(f"entry {args.entry!r} has no defining identity")
-        ident = entry.identity
-        label = entry.id
+        ident, label = _law(args.entry).identity, args.entry
     else:
         try:
             ident = parse(args.ident)
         except TermSyntaxError as exc:
             raise DataError(f"bad identity: {exc}") from None
         label = args.ident
-    if args.method == "symbolic":
-        outcome = engine.holds_symbolic(g, ident)
-    else:
-        outcome = engine.holds_bruteforce(g, ident, args.cap)
-    result = {"identity": label, **outcome.to_dict()}
-    input_dict = {"n": g.n, "a": g.a, "b": g.b, "c": g.c, "identity": label}
-    if args.format == "json":
-        _emit(_envelope("check", input_dict, [result]), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["identity", "verdict", "method", "detail"],
-                        [[label, outcome.verdict.value, outcome.method.value,
-                          json.dumps(outcome.counterexample) if outcome.counterexample
-                          else (outcome.na_reason or "")]]), args.out)
-    else:
-        lines = [f"{label}: {outcome.verdict.value} ({outcome.method.value})"]
-        if outcome.counterexample:
-            lines.append(f"  counterexample: {outcome.counterexample}")
-        if outcome.na_reason:
-            lines.append(f"  reason: {outcome.na_reason}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return _VERDICT_EXIT[outcome.verdict]
+    outcome = (engine.holds_symbolic(g, ident) if args.method == "symbolic"
+               else engine.holds_bruteforce(g, ident, args.cap))
+    detail = (json.dumps(outcome.counterexample) if outcome.counterexample
+              else outcome.na_reason or "")
+    pretty = [f"{label}: {outcome.verdict.value} ({outcome.method.value})"]
+    if outcome.counterexample:
+        pretty.append(f"  counterexample: {outcome.counterexample}")
+    if outcome.na_reason:
+        pretty.append(f"  reason: {outcome.na_reason}")
+    return _Result({**dict(zip("nabc", g.triple())), "identity": label},
+                   [{"identity": label, **outcome.to_dict()}],
+                   ["identity", "verdict", "method", "detail"],
+                   [[label, outcome.verdict.value, outcome.method.value, detail]],
+                   pretty, _VERDICT_EXIT[outcome.verdict])
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    g = _groupoid_from(args)
-    results = engine.classify(g, args.cap)
-    rows = [{"entry": entry_id, **outcome.to_dict()} for entry_id, outcome in results]
-    input_dict = {"n": g.n, "a": g.a, "b": g.b, "c": g.c}
-    if args.format == "json":
-        _emit(_envelope("classify", input_dict, rows), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["entry", "verdict", "method"],
-                        [[r["entry"], r["verdict"], r["method"]] for r in rows]),
-              args.out)
-    else:
-        lines = [f"groupoid ({g.polynomial_text()}) mod {g.n}; quasigroup: "
-                 f"{str(is_quasigroup(g)).lower()}"]
-        lines += [f"  {r['entry']:32s} {r['verdict']}" for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
+def _cmd_classify(args: argparse.Namespace) -> _Result:
+    g = LinearGroupoid(args.n, args.a, args.b, args.c)
+    rows = [{"entry": entry_id, **outcome.to_dict()}
+            for entry_id, outcome in engine.classify(g, args.cap)]
+    header = ["entry", "verdict", "method"]
+    head = (f"groupoid ({g.polynomial_text()}) mod {g.n}; quasigroup: "
+            f"{str(is_quasigroup(g)).lower()}")
+    return _Result(dict(zip("nabc", g.triple())), rows, header, _columns(rows, header),
+                   chain([head], (f"  {r['entry']:32s} {r['verdict']}" for r in rows)))
 
 
-def _cmd_crosscheck(args: argparse.Namespace) -> int:
+def _cmd_crosscheck(args: argparse.Namespace) -> _Result:
     entry_ids = _resolve_entries(args.entries)
     n_values = _parse_range(args.n)
     reports = engine.crosscheck_all(n_values, entry_ids, args.cap, args.workers)
     rows = [report.to_dict() for report in reports]
     # worker count deliberately not echoed: outputs must be byte-identical
     # for identical inputs regardless of parallelism
-    input_dict = {"entries": entry_ids, "n_values": n_values}
-    if args.format == "json":
-        _emit(_envelope("crosscheck", input_dict, rows), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["entry", "row", "checked", "na_excluded", "mismatches"],
-                        [[r["entry"], r["row"], r["checked"], r["na_excluded"],
-                          r["mismatch_count"]] for r in rows]), args.out)
-    else:
-        lines = []
-        for r in rows:
-            status = "ok" if r["mismatch_count"] == 0 else f"{r['mismatch_count']} mismatches"
-            lines.append(f"{r['row']:24s} {r['entry']:32s} checked={r['checked']:6d} "
-                         f"na={r['na_excluded']:5d} {status}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
+    return _Result(
+        {"entries": entry_ids, "n_values": n_values}, rows,
+        ["entry", "row", "checked", "na_excluded", "mismatches"],
+        _columns(rows, ["entry", "row", "checked", "na_excluded", "mismatch_count"]),
+        (f"{r['row']:24s} {r['entry']:32s} checked={r['checked']:6d} "
+         f"na={r['na_excluded']:5d} "
+         + ("ok" if r["mismatch_count"] == 0 else f"{r['mismatch_count']} mismatches")
+         for r in rows))
 
 
 def _select_row(entry, args: argparse.Namespace):
@@ -210,59 +214,37 @@ def _select_row(entry, args: argparse.Namespace):
     return rows[0]
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    entry = entries_by_id().get(args.entry)
-    if entry is None:
-        raise DataError(f"unknown catalog entry {args.entry!r}")
-    if entry.identity is None:
-        raise DataError(f"entry {args.entry!r} has no defining identity")
+def _cmd_search(args: argparse.Namespace) -> _Result:
+    entry = _law(args.entry)
     row = _select_row(entry, args)
     n_values = _parse_range(args.n)
-    witnesses = engine.search_witnesses(entry, row, n_values, args.limit, args.cap)
-    rows = [w.to_dict() for w in witnesses]
-    input_dict = {"entry": entry.id, "row": row.label(), "n_values": n_values,
-                  "limit": args.limit}
-    if args.format == "json":
-        _emit(_envelope("search", input_dict, rows), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["n", "a", "b", "c", "entry", "row", "structure"],
-                        [[w.n, w.a, w.b, w.c, w.entry_id, w.row_label,
-                          w.structure_kind] for w in witnesses]), args.out)
-    else:
-        if not witnesses:
-            _emit(f"no witness for {entry.id} [{row.label()}] with n in "
-                  f"{n_values[0]}..{n_values[-1]}\n", args.out)
-        else:
-            lines = [f"({w.n}, {w.a}, {w.b}, {w.c})  {w.entry_id} [{w.row_label}]"
-                     for w in witnesses]
-            _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
+    rows = [w.to_dict() for w in
+            engine.search_witnesses(entry, row, n_values, args.limit, args.cap)]
+    header = ["n", "a", "b", "c", "entry", "row", "structure"]
+    pretty = ((f"({w['n']}, {w['a']}, {w['b']}, {w['c']})  {w['entry']} [{w['row']}]"
+               for w in rows) if rows else
+              [f"no witness for {entry.id} [{row.label()}] with n in "
+               f"{n_values[0]}..{n_values[-1]}"])
+    return _Result({"entry": entry.id, "row": row.label(), "n_values": n_values,
+                    "limit": args.limit}, rows, header, _columns(rows, header), pretty)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    g = _groupoid_from(args)
+def _cmd_table(args: argparse.Namespace) -> _Result:
+    g = LinearGroupoid(args.n, args.a, args.b, args.c)
     table = cayley_table(g)
     latin = is_latin_square(table)
     cells = table.tolist()
-    if args.format == "csv":
-        _emit("".join(",".join(map(str, row)) + "\n" for row in cells), args.out)
-    elif args.format == "json":
-        result = {"n": g.n, "a": g.a, "b": g.b, "c": g.c, "cells": cells,
-                  "latin": latin, "quasigroup": is_quasigroup(g)}
-        _emit(_envelope("table", {"n": g.n, "a": g.a, "b": g.b, "c": g.c},
-                        [result]), args.out)
-    else:
-        width = len(str(g.n - 1))
-        lines = [f"x*y = {g.polynomial_text()} (mod {g.n})"]
-        lines += [" ".join(f"{v:>{width}}" for v in row) for row in cells]
-        lines.append(f"latin: {str(latin).lower()}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
+    width = len(str(g.n - 1))
+    triple = dict(zip("nabc", g.triple()))
+    return _Result(triple, [{**triple, "cells": cells, "latin": latin,
+                             "quasigroup": is_quasigroup(g)}], None, cells,
+                   chain([f"x*y = {g.polynomial_text()} (mod {g.n})"],
+                         (" ".join(f"{v:>{width}}" for v in row) for row in cells),
+                         [f"latin: {str(latin).lower()}"]))
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> _Result:
     search_ns = list(range(2, args.search_max + 1))
-    check_ns = list(range(2, args.crosscheck_max + 1))
     cells_in_table_order = sorted(
         ((row, entry) for entry in catalog_entries() for row in entry.rows),
         key=lambda pair: (pair[0].table_number, pair[0].variant, pair[1].id))
@@ -270,8 +252,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
                       if row.example_status in (ExampleStatus.BANG,
                                                 ExampleStatus.NOT_LISTED)])
              for entry in catalog_entries() if entry.identity is not None]
-    reports = {(r.entry_id, r.table_number, r.variant): r for r in
-               engine.crosscheck_rows(swept, check_ns, args.cap, args.workers)}
+    reports = {(r.entry_id, r.table_number, r.variant): r for r in engine.crosscheck_rows(
+        swept, list(range(2, args.crosscheck_max + 1)), args.cap, args.workers)}
     ledger = engine.verify_examples(args.cap)
     findings = {f.source: f for f in ledger.findings}
     rows = []
@@ -279,77 +261,50 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cell: dict = {"table": row.table_number, "variant": row.variant,
                       "row": row.label(), "entry": entry.id}
         if entry.identity is None:
-            cell["status"] = "unresolved"
-            cell["detail"] = "defining identity unknown"
+            cell.update(status="unresolved", detail="defining identity unknown")
         elif row.example_status is ExampleStatus.GIVEN:
             finding = findings.get(f"table:{row.table_number:02d}.{row.variant}:{entry.id}")
             if finding is None:
-                cell["status"] = "confirmed"
-                cell["detail"] = f"example {row.example} checks out"
+                cell.update(status="confirmed", detail=f"example {row.example} checks out")
             else:
-                cell["status"] = "discrepancy"
-                cell["detail"] = finding.observed
+                cell.update(status="discrepancy", detail=finding.observed)
         elif row.example_status is ExampleStatus.QUESTION_MARK:
             witnesses = engine.search_witnesses(entry, row, search_ns, 1, args.cap)
             if witnesses:
                 w = witnesses[0]
-                cell["status"] = "witness_found"
-                cell["witness"] = [w.n, w.a, w.b, w.c]
-                cell["detail"] = f"witness ({w.n},{w.a},{w.b},{w.c})"
+                cell.update(status="witness_found", witness=[w.n, w.a, w.b, w.c],
+                            detail=f"witness ({w.n},{w.a},{w.b},{w.c})")
             else:
-                cell["status"] = "unresolved"
-                cell["detail"] = f"no witness with n up to {args.search_max}"
+                cell.update(status="unresolved",
+                            detail=f"no witness with n up to {args.search_max}")
         else:
             report = reports[(entry.id, row.table_number, row.variant)]
             if report.clean:
-                cell["status"] = "confirmed"
-                cell["detail"] = (f"condition matches the oracle on n up to "
-                                  f"{args.crosscheck_max} ({report.checked} checked)")
+                cell.update(status="confirmed", detail=(
+                    f"condition matches the oracle on n up to {args.crosscheck_max} "
+                    f"({report.checked} checked)"))
             else:
-                cell["status"] = "discrepancy"
                 first = report.mismatches[0]
-                cell["detail"] = (f"{len(report.mismatches)} oracle mismatches, "
-                                  f"first at ({first.n},{first.a},{first.b},{first.c})")
+                cell.update(status="discrepancy", detail=(
+                    f"{len(report.mismatches)} oracle mismatches, "
+                    f"first at ({first.n},{first.a},{first.b},{first.c})"))
         rows.append(cell)
-    results = [{"cells": rows, "findings": [f.to_dict() for f in ledger.findings]}]
-    input_dict = {"search_max": args.search_max, "crosscheck_max": args.crosscheck_max}
-    if args.format == "json":
-        _emit(_envelope("report", input_dict, results), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["table", "variant", "entry", "status", "detail"],
-                        [[c["table"], c["variant"], c["entry"], c["status"],
-                          c["detail"]] for c in rows]), args.out)
-    else:
-        lines = [f"{c['row']:24s} {c['entry']:32s} {c['status']:14s} {c['detail']}"
-                 for c in rows]
-        lines.append(f"findings: {len(ledger.findings)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
+    header = ["table", "variant", "entry", "status", "detail"]
+    return _Result(
+        {"search_max": args.search_max, "crosscheck_max": args.crosscheck_max},
+        [{"cells": rows, "findings": [f.to_dict() for f in ledger.findings]}],
+        header, _columns(rows, header),
+        chain((f"{c['row']:24s} {c['entry']:32s} {c['status']:14s} {c['detail']}"
+               for c in rows), [f"findings: {len(ledger.findings)}"]))
 
 
-def _cmd_examples_verify(args: argparse.Namespace) -> int:
-    ledger = engine.verify_examples(args.cap)
-    rows = [f.to_dict() for f in ledger.findings]
-    if args.format == "json":
-        _emit(_envelope("examples-verify", {}, rows), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(["source", "entry", "n", "a", "b", "c", "observed"],
-                        [[r["source"], r["entry"], r["n"], r["a"], r["b"], r["c"],
-                          r["observed"]] for r in rows]), args.out)
-    else:
-        if not rows:
-            _emit("all cited examples check out\n", args.out)
-        else:
-            lines = [f"{r['source']}: ({r['n']},{r['a']},{r['b']},{r['c']}) "
-                     f"{r['observed']}" for r in rows]
-            lines.append(f"{len(rows)} findings")
-            _emit("\n".join(lines) + "\n", args.out)
-    return EX_OK
-
-
-def _cmd_catalog(args: argparse.Namespace) -> int:
-    _emit(export_json(), args.out)
-    return EX_OK
+def _cmd_examples_verify(args: argparse.Namespace) -> _Result:
+    rows = [f.to_dict() for f in engine.verify_examples(args.cap).findings]
+    header = ["source", "entry", "n", "a", "b", "c", "observed"]
+    pretty = (chain((f"{r['source']}: ({r['n']},{r['a']},{r['b']},{r['c']}) "
+                     f"{r['observed']}" for r in rows), [f"{len(rows)} findings"])
+              if rows else ["all cited examples check out"])
+    return _Result({}, rows, header, _columns(rows, header), pretty)
 
 
 # --- argument wiring -----------------------------------------------------------
@@ -363,10 +318,8 @@ def _add_common(p: argparse.ArgumentParser, formats=("json", "csv", "pretty")) -
 
 
 def _add_groupoid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
+    for flag in ("--n", "--a", "--b", "--c"):  # LinearGroupoid reduces a, b, c mod n
+        p.add_argument(flag, type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="dump the machine-readable catalog")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_catalog, format="json", cap=None)
+    p.set_defaults(func=lambda args: export_json())
 
     return parser
 
@@ -447,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--variant cannot be combined with --structure or --modulus")
         if isinstance(getattr(args, "n", None), int) and args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")
-        return args.func(args)
+        return _write(args, args.func(args))
     except DataError as exc:
         print(f"linquas: error: {exc}", file=sys.stderr)
         return EX_DATAERR

@@ -291,7 +291,7 @@ def _run_tasks(func, tasks: list[tuple], workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [func(task) for task in tasks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
+    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
         return pool.map(func, tasks, chunksize=1)
 
 
@@ -425,9 +425,6 @@ class Finding:
     expected: str
     observed: str
 
-    def sort_key(self) -> tuple:
-        return (self.source, self.n, self.a, self.b, self.c)
-
     def to_dict(self) -> dict:
         return {"source": self.source, "entry": self.entry_id,
                 "n": self.n, "a": self.a, "b": self.b, "c": self.c,
@@ -437,12 +434,6 @@ class Finding:
 @dataclass
 class DiscrepancyLedger:
     findings: list[Finding] = field(default_factory=list)
-
-    def add(self, finding: Finding) -> None:
-        self.findings.append(finding)
-
-    def finalize(self) -> None:
-        self.findings.sort(key=Finding.sort_key)
 
     def to_json(self) -> str:
         return json.dumps([f.to_dict() for f in self.findings], indent=2) + "\n"
@@ -514,8 +505,8 @@ def verify_examples(cap: int = DEFAULT_CAP) -> DiscrepancyLedger:
             row = next(r for r in entry.rows
                        if r.table_number == table_number and r.variant == variant)
         examples.append((source, entry, kind, triple, row))
-    ledger = DiscrepancyLedger()
     outcomes: dict[tuple, CheckOutcome] = {}
+    findings = []
     for source, entry, kind, triple, row in examples:
         g = LinearGroupoid(*triple)
         key = (g.triple(), entry.identity)
@@ -523,6 +514,6 @@ def verify_examples(cap: int = DEFAULT_CAP) -> DiscrepancyLedger:
             outcomes[key] = holds_bruteforce(g, entry.identity, cap)
         finding = check_example(source, entry, kind, triple, row, outcomes[key])
         if finding:
-            ledger.add(finding)
-    ledger.finalize()
-    return ledger
+            findings.append(finding)
+    findings.sort(key=lambda f: (f.source, f.n, f.a, f.b, f.c))
+    return DiscrepancyLedger(findings)

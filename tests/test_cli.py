@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from linquas.cli import main
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "linquas" / "schema.json")
     .read_text())
+CLI_PINS = json.loads((Path(__file__).resolve().parent / "data" / "cli_pins.json")
+                      .read_text())["invocations"]
 
 
 def _run(capsys, *argv):
@@ -22,6 +25,43 @@ def _validate(payload_text: str) -> dict:
     payload = json.loads(payload_text)
     jsonschema.validate(payload, SCHEMA)
     return payload
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outputs_match_cli_pins(capsys):
+    # exit code, stdout and stderr of every command in every format, pinned
+    # by scripts/regen_pins.py
+    drifted = []
+    for pin in CLI_PINS:
+        code, out, err = _run(capsys, *pin["argv"])
+        if (code, _sha256(out), _sha256(err)) != (
+                pin["exit"], pin["stdout_sha256"], pin["stderr_sha256"]):
+            drifted.append(pin["argv"])
+    assert len(CLI_PINS) == 61
+    assert drifted == []
+
+
+def test_unwritable_out_exits_64(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    for argv in (["check", "--n", "6", "--a", "2", "--b", "4", "--c", "2",
+                  "--entry", "abel_grassman", "--format", "json"], ["catalog"]):
+        code, out, err = _run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (64, "")
+        assert err == (f"linquas: error: cannot write {target}: "
+                       "No such file or directory\n")
+    code, _, err = _run(capsys, "table", "--n", "3", "--a", "0", "--b", "1",
+                        "--c", "1", "--out", str(tmp_path))
+    assert code == 64 and err.startswith(f"linquas: error: cannot write {tmp_path}: ")
+
+
+def test_crosscheck_without_entry_ids_exits_65(capsys):
+    for spec in (",", "", " , "):
+        code, out, err = _run(capsys, "crosscheck", "--entries", spec, "--n", "2..4")
+        assert (code, out) == (65, "")
+        assert err == f"linquas: error: no catalog entry in {spec!r}\n"
 
 
 def test_check_holds_exit_0(capsys):

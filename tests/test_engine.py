@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,6 +148,32 @@ def test_crosscheck_all_deterministic_across_workers():
     per_row = [crosscheck(get_entry(i), row, n_values).to_dict()
                for i in ids for row in get_entry(i).rows]
     assert per_row == one
+
+
+def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
+    started = []
+
+    class Pool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, func, tasks, chunksize):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(engine.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    ids, n_values = ["medial"], [2, 3]  # one task per (law, n): two tasks
+    wide = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=64)]
+    assert started == [2]
+    assert wide == [r.to_dict() for r in crosscheck_all(n_values, ids, workers=1)]
+    assert engine._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert started == [2, 2]
 
 
 def test_search_witnesses_examples():

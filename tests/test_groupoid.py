@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
@@ -172,6 +173,22 @@ def test_orthogonal_det_matches_enumeration_small():
             for t2 in triples:
                 g1, g2 = LinearGroupoid(n, *t1), LinearGroupoid(n, *t2)
                 assert orthogonal(g1, g2) == orthogonal_det(g1, g2), (n, t1, t2)
+
+
+def test_derived_tables_are_total_or_undefined_throughout():
+    # Over a linear groupoid each table scanned from mul is defined in every
+    # cell or in none: ldiv, e_rho and rho exactly when c is a unit, rdiv,
+    # e_lam and lam exactly when b is.
+    for n in range(2, 13):
+        for triple in _all_triples(n):
+            g = LinearGroupoid(n, *triple)
+            t = op_tables(g.triple())
+            for unit, tables in ((gcd(g.c, n) == 1, (t.ldiv, t.e_rho, t.rho)),
+                                 (gcd(g.b, n) == 1, (t.rdiv, t.e_lam, t.lam))):
+                for table in tables:
+                    body = table[(slice(n),) * table.ndim]
+                    assert (body >= 0).all() if unit else (body == -1).all(), \
+                        (g.triple(), unit)
 
 
 def test_op_tables_match_scalar_operations():
