@@ -231,6 +231,8 @@ def _cmd_search(args: argparse.Namespace) -> _Result:
 
 def _cmd_table(args: argparse.Namespace) -> _Result:
     g = LinearGroupoid(args.n, args.a, args.b, args.c)
+    if g.n ** 2 > args.cap:
+        raise CapExceeded(f"{g.n}**2 table cells exceed the cap of {args.cap}")
     table = cayley_table(g)
     latin = is_latin_square(table)
     cells = table.tolist()

@@ -3,8 +3,9 @@ cross-checks over coefficient space, classification, witness search, and the
 known-discrepancy ledger for the catalog's cited examples.
 
 The exhaustive checker works purely from scanned operation tables
-(groupoid.op_tables), the symbolic checker from closed-form affine expansion
-(termlang.expand_affine); the two paths share no algebra, which is what makes
+(groupoid.op_tables), the symbolic checker from each law's residual system
+(Identity.residual: lhs - rhs over Z[a, b, c, 1/b, 1/c], derived once per
+law, evaluated mod n); the two paths share no algebra, which is what makes
 their agreement a meaningful cross-check.
 """
 
@@ -160,24 +161,14 @@ def _na_reason(ident: Identity, env: dict[str, int], g: LinearGroupoid) -> str:
 
 
 def holds_symbolic(g: LinearGroupoid, ident: Identity) -> CheckOutcome:
-    """Compare the affine expansions of both sides coefficient-wise.
-
-    Exact for this family: the difference is an affine form, and an affine
-    form vanishes on all of Z_n^k iff its constant and every coefficient are
-    0 mod n (set all variables to 0, then one variable to 1 at a time).
-    """
-    lhs = tl.expand_affine(ident.lhs, g)
-    if isinstance(lhs, NotApplicable):
-        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.SYMBOLIC, na_reason=lhs.reason)
-    rhs = tl.expand_affine(ident.rhs, g)
-    if isinstance(rhs, NotApplicable):
-        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.SYMBOLIC, na_reason=rhs.reason)
-    if lhs.constant != rhs.constant:
-        return CheckOutcome(Verdict.FAILS, Method.SYMBOLIC)
-    for name in ident.variables:
-        if lhs.coeffs.get(name, 0) != rhs.coeffs.get(name, 0):
-            return CheckOutcome(Verdict.FAILS, Method.SYMBOLIC)
-    return CheckOutcome(Verdict.HOLDS, Method.SYMBOLIC)
+    """Evaluate the identity's residual (see Identity.residual) mod n.  Exact:
+    an affine form vanishes on all of Z_n^k iff its constant and every
+    coefficient are 0 mod n (set all variables to 0, then one to 1 at a time)."""
+    residual = ident.residual.evaluate(g)
+    if isinstance(residual, NotApplicable):
+        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.SYMBOLIC, na_reason=residual.reason)
+    fails = residual.constant or any(residual.coeffs.values())
+    return CheckOutcome(Verdict.FAILS if fails else Verdict.HOLDS, Method.SYMBOLIC)
 
 
 # --- classification -----------------------------------------------------------
@@ -186,8 +177,10 @@ def holds_symbolic(g: LinearGroupoid, ident: Identity) -> CheckOutcome:
 def classify(g: LinearGroupoid, cap: int = DEFAULT_CAP) -> list[tuple[str, CheckOutcome]]:
     """Verdict for every catalog entry with a defined identity, ordered by id.
 
-    The symbolic checker is preferred for speed; on NotApplicable the
-    exhaustive checker gets the final word (it reports the concrete reason).
+    The symbolic checker decides every law.  A not_applicable verdict is
+    reported as the exhaustive checker's, without its n**k scan: every derived
+    table of a linear groupoid is total or undefined throughout, so the first
+    undefined assignment is the all-zero one.  Nothing scans, so cap is unused.
     """
     results = []
     for entry in sorted(catalog_entries(), key=lambda e: e.id):
@@ -195,7 +188,9 @@ def classify(g: LinearGroupoid, cap: int = DEFAULT_CAP) -> list[tuple[str, Check
             continue
         outcome = holds_symbolic(g, entry.identity)
         if outcome.verdict is Verdict.NOT_APPLICABLE:
-            outcome = holds_bruteforce(g, entry.identity, cap)
+            zeros = dict.fromkeys(entry.identity.variables, 0)
+            outcome = CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                                   na_reason=_na_reason(entry.identity, zeros, g))
         results.append((entry.id, outcome))
     return results
 

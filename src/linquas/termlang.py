@@ -12,52 +12,62 @@ Grammar (one precedence level, left associative, juxtaposition forbidden):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from . import groupoid as gp
 from .modring import inverse_mod, is_unit
 from .groupoid import LinearGroupoid
 
 
+class _Node:
+    """Base of the term nodes; each derives its symbolic expansion once."""
+
+    @cached_property
+    def expansion(self) -> Expansion:
+        return _expand(self)
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Prod:
+class Prod(_Node):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class LDiv:
+class LDiv(_Node):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class RDiv:
+class RDiv(_Node):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Rho:
+class Rho(_Node):
     child: Term
 
 
 @dataclass(frozen=True)
-class Lam:
+class Lam(_Node):
     child: Term
 
 
 @dataclass(frozen=True)
-class ERho:
+class ERho(_Node):
     child: Term
 
 
 @dataclass(frozen=True)
-class ELam:
+class ELam(_Node):
     child: Term
 
 
@@ -78,19 +88,23 @@ class Identity:
     variables: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        seen: dict[str, None] = {}
-        for term in (self.lhs, self.rhs):
-            for name in _term_variables(term):
-                seen.setdefault(name)
-        object.__setattr__(self, "variables", tuple(seen))
+        names = _term_variables(self.lhs) + _term_variables(self.rhs)
+        object.__setattr__(self, "variables", tuple(dict.fromkeys(names)))
+
+    @cached_property
+    def residual(self) -> Expansion:
+        """lhs - rhs over Z[a, b, c, 1/b, 1/c], with the units both sides need."""
+        return _combine((), [(_ONE, _expand(self.lhs)), (((-1, 0, 0, 0),), _expand(self.rhs))])
+
+
+def _operands(term: Term) -> tuple[Term, ...]:
+    return (term.left, term.right) if isinstance(term, (Prod, LDiv, RDiv)) else (term.child,)
 
 
 def _term_variables(term: Term) -> list[str]:
     if isinstance(term, Var):
         return [term.name]
-    if isinstance(term, (Prod, LDiv, RDiv)):
-        return _term_variables(term.left) + _term_variables(term.right)
-    return _term_variables(term.child)
+    return [name for operand in _operands(term) for name in _term_variables(operand)]
 
 
 class TermSyntaxError(ValueError):
@@ -143,15 +157,19 @@ class _Parser:
             node = _BINARY_OPS[op](node, self._factor())
         return node
 
+    def _closed(self) -> Term:
+        """The term after an opening parenthesis, through its ')'."""
+        self.pos += 1
+        inner = self.parse_term()
+        if self._peek() != ")":
+            raise TermSyntaxError("expected ')'", self.pos)
+        self.pos += 1
+        return inner
+
     def _factor(self) -> Term:
         ch = self._peek()
         if ch == "(":
-            self.pos += 1
-            inner = self.parse_term()
-            if self._peek() != ")":
-                raise TermSyntaxError("expected ')'", self.pos)
-            self.pos += 1
-            return inner
+            return self._closed()
         if ch.isalpha():
             start = self.pos
             word = self._take_word()
@@ -162,12 +180,7 @@ class _Parser:
             if word in _UNARY:
                 if self._peek() != "(":
                     raise TermSyntaxError(f"{word} must be applied as {word}(...)", self.pos)
-                self.pos += 1
-                inner = self.parse_term()
-                if self._peek() != ")":
-                    raise TermSyntaxError("expected ')'", self.pos)
-                self.pos += 1
-                return _UNARY[word](inner)
+                return _UNARY[word](self._closed())
             raise TermSyntaxError(
                 f"{word!r} is not a variable or operator; juxtaposition is"
                 " not allowed, write an explicit '*'", start)
@@ -214,10 +227,11 @@ def identity_text(ident: Identity) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
-def _local(value: gp.LocalElement, what: str, g: LinearGroupoid) -> int | NotApplicable:
-    if value.defined:
-        return value.value
-    return NotApplicable(f"{what} undefined ({value.reason}) on {g.triple()}")
+# The scalar operation of each node but Prod, and its name in reasons.
+_LOCAL = {LDiv: (gp.left_divide, "left division"), RDiv: (gp.right_divide, "right division"),
+          Rho: (gp.right_inverse, "right inverse"), Lam: (gp.left_inverse, "left inverse"),
+          ERho: (gp.local_right_identity, "local right identity"),
+          ELam: (gp.local_left_identity, "local left identity")}
 
 
 def evaluate(term: Term, env: dict[str, int], g: LinearGroupoid) -> int | NotApplicable:
@@ -235,22 +249,38 @@ def evaluate(term: Term, env: dict[str, int], g: LinearGroupoid) -> int | NotApp
             return right
         if isinstance(term, Prod):
             return gp.apply(g, left, right)
-        if isinstance(term, LDiv):
-            return _local(gp.left_divide(g, left, right), "left division", g)
-        return _local(gp.right_divide(g, left, right), "right division", g)
-    child = evaluate(term.child, env, g)
-    if isinstance(child, NotApplicable):
-        return child
-    if isinstance(term, Rho):
-        return _local(gp.right_inverse(g, child), "right inverse", g)
-    if isinstance(term, Lam):
-        return _local(gp.left_inverse(g, child), "left inverse", g)
-    if isinstance(term, ERho):
-        return _local(gp.local_right_identity(g, child), "local right identity", g)
-    return _local(gp.local_left_identity(g, child), "local left identity", g)
+        op, what = _LOCAL[type(term)]
+        local = op(g, left, right)
+    else:
+        child = evaluate(term.child, env, g)
+        if isinstance(child, NotApplicable):
+            return child
+        op, what = _LOCAL[type(term)]
+        local = op(g, child)
+    if local.defined:
+        return local.value
+    return NotApplicable(f"{what} undefined ({local.reason}) on {g.triple()}")
 
 
 # --- symbolic affine expansion ---------------------------------------------
+
+# A Laurent polynomial over Z[a, b, c, 1/b, 1/c] as catalog.Poly-style terms
+# (coefficient, exp_a, exp_b, exp_c); exp_b and exp_c may be negative.
+Laurent = tuple[tuple[int, int, int, int], ...]
+_ONE: Laurent = ((1, 0, 0, 0),)
+
+# (unit needed, shift, scales) of shift + sum(scale_i * operand_i) per operation:
+# x*y = a + bx + cy, x\z = c^-1 (z - a - bx), z/x = b^-1 (z - a - cx), e_rho(v) =
+# c^-1 ((1 - b) v - a), v^rho = c^-1 (e_rho(v) - a - bv); lam and el swap b and c.
+_RULES: dict[type, tuple[str | None, Laurent, tuple[Laurent, ...]]] = {
+    Prod: (None, ((1, 1, 0, 0),), (((1, 0, 1, 0),), ((1, 0, 0, 1),))),
+    LDiv: ("c", ((-1, 1, 0, -1),), (((-1, 0, 1, -1),), ((1, 0, 0, -1),))),
+    RDiv: ("b", ((-1, 1, -1, 0),), (((1, 0, -1, 0),), ((-1, 0, -1, 1),))),
+    ERho: ("c", ((-1, 1, 0, -1),), (((1, 0, 0, -1), (-1, 0, 1, -1)),)),
+    Rho: ("c", ((-1, 1, 0, -2), (-1, 1, 0, -1)), (((1, 0, 0, -2), (-1, 0, 1, -2), (-1, 0, 1, -1)),)),
+    ELam: ("b", ((-1, 1, -1, 0),), (((1, 0, -1, 0), (-1, 0, -1, 1)),)),
+    Lam: ("b", ((-1, 1, -2, 0), (-1, 1, -1, 0)), (((1, 0, -2, 0), (-1, 0, -2, 1), (-1, 0, -1, 1)),)),
+}
 
 
 @dataclass
@@ -268,76 +298,68 @@ class AffineForm:
         return total % self.n
 
 
-def _affine_map(form: AffineForm, scale: int, shift: int) -> AffineForm:
-    n = form.n
-    return AffineForm(
-        n,
-        (scale * form.constant + shift) % n,
-        {v: (scale * k) % n for v, k in form.coeffs.items()},
-    )
+class Expansion(NamedTuple):
+    """constant + sum(coeff * variable) over Z[a, b, c, 1/b, 1/c], where units hold."""
+
+    constant: Laurent
+    coeffs: dict[str, Laurent]
+    units: tuple[str, ...]
+
+    def evaluate(self, g: LinearGroupoid) -> AffineForm | NotApplicable:
+        """The expansion mod n at g, or NotApplicable naming its first non-unit."""
+        n, a, b, c = g.n, g.a, g.b, g.c
+        for name in self.units:
+            value = b if name == "b" else c
+            if not is_unit(value, n):
+                return NotApplicable(f"{name} = {value} is not a unit mod {n}")
+        bi = inverse_mod(b, n) if "b" in self.units else 0
+        ci = inverse_mod(c, n) if "c" in self.units else 0
+
+        def value_of(poly: Laurent) -> int:
+            total = 0
+            for coef, ea, eb, ec in poly:
+                total += (coef * pow(a, ea, n)
+                          * (pow(b, eb, n) if eb >= 0 else pow(bi, -eb, n))
+                          * (pow(c, ec, n) if ec >= 0 else pow(ci, -ec, n)))
+            return total % n
+
+        return AffineForm(n, value_of(self.constant),
+                          {name: value_of(poly) for name, poly in self.coeffs.items()})
 
 
-def _affine_combine(a_: int, kl: int, left: AffineForm, kr: int, right: AffineForm) -> AffineForm:
-    n = left.n
-    coeffs: dict[str, int] = {}
-    for v, k in left.coeffs.items():
-        coeffs[v] = (kl * k) % n
-    for v, k in right.coeffs.items():
-        coeffs[v] = (coeffs.get(v, 0) + kr * k) % n
-    return AffineForm(n, (a_ + kl * left.constant + kr * right.constant) % n, coeffs)
+def _sum_of_products(pairs) -> Laurent:
+    """sum(p * q) over the (p, q) pairs, like terms merged, sorted by exponents."""
+    acc: dict[tuple[int, int, int], int] = {}
+    for p, q in pairs:
+        for k1, a1, b1, c1 in p:
+            for k2, a2, b2, c2 in q:
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                acc[key] = acc.get(key, 0) + k1 * k2
+    return tuple((k, *key) for key, k in sorted(acc.items()) if k)
+
+
+def _combine(shift: Laurent, parts: list[tuple[Laurent, Expansion]],
+             unit: str | None = None) -> Expansion:
+    """shift + sum(scale * part), needing the parts' units in order, then unit."""
+    names = dict.fromkeys(name for _, part in parts for name in part.coeffs)
+    units = [u for _, part in parts for u in part.units] + ([unit] if unit else [])
+    return Expansion(
+        _sum_of_products([(shift, _ONE)] + [(k, part.constant) for k, part in parts]),
+        {name: _sum_of_products((k, part.coeffs[name]) for k, part in parts
+                                if name in part.coeffs) for name in names},
+        tuple(dict.fromkeys(units)))
+
+
+def _expand(term: Term) -> Expansion:
+    """The term's expansion; its subterms' are not cached (four times the memory)."""
+    if isinstance(term, Var):
+        return Expansion((), {term.name: _ONE}, ())
+    unit, shift, scales = _RULES[type(term)]
+    return _combine(shift, [(k, _expand(t)) for k, t in zip(scales, _operands(term))], unit)
 
 
 def expand_affine(term: Term, g: LinearGroupoid) -> AffineForm | NotApplicable:
-    """Closed-form expansion of a term as constant + coefficient vector.
-
-    Divisions and rho/lam/er/el need the relevant coefficient of the groupoid
-    to be a unit; otherwise the expansion is NotApplicable.
-    """
-    n, a, b, c = g.n, g.a, g.b, g.c
-    if isinstance(term, Var):
-        return AffineForm(n, 0, {term.name: 1})
-    if isinstance(term, (Prod, LDiv, RDiv)):
-        left = expand_affine(term.left, g)
-        if isinstance(left, NotApplicable):
-            return left
-        right = expand_affine(term.right, g)
-        if isinstance(right, NotApplicable):
-            return right
-        if isinstance(term, Prod):
-            return _affine_combine(a, b, left, c, right)
-        if isinstance(term, LDiv):
-            # x \ z = c^-1 (z - a - b x)
-            if not is_unit(c, n):
-                return NotApplicable(f"c = {c} is not a unit mod {n}")
-            ci = inverse_mod(c, n)
-            return _affine_combine(-ci * a % n, -ci * b % n, left, ci, right)
-        # z / x = b^-1 (z - a - c x)
-        if not is_unit(b, n):
-            return NotApplicable(f"b = {b} is not a unit mod {n}")
-        bi = inverse_mod(b, n)
-        return _affine_combine(-bi * a % n, bi, left, -bi * c % n, right)
-
-    child = expand_affine(term.child, g)
-    if isinstance(child, NotApplicable):
-        return child
-    if isinstance(term, (Rho, ERho)):
-        if not is_unit(c, n):
-            return NotApplicable(f"c = {c} is not a unit mod {n}")
-        ci = inverse_mod(c, n)
-        if isinstance(term, ERho):
-            # e_rho(v) = c^-1 ((1 - b) v - a)
-            return _affine_map(child, ci * (1 - b) % n, -ci * a % n)
-        # v^rho = c^-1 (e_rho(v) - a - b v)
-        scale = (ci * ci * (1 - b) - ci * b) % n
-        shift = (-a * (ci * ci + ci)) % n
-        return _affine_map(child, scale, shift)
-    if not is_unit(b, n):
-        return NotApplicable(f"b = {b} is not a unit mod {n}")
-    bi = inverse_mod(b, n)
-    if isinstance(term, ELam):
-        # e_lambda(v) = b^-1 ((1 - c) v - a)
-        return _affine_map(child, bi * (1 - c) % n, -bi * a % n)
-    # v^lambda = b^-1 (e_lambda(v) - a - c v)
-    scale = (bi * bi * (1 - c) - bi * c) % n
-    shift = (-a * (bi * bi + bi)) % n
-    return _affine_map(child, scale, shift)
+    """The term as constant + coefficient vector mod n: its expansion, derived
+    once, evaluated at g; NotApplicable where a division or rho/lam/er/el
+    needs b or c to be a unit and it is not."""
+    return term.expansion.evaluate(g)

@@ -164,6 +164,25 @@ def test_one_variable_check_past_the_table_cap_exits_70(capsys):
     assert code == 0
 
 
+def test_table_past_the_cap_exits_70(capsys):
+    code, out, err = _run(capsys, "table", "--n", "32", "--a", "1", "--b", "2",
+                          "--c", "3", "--cap", "1000")
+    assert (code, out) == (70, "")
+    assert err == "linquas: cap exceeded: 32**2 table cells exceed the cap of 1000\n"
+    code, _, _ = _run(capsys, "table", "--n", "31", "--a", "1", "--b", "2",
+                      "--c", "3", "--cap", "1000")
+    assert code == 0
+
+
+def test_classify_past_the_cap_exits_0(capsys):
+    # inapplicable laws take their reason from one evaluation, not an n**k scan
+    code, out, _ = _run(capsys, "classify", "--n", "520", "--a", "2", "--b", "4",
+                        "--c", "2", "--format", "json")
+    assert code == 0
+    verdicts = {r["verdict"] for r in _validate(out)["results"]}
+    assert verdicts == {"holds", "fails", "not_applicable"}
+
+
 def test_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("LINQUAS_CAP", "100000")
     code, _, err = _run(capsys, "check", "--n", "200", "--a", "0", "--b", "1",

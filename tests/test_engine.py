@@ -100,6 +100,50 @@ def test_classify_is_ordered_and_skips_undefined_entries():
     assert "slim" not in ids
 
 
+@pytest.fixture(scope="module")
+def oracle_up_to_6():
+    """holds_bruteforce of every law on every triple with n = 2..6."""
+    laws = [e for e in catalog_entries() if e.identity is not None]
+    return {(entry.id, (n, a, b, c)): holds_bruteforce(LinearGroupoid(n, a, b, c),
+                                                       entry.identity)
+            for n in range(2, 7) for a in range(n) for b in range(n) for c in range(n)
+            for entry in laws}
+
+
+def test_symbolic_and_bruteforce_verdicts_agree_not_applicable_included(oracle_up_to_6):
+    na = 0
+    for (entry_id, triple), brute in oracle_up_to_6.items():
+        symbolic = holds_symbolic(LinearGroupoid(*triple), get_entry(entry_id).identity)
+        assert symbolic.verdict is brute.verdict, (entry_id, triple)
+        na += brute.verdict is Verdict.NOT_APPLICABLE
+    assert na > 1000
+
+
+def test_classify_not_applicable_equals_bruteforce(oracle_up_to_6):
+    na = 0
+    for n in range(2, 7):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    for entry_id, outcome in engine.classify(LinearGroupoid(n, a, b, c)):
+                        if outcome.verdict is Verdict.NOT_APPLICABLE:
+                            brute = oracle_up_to_6[entry_id, (n, a, b, c)]
+                            assert outcome.to_dict() == brute.to_dict(), (entry_id, n, a, b, c)
+                            na += 1
+    assert na > 1000
+
+
+def test_classify_past_the_cap_runs_no_exhaustive_check(monkeypatch):
+    # (520, 2, 4, 2) is no quasigroup: its inapplicable three-variable laws
+    # would need 520**3 assignments, past the default cap
+    monkeypatch.setattr(engine, "holds_bruteforce", None)
+    results = dict(engine.classify(LinearGroupoid(520, 2, 4, 2)))
+    na = {entry_id: outcome for entry_id, outcome in results.items()
+          if outcome.verdict is Verdict.NOT_APPLICABLE}
+    assert na and all(outcome.method is Method.BRUTE_FORCE and "undefined" in outcome.na_reason
+                      for outcome in na.values())
+
+
 def test_crosscheck_clean_rows():
     entry = get_entry("unipotent")
     for row in entry.rows:
