@@ -13,7 +13,7 @@ from .termlang import (AffineForm, Identity, NotApplicable, TermSyntaxError,
 from .catalog import (ConditionPredicate, ExampleStatus, HypAtom,
                       IdentityEntry, ModulusKind, StructureKind, TableRow,
                       catalog_entries, get_entry, hypothesis_holds)
-from .engine import (CapExceeded, CheckOutcome, CrosscheckReport,
-                     DiscrepancyLedger, Finding, Method, Verdict, Witness,
-                     classify, crosscheck, crosscheck_all, holds_bruteforce,
-                     holds_symbolic, search_witnesses, verify_examples)
+from .engine import (CapExceeded, CheckOutcome, CrosscheckReport, Finding,
+                     Method, Verdict, Witness, classify, crosscheck,
+                     crosscheck_all, holds_bruteforce, holds_symbolic,
+                     search_witnesses, verify_examples)

@@ -250,14 +250,14 @@ def _cmd_report(args: argparse.Namespace) -> _Result:
     cells_in_table_order = sorted(
         ((row, entry) for entry in catalog_entries() for row in entry.rows),
         key=lambda pair: (pair[0].table_number, pair[0].variant, pair[1].id))
-    swept = [(entry, [i for i, row in enumerate(entry.rows)
+    swept = [(entry, [row for row in entry.rows
                       if row.example_status in (ExampleStatus.BANG,
                                                 ExampleStatus.NOT_LISTED)])
              for entry in catalog_entries() if entry.identity is not None]
     reports = {(r.entry_id, r.table_number, r.variant): r for r in engine.crosscheck_rows(
         swept, list(range(2, args.crosscheck_max + 1)), args.cap, args.workers)}
     ledger = engine.verify_examples(args.cap)
-    findings = {f.source: f for f in ledger.findings}
+    findings = {f.source: f for f in ledger}
     rows = []
     for row, entry in cells_in_table_order:
         cell: dict = {"table": row.table_number, "variant": row.variant,
@@ -294,14 +294,14 @@ def _cmd_report(args: argparse.Namespace) -> _Result:
     header = ["table", "variant", "entry", "status", "detail"]
     return _Result(
         {"search_max": args.search_max, "crosscheck_max": args.crosscheck_max},
-        [{"cells": rows, "findings": [f.to_dict() for f in ledger.findings]}],
+        [{"cells": rows, "findings": [f.to_dict() for f in ledger]}],
         header, _columns(rows, header),
         chain((f"{c['row']:24s} {c['entry']:32s} {c['status']:14s} {c['detail']}"
-               for c in rows), [f"findings: {len(ledger.findings)}"]))
+               for c in rows), [f"findings: {len(ledger)}"]))
 
 
 def _cmd_examples_verify(args: argparse.Namespace) -> _Result:
-    rows = [f.to_dict() for f in engine.verify_examples(args.cap).findings]
+    rows = [f.to_dict() for f in engine.verify_examples(args.cap)]
     header = ["source", "entry", "n", "a", "b", "c", "observed"]
     pretty = (chain((f"{r['source']}: ({r['n']},{r['a']},{r['b']},{r['c']}) "
                      f"{r['observed']}" for r in rows), [f"{len(rows)} findings"])

@@ -12,7 +12,6 @@ their agreement a meaningful cross-check.
 from __future__ import annotations
 
 import enum
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -256,21 +255,20 @@ def _groupoids(n: int):
 
 
 def _crosscheck_task(args: tuple) -> list[list]:
-    """Worker task: the listed rows of one law at one modulus.
+    """Worker task: the given rows of one law at one modulus.
 
     Each triple that any of the rows admits gets one oracle call, and every
     admitting row tallies that verdict: (checked, NA, mismatches) per row.
     """
-    entry_id, row_indexes, n, cap = args
-    entry = get_entry(entry_id)
-    rows = [entry.rows[i] for i in row_indexes]
+    entry_id, rows, n, cap = args
+    ident = get_entry(entry_id).identity
     tallies = [[0, 0, []] for _ in rows]
     for g in _groupoids(n):
         admitting = [(row, tally) for row, tally in zip(rows, tallies)
                      if row_sweep_admits(row, g)]
         if not admitting:
             continue
-        outcome = holds_bruteforce(g, entry.identity, cap)
+        outcome = holds_bruteforce(g, ident, cap)
         for row, tally in admitting:
             if outcome.verdict is Verdict.NOT_APPLICABLE:
                 tally[1] += 1
@@ -290,26 +288,23 @@ def _run_tasks(func, tasks: list[tuple], workers: int) -> list:
         return pool.map(func, tasks, chunksize=1)
 
 
-def crosscheck_rows(selected: list[tuple[IdentityEntry, list[int]]],
+def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
                     n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
-    """Reports for the selected rows (indexes into each entry's rows), in
-    selection order, from one pool task per (law, n): the selected rows of
-    one law share each triple's oracle verdict."""
+    """Reports for the selected rows of each entry, in selection order, from
+    one pool task per (law, n): the selected rows of one law share each
+    triple's oracle verdict."""
     reports: list[CrosscheckReport] = []
     tasks: list[tuple] = []
     owners: list[list[CrosscheckReport]] = []
-    for entry, row_indexes in selected:
-        law: dict[int, CrosscheckReport] = {}
-        for i in row_indexes:
-            row = entry.rows[i]
-            law[i] = CrosscheckReport(entry.id, row.table_number, row.variant,
-                                      row.label(), _sweep_moduli(row, n_values))
-        reports.extend(law.values())
+    for entry, rows in selected:
+        law = [(row, CrosscheckReport(entry.id, row.table_number, row.variant, row.label(),
+                                      _sweep_moduli(row, n_values))) for row in rows]
+        reports.extend(report for _, report in law)
         for n in n_values:
-            swept = [i for i, report in law.items() if n in report.n_values]
+            swept = [(row, report) for row, report in law if n in report.n_values]
             if swept:
-                tasks.append((entry.id, swept, n, cap))
-                owners.append([law[i] for i in swept])
+                tasks.append((entry.id, [row for row, _ in swept], n, cap))
+                owners.append([report for _, report in swept])
     for owned, tallies in zip(owners, _run_tasks(_crosscheck_task, tasks, workers)):
         for report, (checked, na, mismatches) in zip(owned, tallies):
             report.checked += checked
@@ -323,7 +318,7 @@ def crosscheck(entry: IdentityEntry, row: TableRow, n_values: list[int],
     """Compare the row's condition with the exhaustive oracle over the sweep."""
     if entry.identity is None:
         raise ValueError(f"entry {entry.id!r} has no defining identity")
-    return crosscheck_rows([(entry, [entry.rows.index(row)])], n_values, cap, workers)[0]
+    return crosscheck_rows([(entry, [row])], n_values, cap, workers)[0]
 
 
 def crosscheck_all(n_values: list[int], entry_ids: list[str] | None = None,
@@ -334,9 +329,8 @@ def crosscheck_all(n_values: list[int], entry_ids: list[str] | None = None,
     """
     entries = ([get_entry(i) for i in entry_ids] if entry_ids is not None
                else list(catalog_entries()))
-    selected = [(entry, list(range(len(entry.rows)))) for entry in entries
-                if entry.identity is not None]
-    return crosscheck_rows(selected, n_values, cap, workers)
+    return crosscheck_rows([(entry, entry.rows) for entry in entries
+                            if entry.identity is not None], n_values, cap, workers)
 
 
 # --- witness search -------------------------------------------------------------
@@ -382,26 +376,22 @@ def search_witnesses(entry: IdentityEntry, row: TableRow, n_values: list[int],
     return found
 
 
-def _scan_failures(args: tuple) -> list[tuple[int, int, int, int]]:
-    """Worker task: triples of one modulus whose oracle verdict is Fails."""
-    entry_id, n, cap = args
-    ident = get_entry(entry_id).identity
-    return [g.triple() for g in _groupoids(n)
-            if holds_bruteforce(g, ident, cap).verdict is Verdict.FAILS]
+# A row that admits every groupoid and claims that its law holds on each.
+_UNIVERSAL = TableRow(0, 0, StructureKind.GROUPOID, ModulusKind.ANY_N, (),
+                      cat.ConditionPredicate(), None, ExampleStatus.NOT_LISTED)
 
 
 def universality_scan(entry_ids: list[str], n_values: list[int],
                       cap: int = DEFAULT_CAP, workers: int = 1) -> list[tuple]:
-    """Triples on which a supposedly universal law fails outright.
+    """Triples (entry, n, a, b, c) on which a supposedly universal law fails
+    outright: the mismatches of a cross-check against _UNIVERSAL.
 
     NotApplicable triples are not violations: the law is only claimed where
     its local elements exist.
     """
-    tasks = [(entry_id, n, cap) for entry_id in entry_ids for n in n_values]
-    violations: list[tuple] = []
-    for (entry_id, _, _), failures in zip(tasks, _run_tasks(_scan_failures, tasks, workers)):
-        violations.extend((entry_id, *t) for t in failures)
-    return violations
+    reports = crosscheck_rows([(get_entry(i), [_UNIVERSAL]) for i in entry_ids],
+                              n_values, cap, workers)
+    return [(r.entry_id, m.n, m.a, m.b, m.c) for r in reports for m in r.mismatches]
 
 
 # --- cited-example verification ---------------------------------------------------
@@ -424,14 +414,6 @@ class Finding:
         return {"source": self.source, "entry": self.entry_id,
                 "n": self.n, "a": self.a, "b": self.b, "c": self.c,
                 "expected": self.expected, "observed": self.observed}
-
-
-@dataclass
-class DiscrepancyLedger:
-    findings: list[Finding] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps([f.to_dict() for f in self.findings], indent=2) + "\n"
 
 
 # Worked examples cited in the prose next to the proved characterizations,
@@ -477,13 +459,13 @@ def check_example(source: str, entry: IdentityEntry, kind: StructureKind,
                    observed="; ".join(problems))
 
 
-def verify_examples(cap: int = DEFAULT_CAP) -> DiscrepancyLedger:
+def verify_examples(cap: int = DEFAULT_CAP) -> list[Finding]:
     """Check every concrete example cell and every cited worked example.
 
     Each cell must satisfy its row's hypothesis and condition, have the
     claimed structure, and satisfy the identity by exhaustive check.
-    Disagreements are ledger findings, not errors: the ledger itself is the
-    regression-tested output.  Examples that share a law and a triple share
+    Disagreements are findings, not errors: the sorted findings are the
+    regression-tested ledger.  Examples that share a law and a triple share
     one oracle call.
     """
     examples = []
@@ -511,4 +493,4 @@ def verify_examples(cap: int = DEFAULT_CAP) -> DiscrepancyLedger:
         if finding:
             findings.append(finding)
     findings.sort(key=lambda f: (f.source, f.n, f.a, f.b, f.c))
-    return DiscrepancyLedger(findings)
+    return findings

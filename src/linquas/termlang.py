@@ -20,54 +20,46 @@ from .modring import inverse_mod, is_unit
 from .groupoid import LinearGroupoid
 
 
-class _Node:
-    """Base of the term nodes; each derives its symbolic expansion once."""
-
-    @cached_property
-    def expansion(self) -> Expansion:
-        return _expand(self)
-
-
 @dataclass(frozen=True)
-class Var(_Node):
+class Var:
     name: str
 
 
 @dataclass(frozen=True)
-class Prod(_Node):
+class Prod:
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class LDiv(_Node):
+class LDiv:
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class RDiv(_Node):
+class RDiv:
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Rho(_Node):
+class Rho:
     child: Term
 
 
 @dataclass(frozen=True)
-class Lam(_Node):
+class Lam:
     child: Term
 
 
 @dataclass(frozen=True)
-class ERho(_Node):
+class ERho:
     child: Term
 
 
 @dataclass(frozen=True)
-class ELam(_Node):
+class ELam:
     child: Term
 
 
@@ -351,7 +343,6 @@ def _combine(shift: Laurent, parts: list[tuple[Laurent, Expansion]],
 
 
 def _expand(term: Term) -> Expansion:
-    """The term's expansion; its subterms' are not cached (four times the memory)."""
     if isinstance(term, Var):
         return Expansion((), {term.name: _ONE}, ())
     unit, shift, scales = _RULES[type(term)]
@@ -359,7 +350,7 @@ def _expand(term: Term) -> Expansion:
 
 
 def expand_affine(term: Term, g: LinearGroupoid) -> AffineForm | NotApplicable:
-    """The term as constant + coefficient vector mod n: its expansion, derived
-    once, evaluated at g; NotApplicable where a division or rho/lam/er/el
-    needs b or c to be a unit and it is not."""
-    return term.expansion.evaluate(g)
+    """The term as constant + coefficient vector mod n: its expansion
+    evaluated at g; NotApplicable where a division or rho/lam/er/el needs b
+    or c to be a unit and it is not."""
+    return _expand(term).evaluate(g)

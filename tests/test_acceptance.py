@@ -43,9 +43,8 @@ def _load(name: str) -> dict:
 @pytest.fixture(scope="module")
 def ledger():
     start = time.monotonic()
-    result = engine.verify_examples()
-    result.elapsed = time.monotonic() - start
-    return result
+    findings = engine.verify_examples()
+    return findings, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
@@ -60,19 +59,20 @@ def crosscheck_reports():
 
 
 def test_criterion_1_example_regression(ledger):
+    findings, elapsed = ledger
     pinned = _load("example_findings.json")["findings"]
-    actual = [f.to_dict() for f in ledger.findings]
+    actual = [f.to_dict() for f in findings]
     sources = [f["source"] for f in actual]
     ok = (actual == pinned
           and "text:stein_third:groupoid" in sources
           and "text:stein_third:quasigroup" in sources
-          and ledger.elapsed < 30.0)
+          and elapsed < 30.0)
     _report("criterion 1 (example regression)", ok,
-            f"{len(actual)} findings, {ledger.elapsed:.1f}s")
+            f"{len(actual)} findings, {elapsed:.1f}s")
     assert actual == pinned, "finding set drifted from the pinned regression file"
     assert "text:stein_third:groupoid" in sources
     assert "text:stein_third:quasigroup" in sources
-    assert ledger.elapsed < 30.0
+    assert elapsed < 30.0
 
 
 def test_criterion_1_consistent_cells_stay_clean(ledger):
@@ -82,7 +82,8 @@ def test_criterion_1_consistent_cells_stay_clean(ledger):
              "table:45.0:r_cip_1",        # (11,2,3,4)
              "table:34.2:r_bol",          # (63,0,8,1)
              "table:01.0:idempotent"}
-    dirty = {f.source for f in ledger.findings}
+    findings, _ = ledger
+    dirty = {f.source for f in findings}
     assert not clean & dirty
 
 

@@ -248,9 +248,21 @@ def test_universality_scan_small():
     assert universality_scan(["medial", "e_l"], list(range(2, 7))) == []
 
 
+def test_universality_scan_lists_every_failing_triple():
+    ids = ["associative", "commutative", "r_aip", "stein_third"]
+    n_values = list(range(2, 9))
+    expected = [(i, n, a, b, c) for i in ids for n in n_values
+                for a in range(n) for b in range(n) for c in range(n)
+                if holds_bruteforce(LinearGroupoid(n, a, b, c),
+                                    get_entry(i).identity).verdict is Verdict.FAILS]
+    assert [sum(v[0] == i for v in expected) for i in ids] == [1177, 1092, 0, 1283]
+    assert universality_scan(ids, n_values, workers=1) == expected
+    assert universality_scan(ids, n_values, workers=2) == expected
+
+
 def test_verify_examples_findings():
-    ledger = verify_examples()
-    sources = [f.source for f in ledger.findings]
+    findings = verify_examples()
+    sources = [f.source for f in findings]
     assert sources == sorted(sources)
     assert "text:stein_third:groupoid" in sources
     assert "text:stein_third:quasigroup" in sources
@@ -259,15 +271,15 @@ def test_verify_examples_findings():
                  "table:02.1:unipotent", "text:r_cip_1:groupoid",
                  "text:external_medial:quasigroup"):
         assert good not in sources
-    by_source = {f.source: f for f in ledger.findings}
+    by_source = {f.source: f for f in findings}
     stein = by_source["text:stein_third:groupoid"]
     assert (stein.n, stein.a, stein.b, stein.c) == (5, 0, 2, 3)
     assert "condition fails" in stein.observed and "identity fails" in stein.observed
 
 
 def test_verify_examples_is_deterministic():
-    one = verify_examples().to_json()
-    two = verify_examples().to_json()
+    one = [f.to_dict() for f in verify_examples()]
+    two = [f.to_dict() for f in verify_examples()]
     assert one == two
 
 
