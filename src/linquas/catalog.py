@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groupoid import LinearGroupoid, is_quasigroup
-from .modring import gcd, is_prime
+from .modring import gcd
 from .termlang import Identity, identity_text, parse
 
 
@@ -44,7 +44,6 @@ class ExampleStatus(enum.Enum):
 class HypAtom(enum.Enum):
     A_NONZERO = "a!=0"
     A_ZERO = "a=0"
-    PRIME_MODULUS = "prime_modulus"
     B_UNIT = "b_unit"
     C_UNIT = "c_unit"
     B_NE_C = "b!=c"
@@ -64,8 +63,6 @@ def atom_holds(atom: HypAtom, g: LinearGroupoid) -> bool:
         return a != 0
     if atom is HypAtom.A_ZERO:
         return a == 0
-    if atom is HypAtom.PRIME_MODULUS:
-        return is_prime(n)
     if atom is HypAtom.B_UNIT:
         return gcd(b, n) == 1
     if atom is HypAtom.C_UNIT:
@@ -176,10 +173,6 @@ class TableRow:
     example: tuple[int, int, int, int] | None
     example_status: ExampleStatus
 
-    @property
-    def key(self) -> str:
-        return f"{self.table_number}.{self.variant}"
-
     def label(self) -> str:
         kind = "G" if self.structure_kind is StructureKind.GROUPOID else "Q"
         mod = "Zn" if self.modulus_kind is ModulusKind.ANY_N else "Zp"
@@ -236,6 +229,9 @@ _ZN, _ZP = ModulusKind.ANY_N, ModulusKind.PRIME_P
 # "!" (unexplained marker), "*" (a generic family, no concrete triple)
 # or None (blank cell).
 _RowSpec = tuple
+
+# The four cells of a law that holds for every a, b, c (tables 51-54, 57-62).
+_EVERYWHERE = [(kind, mod, "", "", "*") for mod in (_ZN, _ZP) for kind in (_G, _Q)]
 
 
 def _rows(table_number: int, specs: list[_RowSpec]) -> tuple[TableRow, ...]:
@@ -519,12 +515,7 @@ def _build_catalog() -> tuple[IdentityEntry, ...]:
     e.append(_entry("tarski", "41", "Tarski law", "x*(y*(z*x)) = z*y"))
     e.append(_entry("neumann", "42", "Neumann law", "x*((y*z)*(y*x)) = z"))
     e.append(_entry("specialized_medial", "43", "specialized medial law",
-                    "(x*y)*(z*x) = (x*z)*(y*x)", 62, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "(x*y)*(z*x) = (x*z)*(y*x)", 62, _EVERYWHERE))
 
     # -- four-variable laws ----------------------------------------------------
     e.append(_entry("first_rectangle", "44", "first rectangle rule",
@@ -542,12 +533,7 @@ def _build_catalog() -> tuple[IdentityEntry, ...]:
         (_Q, _ZN, "b_unit", "b+c & units", (6, 2, 4, 4)),
     ]))
     e.append(_entry("medial", "46", "medial law (internal mediality)",
-                    "(x*y)*(z*w) = (x*z)*(y*w)", 61, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "(x*y)*(z*w) = (x*z)*(y*w)", 61, _EVERYWHERE))
 
     # -- inverse-property laws -------------------------------------------------
     e.append(_entry("lip", "44.1", "left inverse property",
@@ -603,19 +589,9 @@ def _build_catalog() -> tuple[IdentityEntry, ...]:
         (_Q, _ZN, "", "bc-1 & units", (8, 3, 3, 3)),
     ]))
     e.append(_entry("r_aip", "49", "automorphic inverse property (right form)",
-                    "rho(x*y) = rho(x)*rho(y)", 51, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "rho(x*y) = rho(x)*rho(y)", 51, _EVERYWHERE))
     e.append(_entry("l_aip", "49", "automorphic inverse property (left form)",
-                    "lam(x*y) = lam(x)*lam(y)", 52, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "lam(x*y) = lam(x)*lam(y)", 52, _EVERYWHERE))
     e.append(_entry("r_aaip", "50", "anti-automorphic inverse property (right form)",
                     "rho(x*y) = rho(y)*rho(x)", 49, [
         (_G, _ZP, "bc+b!=1", "b-c", (11, 2, 4, 4)),
@@ -631,19 +607,9 @@ def _build_catalog() -> tuple[IdentityEntry, ...]:
         (_Q, _ZP, "b!=c", "b+bc-1", (5, 2, 3, 1)),
     ]))
     e.append(_entry("r_saip", "51", "semi-automorphic inverse property (right form)",
-                    "rho((x*y)*x) = (rho(x)*rho(y))*rho(x)", 53, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "rho((x*y)*x) = (rho(x)*rho(y))*rho(x)", 53, _EVERYWHERE))
     e.append(_entry("l_saip", "51", "semi-automorphic inverse property (left form)",
-                    "lam((x*y)*x) = (lam(x)*lam(y))*lam(x)", 54, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "lam((x*y)*x) = (lam(x)*lam(y))*lam(x)", 54, _EVERYWHERE))
 
     # -- medial-like laws --------------------------------------------------------
     e.append(_entry("left_semimedial", "54", "left semimedial law",
@@ -682,33 +648,13 @@ def _build_catalog() -> tuple[IdentityEntry, ...]:
 
     # -- F-laws and E-laws -------------------------------------------------------
     e.append(_entry("left_f", "57", "left F-law",
-                    "x*(y*z) = (x*y)*((x\\x)*z)", 60, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "x*(y*z) = (x*y)*((x\\x)*z)", 60, _EVERYWHERE))
     e.append(_entry("right_f", "58", "right F-law",
-                    "(z*y)*x = (z*(x/x))*(y*x)", 59, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "(z*y)*x = (z*(x/x))*(y*x)", 59, _EVERYWHERE))
     e.append(_entry("e_l", "57.1", "E-left law",
-                    "x*(y*z) = (el(x)*y)*(x*z)", 57, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "x*(y*z) = (el(x)*y)*(x*z)", 57, _EVERYWHERE))
     e.append(_entry("e_r", "58.1", "E-right law",
-                    "(z*y)*x = (z*x)*(y*er(x))", 58, [
-        (_G, _ZN, "", "", "*"),
-        (_Q, _ZN, "", "", "*"),
-        (_G, _ZP, "", "", "*"),
-        (_Q, _ZP, "", "", "*"),
-    ]))
+                    "(z*y)*x = (z*x)*(y*er(x))", 58, _EVERYWHERE))
 
     # -- unresolved row ----------------------------------------------------------
     e.append(_entry("slim", "", "Slim law (defining identity unknown)", None, 16, [

@@ -81,27 +81,23 @@ def _blocks(n: int, k: int) -> tuple[tuple[int, tuple[np.ndarray, ...]], ...]:
     return blocks
 
 
+# The OpTables attribute each operation reads.
+_TABLE = {Prod: "mul", LDiv: "ldiv", RDiv: "rdiv", Rho: "rho", Lam: "lam",
+          ERho: "e_rho", ELam: "e_lam"}
+
+
 def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray:
     """Evaluate over all assignments at once; -1 marks an undefined value,
     which propagates by indexing the tables' -1 slot at index n."""
     if isinstance(term, Var):
         return env[term.name]
+    table = getattr(tables, _TABLE[type(term)])
     if isinstance(term, (Prod, LDiv, RDiv)):
         left = _eval_table(term.left, env, tables)
         right = _eval_table(term.right, env, tables)
-        if isinstance(term, Prod):
-            return tables.mul[left, right]
-        if isinstance(term, LDiv):
-            return tables.ldiv[left, right]
-        return tables.rdiv[right, left]  # z / x solves w*x = z: divisor indexes first
-    child = _eval_table(term.child, env, tables)
-    if isinstance(term, Rho):
-        return tables.rho[child]
-    if isinstance(term, Lam):
-        return tables.lam[child]
-    if isinstance(term, ERho):
-        return tables.e_rho[child]
-    return tables.e_lam[child]
+        # z / x solves w*x = z: divisor indexes first
+        return table[right, left] if isinstance(term, RDiv) else table[left, right]
+    return table[_eval_table(term.child, env, tables)]
 
 
 def _first(mask: np.ndarray, ident: Identity, start: int) -> dict[str, int] | None:
@@ -297,6 +293,8 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
     tasks: list[tuple] = []
     owners: list[list[CrosscheckReport]] = []
     for entry, rows in selected:
+        if entry.identity is None:
+            raise ValueError(f"entry {entry.id!r} has no defining identity")
         law = [(row, CrosscheckReport(entry.id, row.table_number, row.variant, row.label(),
                                       _sweep_moduli(row, n_values))) for row in rows]
         reports.extend(report for _, report in law)
@@ -316,8 +314,6 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
 def crosscheck(entry: IdentityEntry, row: TableRow, n_values: list[int],
                cap: int = DEFAULT_CAP, workers: int = 1) -> CrosscheckReport:
     """Compare the row's condition with the exhaustive oracle over the sweep."""
-    if entry.identity is None:
-        raise ValueError(f"entry {entry.id!r} has no defining identity")
     return crosscheck_rows([(entry, [row])], n_values, cap, workers)[0]
 
 

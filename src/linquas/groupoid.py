@@ -85,52 +85,47 @@ class LocalElement:
     """Value defined by a linear congruence; defined only when the solution
     is unique, otherwise `reason` says why (NoSolution or NonUnique)."""
 
-    kind: str
     defined: bool
     value: int | None = None
     reason: str | None = None
 
 
-def _from_solutions(kind: str, sols: tuple[int, ...]) -> LocalElement:
+def _from_solutions(sols: tuple[int, ...]) -> LocalElement:
     if len(sols) == 1:
-        return LocalElement(kind, True, sols[0])
-    return LocalElement(kind, False, None, NO_SOLUTION if not sols else NON_UNIQUE)
-
-
-def local_right_identity(g: LinearGroupoid, x: int) -> LocalElement:
-    """e with x*e = x, when unique: solves c*e = x - a - b*x (mod n)."""
-    return _from_solutions("e_rho", solve_linear(g.c, x - g.a - g.b * x, g.n))
-
-
-def local_left_identity(g: LinearGroupoid, x: int) -> LocalElement:
-    """e with e*x = x, when unique: solves b*e = x - a - c*x (mod n)."""
-    return _from_solutions("e_lambda", solve_linear(g.b, x - g.a - g.c * x, g.n))
-
-
-def right_inverse(g: LinearGroupoid, x: int) -> LocalElement:
-    """s with x*s = e_rho(x); undefined when e_rho(x) is, with the same reason."""
-    e = local_right_identity(g, x)
-    if not e.defined:
-        return LocalElement("rho", False, None, e.reason)
-    return _from_solutions("rho", solve_linear(g.c, e.value - g.a - g.b * x, g.n))
-
-
-def left_inverse(g: LinearGroupoid, x: int) -> LocalElement:
-    """s with s*x = e_lambda(x); undefined when e_lambda(x) is."""
-    e = local_left_identity(g, x)
-    if not e.defined:
-        return LocalElement("lambda", False, None, e.reason)
-    return _from_solutions("lambda", solve_linear(g.b, e.value - g.a - g.c * x, g.n))
+        return LocalElement(True, sols[0])
+    return LocalElement(False, None, NO_SOLUTION if not sols else NON_UNIQUE)
 
 
 def left_divide(g: LinearGroupoid, x: int, z: int) -> LocalElement:
     """x \\ z: the unique w with x*w = z, when it exists."""
-    return _from_solutions("ldiv", solve_linear(g.c, z - g.a - g.b * x, g.n))
+    return _from_solutions(solve_linear(g.c, z - g.a - g.b * x, g.n))
 
 
 def right_divide(g: LinearGroupoid, z: int, x: int) -> LocalElement:
     """z / x: the unique w with w*x = z, when it exists."""
-    return _from_solutions("rdiv", solve_linear(g.b, z - g.a - g.c * x, g.n))
+    return _from_solutions(solve_linear(g.b, z - g.a - g.c * x, g.n))
+
+
+def local_right_identity(g: LinearGroupoid, x: int) -> LocalElement:
+    """e_rho(x) = x \\ x: the e with x*e = x, when unique."""
+    return left_divide(g, x, x)
+
+
+def local_left_identity(g: LinearGroupoid, x: int) -> LocalElement:
+    """e_lambda(x) = x / x: the e with e*x = x, when unique."""
+    return right_divide(g, x, x)
+
+
+def right_inverse(g: LinearGroupoid, x: int) -> LocalElement:
+    """x \\ e_rho(x): the s with x*s = e_rho(x); e_rho(x) itself where undefined."""
+    e = local_right_identity(g, x)
+    return left_divide(g, x, e.value) if e.defined else e
+
+
+def left_inverse(g: LinearGroupoid, x: int) -> LocalElement:
+    """e_lambda(x) / x: the s with s*x = e_lambda(x); e_lambda(x) itself where undefined."""
+    e = local_left_identity(g, x)
+    return right_divide(g, e.value, x) if e.defined else e
 
 
 def orthogonal(g1: LinearGroupoid, g2: LinearGroupoid) -> bool:

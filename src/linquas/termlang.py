@@ -66,9 +66,8 @@ class ELam:
 Term = Var | Prod | LDiv | RDiv | Rho | Lam | ERho | ELam
 
 _UNARY = {"rho": Rho, "lam": Lam, "er": ERho, "el": ELam}
-_UNARY_NAMES = {Rho: "rho", Lam: "lam", ERho: "er", ELam: "el"}
 _BINARY_OPS = {"*": Prod, "\\": LDiv, "/": RDiv}
-_BINARY_SYMBOL = {Prod: "*", LDiv: "\\", RDiv: "/"}
+_SYMBOL = {node: text for ops in (_UNARY, _BINARY_OPS) for text, node in ops.items()}
 
 
 @dataclass(frozen=True)
@@ -206,10 +205,10 @@ def canonical_print(term: Term) -> str:
     """Deterministic fully parenthesized rendering; parse round-trips it."""
     if isinstance(term, Var):
         return term.name
+    sym = _SYMBOL[type(term)]
     if isinstance(term, (Prod, LDiv, RDiv)):
-        sym = _BINARY_SYMBOL[type(term)]
         return f"({canonical_print(term.left)}{sym}{canonical_print(term.right)})"
-    return f"{_UNARY_NAMES[type(term)]}({canonical_print(term.child)})"
+    return f"{sym}({canonical_print(term.child)})"
 
 
 def identity_text(ident: Identity) -> str:

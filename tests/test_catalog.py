@@ -92,10 +92,15 @@ def test_medial_row_condition_is_empty():
 
 def test_hypothesis_atom_examples():
     assert atom_holds(HypAtom.A_NONZERO, LinearGroupoid(5, 3, 2, 4))
-    assert not atom_holds(HypAtom.PRIME_MODULUS, LinearGroupoid(63, 0, 8, 1))
     assert atom_holds(HypAtom.B_NE_NEG_C, LinearGroupoid(7, 3, 5, 5))
     assert not hypothesis_holds((HypAtom.A_ZERO,), LinearGroupoid(5, 3, 2, 4))
     assert hypothesis_holds((HypAtom.B_UNIT, HypAtom.C_UNIT), LinearGroupoid(6, 2, 1, 5))
+
+
+def test_rows_use_every_hypothesis_atom():
+    used = {atom for entry in catalog_entries() for row in entry.rows
+            for atom in row.hypothesis}
+    assert used == set(HypAtom)
 
 
 def test_condition_examples():

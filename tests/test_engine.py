@@ -175,6 +175,9 @@ def test_crosscheck_requires_identity():
     slim = get_entry("slim")
     with pytest.raises(ValueError):
         crosscheck(slim, slim.rows[0], [2, 3])
+    for workers in (1, 2):  # raised before any task reaches the pool
+        with pytest.raises(ValueError, match="no defining identity"):
+            universality_scan(["slim"], [2, 3], workers=workers)
 
 
 def test_crosscheck_all_deterministic_across_workers():
@@ -349,6 +352,8 @@ def test_blocks_match_scalar_reference_on_random_identities(monkeypatch,
     assert min(seen.values()) >= 50, seen
     assert past_first_block >= 10, past_first_block
     assert len(engine._blocks(6, 3)) == 6
+    for (g, ident), (verdict, _, _, _) in zip(cases, expected):
+        assert holds_symbolic(g, ident).verdict is verdict, (g, ident)
     try:
         for block, dtype in ((groupoid.BLOCK, np.int64), (0, np.int8)):
             monkeypatch.setattr(groupoid, "BLOCK", block)

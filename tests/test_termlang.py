@@ -6,8 +6,8 @@ import pytest
 from linquas.groupoid import LinearGroupoid
 from linquas.termlang import (ELam, ERho, Lam, LDiv, NotApplicable, Prod,
                               RDiv, Rho, TermSyntaxError, UnboundVariableError,
-                              Var, canonical_print, evaluate, expand_affine,
-                              identity_text, parse, parse_term)
+                              Var, _expand, canonical_print, evaluate,
+                              expand_affine, identity_text, parse, parse_term)
 
 
 def test_parse_associative_law():
@@ -107,6 +107,13 @@ def test_expand_affine_examples():
     assert form.constant == 0 and form.coeffs == {"x": 1}
     na = expand_affine(parse_term("rho(x)"), LinearGroupoid(6, 2, 4, 2))
     assert isinstance(na, NotApplicable) and "not a unit" in na.reason
+    # the local elements expand exactly as the divisions that define them:
+    # e_rho(t) = t\t, t^rho = t\(t\t), e_lam(t) = t/t, t^lam = (t/t)/t
+    for t in (Var("v"), parse_term("x*y\\z")):
+        assert _expand(ERho(t)) == _expand(LDiv(t, t))
+        assert _expand(Rho(t)) == _expand(LDiv(t, LDiv(t, t)))
+        assert _expand(ELam(t)) == _expand(RDiv(t, t))
+        assert _expand(Lam(t)) == _expand(RDiv(RDiv(t, t), t))
 
 
 def test_expand_affine_is_compositional():
@@ -156,23 +163,27 @@ def test_expansion_agrees_with_direct_evaluation_on_catalog_identities():
 
 
 def test_expansion_agrees_with_direct_evaluation_pointwise():
+    # NotApplicable included: where the expansion is NotApplicable, so is
+    # direct evaluation at every sampled assignment.
     rng = random.Random(99)
-    checked = 0
+    checked = undefined = 0
     for _ in range(400):
         n = rng.randint(2, 8)
         g = LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
         term = _random_term(rng, 3)
         form = expand_affine(term, g)
-        if isinstance(form, NotApplicable):
-            continue
         names = sorted({v for v in canonical_print(term) if v in "wxyz"})
         for _ in range(10):
             env = {name: rng.randrange(n) for name in names}
             direct = evaluate(term, env, g)
+            if isinstance(form, NotApplicable):
+                assert isinstance(direct, NotApplicable), (g, term, env)
+                undefined += 1
+                continue
             assert not isinstance(direct, NotApplicable)
             assert direct == form.evaluate(env)
             checked += 1
-    assert checked > 1000
+    assert checked > 1000 and undefined > 500, (checked, undefined)
 
 
 def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
