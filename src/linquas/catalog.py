@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groupoid import LinearGroupoid, is_quasigroup
-from .modring import gcd
+from .modring import is_unit, poly_value
 from .termlang import Identity, identity_text, parse
 
 
@@ -64,9 +64,9 @@ def atom_holds(atom: HypAtom, g: LinearGroupoid) -> bool:
     if atom is HypAtom.A_ZERO:
         return a == 0
     if atom is HypAtom.B_UNIT:
-        return gcd(b, n) == 1
+        return is_unit(b, n)
     if atom is HypAtom.C_UNIT:
-        return gcd(c, n) == 1
+        return is_unit(c, n)
     if atom is HypAtom.B_NE_C:
         return b != c
     if atom is HypAtom.B_NE_NEG_C:
@@ -107,10 +107,7 @@ class Poly:
     terms: tuple[tuple[int, int, int, int], ...]
 
     def evaluate(self, n: int, a: int, b: int, c: int) -> int:
-        total = 0
-        for coef, ea, eb, ec in self.terms:
-            total += coef * pow(a, ea, n) * pow(b, eb, n) * pow(c, ec, n)
-        return total % n
+        return poly_value(self.terms, n, a, b, c)
 
 
 def poly(text: str) -> Poly:
@@ -145,13 +142,8 @@ class ConditionPredicate:
     unit_atoms: tuple[str, ...] = ()
 
     def holds(self, g: LinearGroupoid) -> bool:
-        if any(p.evaluate(g.n, g.a, g.b, g.c) != 0 for p in self.congruences):
-            return False
-        if "b" in self.unit_atoms and gcd(g.b, g.n) != 1:
-            return False
-        if "c" in self.unit_atoms and gcd(g.c, g.n) != 1:
-            return False
-        return True
+        return (all(p.evaluate(g.n, g.a, g.b, g.c) == 0 for p in self.congruences)
+                and all(is_unit(g.b if v == "b" else g.c, g.n) for v in self.unit_atoms))
 
     @property
     def text(self) -> str:

@@ -21,8 +21,7 @@ import numpy as np
 from . import catalog as cat
 from . import termlang as tl
 from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
-                      TableRow, catalog_entries, get_entry, hypothesis_holds,
-                      row_sweep_admits)
+                      TableRow, catalog_entries, get_entry, row_sweep_admits)
 from .groupoid import BLOCK, LinearGroupoid, is_quasigroup, op_tables
 from .modring import is_prime
 from .termlang import (ELam, ERho, Identity, Lam, LDiv, NotApplicable, Prod,
@@ -438,9 +437,8 @@ def check_example(source: str, entry: IdentityEntry, kind: StructureKind,
     if kind is StructureKind.QUASIGROUP and not is_quasigroup(g):
         problems.append("claimed quasigroup is not one (b or c shares a factor with n)")
     if row is not None:
-        if not hypothesis_holds(row.hypothesis, g):
-            failed = [atom.value for atom in row.hypothesis
-                      if not cat.atom_holds(atom, g)]
+        failed = [atom.value for atom in row.hypothesis if not cat.atom_holds(atom, g)]
+        if failed:
             problems.append(f"hypothesis fails: {', '.join(failed)}")
         if not row.condition.holds(g):
             problems.append(f"stated condition fails: {row.condition.text}")

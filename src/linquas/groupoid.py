@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .modring import gcd, solve_linear
+from .modring import is_unit, solve_linear
 
 # Cells per numpy block, for the exhaustive checker's assignments and for
 # _invert_rows: a block's arrays (2 MiB each at int64) stay in cache, which
@@ -60,7 +60,7 @@ def apply(g: LinearGroupoid, x: int, y: int) -> int:
 
 def is_quasigroup(g: LinearGroupoid) -> bool:
     """True iff both b and c are coprime with n."""
-    return gcd(g.b, g.n) == 1 and gcd(g.c, g.n) == 1
+    return is_unit(g.b, g.n) and is_unit(g.c, g.n)
 
 
 def cayley_table(g: LinearGroupoid) -> np.ndarray:
@@ -145,7 +145,7 @@ def orthogonal_det(g1: LinearGroupoid, g2: LinearGroupoid) -> bool:
     """Fast pre-filter: b1*c2 - b2*c1 is a unit mod n."""
     if g1.n != g2.n:
         raise ModulusMismatchError(f"moduli differ: {g1.n} != {g2.n}")
-    return gcd((g1.b * g2.c - g2.b * g1.c) % g1.n, g1.n) == 1
+    return is_unit(g1.b * g2.c - g2.b * g1.c, g1.n)
 
 
 # Lookup tables used by the exhaustive checker in engine.py.  Everything is

@@ -5,29 +5,22 @@ from __future__ import annotations
 import math
 
 
-class NotAUnitError(ValueError):
-    """Requested a modular inverse of a residue that is not a unit."""
-
-
-def gcd(u: int, v: int) -> int:
-    """Greatest common divisor of two non-negative integers, not both zero."""
-    if u < 0 or v < 0:
-        raise ValueError(f"gcd arguments must be non-negative, got ({u}, {v})")
-    if u == 0 and v == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(u, v)
-
-
 def is_unit(v: int, n: int) -> bool:
     return math.gcd(v % n, n) == 1
 
 
 def inverse_mod(v: int, n: int) -> int:
-    """Inverse of v modulo n; raises NotAUnitError when gcd(v, n) != 1."""
-    try:
-        return pow(v % n, -1, n)
-    except ValueError:
-        raise NotAUnitError(f"{v % n} is not a unit mod {n}") from None
+    """Inverse of v modulo n; pow raises ValueError when v is not a unit."""
+    return pow(v, -1, n)
+
+
+def poly_value(terms, n: int, a: int, b: int, c: int) -> int:
+    """sum(coef * a^ea * b^eb * c^ec) mod n over (coef, ea, eb, ec) terms; a
+    negative eb or ec makes pow invert b or c, which must then be a unit."""
+    total = 0
+    for coef, ea, eb, ec in terms:
+        total += coef * pow(a, ea, n) * pow(b, eb, n) * pow(c, ec, n)
+    return total % n
 
 
 def solve_linear(k: int, rhs: int, n: int) -> tuple[int, ...]:
@@ -39,9 +32,6 @@ def solve_linear(k: int, rhs: int, n: int) -> tuple[int, ...]:
     k %= n
     rhs %= n
     d = math.gcd(k, n)
-    if d == 0:
-        # k = 0 mod n: either every residue solves it or none does.
-        return tuple(range(n)) if rhs == 0 else ()
     if rhs % d:
         return ()
     m = n // d

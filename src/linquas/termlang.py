@@ -16,7 +16,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import groupoid as gp
-from .modring import inverse_mod, is_unit
+# perfbench/tracer.py counts calls through termlang.inverse_mod, so it stays imported
+from .modring import inverse_mod, is_unit, poly_value  # noqa: F401
 from .groupoid import LinearGroupoid
 
 
@@ -68,6 +69,9 @@ Term = Var | Prod | LDiv | RDiv | Rho | Lam | ERho | ELam
 _UNARY = {"rho": Rho, "lam": Lam, "er": ERho, "el": ELam}
 _BINARY_OPS = {"*": Prod, "\\": LDiv, "/": RDiv}
 _SYMBOL = {node: text for ops in (_UNARY, _BINARY_OPS) for text, node in ops.items()}
+# The most operators and parentheses on one path of a parsed term: every walk
+# over a term recurses once per level.  The catalog's deepest term has 4.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.open = 0  # parentheses open at pos
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -140,24 +145,33 @@ class _Parser:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def parse_term(self) -> Term:
-        node = self._factor()
+    def parse_term(self) -> tuple[Term, int]:
+        """The term at pos and its depth (see MAX_DEPTH)."""
+        node, depth = self._factor()
         while self._peek() in _BINARY_OPS:
             op = self.text[self.pos]
             self.pos += 1
-            node = _BINARY_OPS[op](node, self._factor())
-        return node
+            right, right_depth = self._factor()
+            node, depth = _BINARY_OPS[op](node, right), max(depth, right_depth) + 1
+        return node, self._within_bound(depth)
 
-    def _closed(self) -> Term:
+    def _closed(self) -> tuple[Term, int]:
         """The term after an opening parenthesis, through its ')'."""
         self.pos += 1
-        inner = self.parse_term()
+        self.open = self._within_bound(self.open + 1)
+        inner, depth = self.parse_term()
         if self._peek() != ")":
             raise TermSyntaxError("expected ')'", self.pos)
         self.pos += 1
-        return inner
+        self.open -= 1
+        return inner, depth + 1
 
-    def _factor(self) -> Term:
+    def _within_bound(self, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise TermSyntaxError(f"term nests deeper than {MAX_DEPTH} levels", self.pos)
+        return depth
+
+    def _factor(self) -> tuple[Term, int]:
         ch = self._peek()
         if ch == "(":
             return self._closed()
@@ -167,11 +181,12 @@ class _Parser:
             if len(word) == 1:
                 if not word.islower():
                     raise TermSyntaxError(f"variables are lowercase a-z, got {word!r}", start)
-                return Var(word)
+                return Var(word), 0
             if word in _UNARY:
                 if self._peek() != "(":
                     raise TermSyntaxError(f"{word} must be applied as {word}(...)", self.pos)
-                return _UNARY[word](self._closed())
+                child, depth = self._closed()
+                return _UNARY[word](child), depth
             raise TermSyntaxError(
                 f"{word!r} is not a variable or operator; juxtaposition is"
                 " not allowed, write an explicit '*'", start)
@@ -184,7 +199,7 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    node = p.parse_term()
+    node, _ = p.parse_term()
     p.expect_end()
     return node
 
@@ -192,11 +207,11 @@ def parse_term(text: str) -> Term:
 def parse(text: str) -> Identity:
     """Parse an identity `lhs = rhs` into its AST."""
     p = _Parser(text)
-    lhs = p.parse_term()
+    lhs, _ = p.parse_term()
     if p._peek() != "=":
         raise TermSyntaxError("expected '=' between the two sides", p.pos)
     p.pos += 1
-    rhs = p.parse_term()
+    rhs, _ = p.parse_term()
     p.expect_end()
     return Identity(lhs, rhs)
 
@@ -303,19 +318,8 @@ class Expansion(NamedTuple):
             value = b if name == "b" else c
             if not is_unit(value, n):
                 return NotApplicable(f"{name} = {value} is not a unit mod {n}")
-        bi = inverse_mod(b, n) if "b" in self.units else 0
-        ci = inverse_mod(c, n) if "c" in self.units else 0
-
-        def value_of(poly: Laurent) -> int:
-            total = 0
-            for coef, ea, eb, ec in poly:
-                total += (coef * pow(a, ea, n)
-                          * (pow(b, eb, n) if eb >= 0 else pow(bi, -eb, n))
-                          * (pow(c, ec, n) if ec >= 0 else pow(ci, -ec, n)))
-            return total % n
-
-        return AffineForm(n, value_of(self.constant),
-                          {name: value_of(poly) for name, poly in self.coeffs.items()})
+        return AffineForm(n, poly_value(self.constant, n, a, b, c),
+                          {name: poly_value(p, n, a, b, c) for name, p in self.coeffs.items()})
 
 
 def _sum_of_products(pairs) -> Laurent:

@@ -15,6 +15,7 @@ import json
 import random
 import time
 from hashlib import sha256
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ from linquas.catalog import ModulusKind, catalog_entries, get_entry
 from linquas.engine import Verdict
 from linquas.groupoid import (LinearGroupoid, cayley_table, is_latin_square,
                               is_quasigroup, orthogonal, orthogonal_det)
-from linquas.modring import gcd
 
 DATA = Path(__file__).resolve().parent / "data"
 WORKERS = 4

@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 from collections import Counter
 
 from linquas.catalog import (ExampleStatus, HypAtom, ModulusKind,
@@ -6,6 +8,7 @@ from linquas.catalog import (ExampleStatus, HypAtom, ModulusKind,
                              export_json, get_entry, hypothesis_holds, poly,
                              table_numbers_covered)
 from linquas.groupoid import LinearGroupoid
+from linquas.modring import is_unit, poly_value
 from linquas.termlang import identity_text
 
 # Every equation label in the source inventory; the numbering jumps from 51
@@ -95,6 +98,29 @@ def test_hypothesis_atom_examples():
     assert atom_holds(HypAtom.B_NE_NEG_C, LinearGroupoid(7, 3, 5, 5))
     assert not hypothesis_holds((HypAtom.A_ZERO,), LinearGroupoid(5, 3, 2, 4))
     assert hypothesis_holds((HypAtom.B_UNIT, HypAtom.C_UNIT), LinearGroupoid(6, 2, 1, 5))
+
+
+def _atom_meaning(text: str):
+    """The predicate an atom's text states: b_unit / c_unit, or a chain of
+    p!=q / p=q links, each read with catalog.poly as p - q != 0 / = 0."""
+    if text.endswith("_unit"):
+        return lambda n, a, b, c: is_unit(b if text[0] == "b" else c, n)
+    sides = re.split(r"(!=|=)", text)
+    links = [(poly(p).terms + tuple((-k, *exps) for k, *exps in poly(q).terms), op == "!=")
+             for p, op, q in zip(sides[::2], sides[1::2], sides[2::2])]
+    return lambda n, a, b, c: all((poly_value(terms, n, a, b, c) != 0) == differ
+                                  for terms, differ in links)
+
+
+def test_each_hypothesis_atom_means_what_its_text_says():
+    # export_json writes the atom's text and findings print it, so the text
+    # is the definition atom_holds must implement
+    for atom in HypAtom:
+        means = _atom_meaning(atom.value)
+        for n in range(2, 13):
+            for a, b, c in itertools.product(range(n), repeat=3):
+                assert atom_holds(atom, LinearGroupoid(n, a, b, c)) == means(n, a, b, c), \
+                    (atom, n, a, b, c)
 
 
 def test_rows_use_every_hypothesis_atom():

@@ -144,6 +144,12 @@ def test_unknown_entry_exits_65(capsys):
     code, _, err = _run(capsys, "check", "--n", "6", "--a", "2", "--b", "4",
                         "--c", "2", "--ident", "(xy)*z = x")
     assert code == 65 and "bad identity" in err
+    for deep in ("(" * 330 + "x" + ")" * 330 + " = x", "rho(" * 330 + "x" + ")" * 330 + " = x",
+                 "*".join(["x"] * 496) + " = x"):
+        for method in ("brute", "symbolic"):
+            code, _, err = _run(capsys, "check", "--n", "3", "--a", "0", "--b", "1", "--c", "1",
+                                "--method", method, "--ident", deep)
+            assert code == 65 and "bad identity" in err
 
 
 def test_cap_exceeded_exits_70(capsys):

@@ -40,6 +40,16 @@ def test_tracer_installs_and_uninstalls_on_current_modules(monkeypatch):
     assert layers["engine.holds_bruteforce"]["calls"] == 1
     assert len(t.oracle_calls) == 1
 
+    t = tracer.Tracer()
+    t.install()
+    engine.crosscheck_all([2, 3], ["idempotent"], 10**7, 1)  # as a traced pass runs it
+    t.uninstall()
+    assert [getattr(owner, attr) for owner, attr, _ in hooks] == originals
+    # perfbench/run.py per_layer divides by node_evals, so a traced cross-check
+    # that makes no holds_bruteforce call dies there; the [benchmark] change
+    # that guards that division (ROADMAP item 1) removes this assertion.
+    assert tracer.oracle_stats(t.oracle_calls)["node_evals"] > 0
+
 
 def test_benchmark_passes_run_on_current_engine(monkeypatch):
     onepass = _perfbench_module(monkeypatch, "onepass")

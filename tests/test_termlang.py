@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from linquas.groupoid import LinearGroupoid
-from linquas.termlang import (ELam, ERho, Lam, LDiv, NotApplicable, Prod,
-                              RDiv, Rho, TermSyntaxError, UnboundVariableError,
+from linquas.termlang import (MAX_DEPTH, ELam, ERho, Lam, LDiv, NotApplicable,
+                              Prod, RDiv, Rho, TermSyntaxError, UnboundVariableError,
                               Var, _expand, canonical_print, evaluate,
                               expand_affine, identity_text, parse, parse_term)
 
@@ -56,6 +56,13 @@ def test_syntax_errors_carry_position():
         parse("x = y = z")
     with pytest.raises(TermSyntaxError):
         parse_term("X*y")
+    # nesting or chaining deeper than MAX_DEPTH would overflow the recursive walks
+    for deep in ("(" * 330 + "x" + ")" * 330, "rho(" * 330 + "x" + ")" * 330,
+                 "*".join(["x"] * 496), "*".join(["x"] * 494)):
+        with pytest.raises(TermSyntaxError):
+            parse(deep + " = x")
+    deepest = "rho(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert canonical_print(parse_term(deepest)) == deepest
 
 
 def test_canonical_print_examples():
