@@ -12,7 +12,7 @@ from .termlang import (AffineForm, Identity, NotApplicable, TermSyntaxError,
                        parse_term)
 from .catalog import (ConditionPredicate, ExampleStatus, HypAtom,
                       IdentityEntry, ModulusKind, StructureKind, TableRow,
-                      catalog_entries, get_entry, hypothesis_holds)
+                      catalog_entries, get_entry)
 from .engine import (CapExceeded, CheckOutcome, CrosscheckReport, Finding,
                      Method, Verdict, Witness, classify, crosscheck,
                      crosscheck_all, holds_bruteforce, holds_symbolic,

@@ -42,54 +42,27 @@ class ExampleStatus(enum.Enum):
 
 
 class HypAtom(enum.Enum):
-    A_NONZERO = "a!=0"
-    A_ZERO = "a=0"
-    B_UNIT = "b_unit"
-    C_UNIT = "c_unit"
-    B_NE_C = "b!=c"
-    B_NE_NEG_C = "b!=-c"
-    C_NE_1 = "c!=1"
-    B_NE_1 = "b!=1"
-    BC_PLUS_B_NE_1 = "bc+b!=1"
-    BC_PLUS_C_NE_1 = "bc+c!=1"
-    B_SQ_NONZERO = "b2!=0"
-    C_SQ_NONZERO = "c2!=0"
-    NEG1_NE_B_NE_C = "-1!=b!=c"
+    """A side condition: its table text, and .holds(n, a, b, c) on the reduced triple."""
 
+    def __new__(cls, text, holds):
+        atom = object.__new__(cls)
+        atom._value_ = text
+        atom.holds = holds
+        return atom
 
-def atom_holds(atom: HypAtom, g: LinearGroupoid) -> bool:
-    n, a, b, c = g.n, g.a, g.b, g.c
-    if atom is HypAtom.A_NONZERO:
-        return a != 0
-    if atom is HypAtom.A_ZERO:
-        return a == 0
-    if atom is HypAtom.B_UNIT:
-        return is_unit(b, n)
-    if atom is HypAtom.C_UNIT:
-        return is_unit(c, n)
-    if atom is HypAtom.B_NE_C:
-        return b != c
-    if atom is HypAtom.B_NE_NEG_C:
-        return b != (-c) % n
-    if atom is HypAtom.C_NE_1:
-        return c != 1 % n
-    if atom is HypAtom.B_NE_1:
-        return b != 1 % n
-    if atom is HypAtom.BC_PLUS_B_NE_1:
-        return (b * c + b) % n != 1 % n
-    if atom is HypAtom.BC_PLUS_C_NE_1:
-        return (b * c + c) % n != 1 % n
-    if atom is HypAtom.B_SQ_NONZERO:
-        return (b * b) % n != 0
-    if atom is HypAtom.C_SQ_NONZERO:
-        return (c * c) % n != 0
-    if atom is HypAtom.NEG1_NE_B_NE_C:
-        return b != (-1) % n and b != c
-    raise AssertionError(atom)
-
-
-def hypothesis_holds(hypothesis: tuple[HypAtom, ...], g: LinearGroupoid) -> bool:
-    return all(atom_holds(atom, g) for atom in hypothesis)
+    A_NONZERO = "a!=0", lambda n, a, b, c: a != 0
+    A_ZERO = "a=0", lambda n, a, b, c: a == 0
+    B_UNIT = "b_unit", lambda n, a, b, c: is_unit(b, n)
+    C_UNIT = "c_unit", lambda n, a, b, c: is_unit(c, n)
+    B_NE_C = "b!=c", lambda n, a, b, c: b != c
+    B_NE_NEG_C = "b!=-c", lambda n, a, b, c: b != (-c) % n
+    C_NE_1 = "c!=1", lambda n, a, b, c: c != 1 % n
+    B_NE_1 = "b!=1", lambda n, a, b, c: b != 1 % n
+    BC_PLUS_B_NE_1 = "bc+b!=1", lambda n, a, b, c: (b * c + b) % n != 1 % n
+    BC_PLUS_C_NE_1 = "bc+c!=1", lambda n, a, b, c: (b * c + c) % n != 1 % n
+    B_SQ_NONZERO = "b2!=0", lambda n, a, b, c: (b * b) % n != 0
+    C_SQ_NONZERO = "c2!=0", lambda n, a, b, c: (c * c) % n != 0
+    NEG1_NE_B_NE_C = "-1!=b!=c", lambda n, a, b, c: b != (-1) % n and b != c
 
 
 _MONOMIAL = re.compile(r"([+-]?)(\d*)((?:[abc]\d*)*)")
@@ -188,9 +161,6 @@ class IdentityEntry:
 
 
 _HYP = {atom.value: atom for atom in HypAtom}
-# "b,c invert" and "(b,n)=(c,n)=1" both mean the same computable predicate.
-_HYP["b_coprime"] = HypAtom.B_UNIT
-_HYP["c_coprime"] = HypAtom.C_UNIT
 
 
 def _hypo(spec: str) -> tuple[HypAtom, ...]:
@@ -426,12 +396,12 @@ def _build_catalog() -> tuple[IdentityEntry, ...]:
     e.append(_entry("bruck_moufang", "34", "Bruck-Moufang identity",
                     "(x*y)*(z*x) = (x*(y*z))*x", 31, [
         (_G, _ZN, "", "b-1 & c-1", (6, 2, 1, 1)),
-        (_Q, _ZN, "b_coprime,c_coprime", "b-1 & c-1", (6, 2, 1, 1)),
+        (_Q, _ZN, "b_unit,c_unit", "b-1 & c-1", (6, 2, 1, 1)),
     ]))
     e.append(_entry("dual_bruck_moufang", "35", "dual of Bruck-Moufang identity",
                     "(x*y)*(z*x) = x*((y*z)*x)", 32, [
         (_G, _ZN, "", "b-1 & c-1", (6, 2, 1, 1)),
-        (_Q, _ZN, "b_coprime,c_coprime", "b-1 & c-1", (6, 2, 1, 1)),
+        (_Q, _ZN, "b_unit,c_unit", "b-1 & c-1", (6, 2, 1, 1)),
     ], ambiguous=True))
     e.append(_entry("dual_bruck_moufang_alt", "35", "dual of Bruck-Moufang identity"
                     " (alternative bracket reading)",
@@ -683,8 +653,9 @@ def row_sweep_admits(row: TableRow, g: LinearGroupoid) -> bool:
     """Whether a triple belongs in the sweep for this row: hypothesis plus,
     for quasigroup rows, a quasigroup (every linear polynomial gives a
     groupoid)."""
+    triple = g.triple()
     return ((row.structure_kind is not StructureKind.QUASIGROUP or is_quasigroup(g))
-            and hypothesis_holds(row.hypothesis, g))
+            and all(atom.holds(*triple) for atom in row.hypothesis))
 
 
 def export_json() -> str:

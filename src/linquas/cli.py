@@ -231,8 +231,7 @@ def _cmd_search(args: argparse.Namespace) -> _Result:
 
 def _cmd_table(args: argparse.Namespace) -> _Result:
     g = LinearGroupoid(args.n, args.a, args.b, args.c)
-    if g.n ** 2 > args.cap:
-        raise CapExceeded(f"{g.n}**2 table cells exceed the cap of {args.cap}")
+    engine._check_cap(g.n, 0, args.cap)  # a table alone: no variables
     table = cayley_table(g)
     latin = is_latin_square(table)
     cells = table.tolist()
@@ -265,7 +264,7 @@ def _cmd_report(args: argparse.Namespace) -> _Result:
         if entry.identity is None:
             cell.update(status="unresolved", detail="defining identity unknown")
         elif row.example_status is ExampleStatus.GIVEN:
-            finding = findings.get(f"table:{row.table_number:02d}.{row.variant}:{entry.id}")
+            finding = findings.get(engine.table_source(entry, row))
             if finding is None:
                 cell.update(status="confirmed", detail=f"example {row.example} checks out")
             else:

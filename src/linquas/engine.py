@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,6 +33,14 @@ DEFAULT_CAP = 10**7
 
 class CapExceeded(RuntimeError):
     """An exhaustive check would exceed the evaluation cap."""
+
+
+def _check_cap(n: int, k: int, cap: int) -> None:
+    """Raise CapExceeded past the cap: n**k assignments or n x n table cells."""
+    if n ** k > cap:
+        raise CapExceeded(f"{n}**{k} assignments exceed the cap of {cap}")
+    if n ** 2 > cap:  # a one-variable identity still scans n x n tables
+        raise CapExceeded(f"{n}**2 table cells exceed the cap of {cap}")
 
 
 class Verdict(enum.Enum):
@@ -124,10 +133,7 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     (n+1)**2-cell operation tables the identity reads; the cap bounds both.
     """
     k = len(ident.variables)
-    if g.n ** k > cap:
-        raise CapExceeded(f"{g.n}**{k} assignments exceed the cap of {cap}")
-    if g.n ** 2 > cap:  # a one-variable identity still scans n x n tables
-        raise CapExceeded(f"{g.n}**2 table cells exceed the cap of {cap}")
+    _check_cap(g.n, k, cap)
     tables = op_tables(g.triple())
     counterexample = None
     for start, grid in _blocks(g.n, max(k, 1)):
@@ -276,10 +282,11 @@ def _crosscheck_task(args: tuple) -> list[list]:
 
 
 def _run_tasks(func, tasks: list[tuple], workers: int) -> list:
+    """func over the tasks in order, in at most one process per task and per usable CPU."""
     if workers <= 1 or len(tasks) <= 1:
         return [func(task) for task in tasks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+    with ctx.Pool(processes=min(workers, len(tasks), len(os.sched_getaffinity(0)))) as pool:
         return pool.map(func, tasks, chunksize=1)
 
 
@@ -287,7 +294,7 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
                     n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
     """Reports for the selected rows of each entry, in selection order, from
     one pool task per (law, n): the selected rows of one law share each
-    triple's oracle verdict."""
+    triple's oracle verdict.  Every task is held to the cap before any runs."""
     reports: list[CrosscheckReport] = []
     tasks: list[tuple] = []
     owners: list[list[CrosscheckReport]] = []
@@ -300,6 +307,7 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
         for n in n_values:
             swept = [(row, report) for row, report in law if n in report.n_values]
             if swept:
+                _check_cap(n, len(entry.identity.variables), cap)
                 tasks.append((entry.id, [row for row, _ in swept], n, cap))
                 owners.append([report for _, report in swept])
     for owned, tallies in zip(owners, _run_tasks(_crosscheck_task, tasks, workers)):
@@ -428,6 +436,11 @@ CITED_EXAMPLES: tuple[tuple[str, str, StructureKind, tuple[int, int, int, int],
 )
 
 
+def table_source(entry: IdentityEntry, row: TableRow) -> str:
+    """The ledger source of a table row's example cell."""
+    return f"table:{row.table_number:02d}.{row.variant}:{entry.id}"
+
+
 def check_example(source: str, entry: IdentityEntry, kind: StructureKind,
                  triple: tuple[int, int, int, int], row: TableRow | None,
                  outcome: CheckOutcome) -> Finding | None:
@@ -437,7 +450,7 @@ def check_example(source: str, entry: IdentityEntry, kind: StructureKind,
     if kind is StructureKind.QUASIGROUP and not is_quasigroup(g):
         problems.append("claimed quasigroup is not one (b or c shares a factor with n)")
     if row is not None:
-        failed = [atom.value for atom in row.hypothesis if not cat.atom_holds(atom, g)]
+        failed = [atom.value for atom in row.hypothesis if not atom.holds(*g.triple())]
         if failed:
             problems.append(f"hypothesis fails: {', '.join(failed)}")
         if not row.condition.holds(g):
@@ -466,8 +479,8 @@ def verify_examples(cap: int = DEFAULT_CAP) -> list[Finding]:
     for entry in catalog_entries():
         for row in entry.rows:
             if row.example_status is ExampleStatus.GIVEN:
-                source = f"table:{row.table_number:02d}.{row.variant}:{entry.id}"
-                examples.append((source, entry, row.structure_kind, row.example, row))
+                examples.append((table_source(entry, row), entry, row.structure_kind,
+                                 row.example, row))
     for source, entry_id, kind, triple, link in CITED_EXAMPLES:
         entry = get_entry(entry_id)
         row = None

@@ -4,9 +4,8 @@ import re
 from collections import Counter
 
 from linquas.catalog import (ExampleStatus, HypAtom, ModulusKind,
-                             StructureKind, atom_holds, catalog_entries,
-                             export_json, get_entry, hypothesis_holds, poly,
-                             table_numbers_covered)
+                             StructureKind, catalog_entries, export_json,
+                             get_entry, poly, table_numbers_covered)
 from linquas.groupoid import LinearGroupoid
 from linquas.modring import is_unit, poly_value
 from linquas.termlang import identity_text
@@ -94,10 +93,11 @@ def test_medial_row_condition_is_empty():
 
 
 def test_hypothesis_atom_examples():
-    assert atom_holds(HypAtom.A_NONZERO, LinearGroupoid(5, 3, 2, 4))
-    assert atom_holds(HypAtom.B_NE_NEG_C, LinearGroupoid(7, 3, 5, 5))
-    assert not hypothesis_holds((HypAtom.A_ZERO,), LinearGroupoid(5, 3, 2, 4))
-    assert hypothesis_holds((HypAtom.B_UNIT, HypAtom.C_UNIT), LinearGroupoid(6, 2, 1, 5))
+    assert HypAtom.A_NONZERO.holds(*LinearGroupoid(5, 3, 2, 4).triple())
+    assert HypAtom.B_NE_NEG_C.holds(*LinearGroupoid(7, 3, 5, 5).triple())
+    assert not HypAtom.A_ZERO.holds(*LinearGroupoid(5, 3, 2, 4).triple())
+    assert all(atom.holds(*LinearGroupoid(6, 2, 1, 5).triple())
+               for atom in (HypAtom.B_UNIT, HypAtom.C_UNIT))
 
 
 def _atom_meaning(text: str):
@@ -114,12 +114,12 @@ def _atom_meaning(text: str):
 
 def test_each_hypothesis_atom_means_what_its_text_says():
     # export_json writes the atom's text and findings print it, so the text
-    # is the definition atom_holds must implement
+    # is the definition the atom's test must implement
     for atom in HypAtom:
         means = _atom_meaning(atom.value)
         for n in range(2, 13):
             for a, b, c in itertools.product(range(n), repeat=3):
-                assert atom_holds(atom, LinearGroupoid(n, a, b, c)) == means(n, a, b, c), \
+                assert atom.holds(n, a, b, c) == means(n, a, b, c), \
                     (atom, n, a, b, c)
 
 

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from linquas import engine
+from linquas.catalog import catalog_entries
 from linquas.cli import main
 
 SCHEMA = json.loads(
@@ -108,6 +109,10 @@ def test_usage_errors_exit_64(capsys):
         main(["classify", "--n", "6", "--a", "0", "--b", "1", "--c", "1",
               "--cap", "10"])
     assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--n", "1", "--a", "0", "--b", "1", "--c", "1", "--entry", "medial"])
+    assert exc.value.code == 64
+    assert "--n must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_search_limit_below_one_exits_64(capsys):
@@ -150,12 +155,35 @@ def test_unknown_entry_exits_65(capsys):
             code, _, err = _run(capsys, "check", "--n", "3", "--a", "0", "--b", "1", "--c", "1",
                                 "--method", method, "--ident", deep)
             assert code == 65 and "bad identity" in err
+    for argv, message in (
+            (["search", "--entry", "medial", "--variant", "9", "--n", "2..3"],
+             "has no row variant 9"),
+            (["search", "--entry", "lip", "--modulus", "Zn", "--n", "2..3"],
+             "no row matching the selector"),
+            (["crosscheck", "--entries", "medial", "--n", "x..3"], "bad range"),
+            (["crosscheck", "--entries", "medial", "--n", "3..2"], "bad range"),
+            (["crosscheck", "--entries", "medial", "--n", "1..3"], "bad range")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (65, "") and message in err, argv
 
 
-def test_cap_exceeded_exits_70(capsys):
+def test_cap_exceeded_exits_70(capsys, monkeypatch):
     code, _, err = _run(capsys, "check", "--n", "200", "--a", "0", "--b", "1",
                         "--c", "1", "--entry", "medial", "--cap", "100000")
     assert code == 70 and "cap exceeded" in err
+    # a cross-check holds every planned (law, n) to the cap before any runs
+    oracle_calls, runs = [], []
+    holds_bruteforce, run_tasks = engine.holds_bruteforce, engine._run_tasks
+    monkeypatch.setattr(engine, "holds_bruteforce",
+                        lambda *args: oracle_calls.append(args) or holds_bruteforce(*args))
+    monkeypatch.setattr(engine, "_run_tasks",
+                        lambda *args: runs.append(args) or run_tasks(*args))
+    for workers in ("1", "2"):
+        code, out, err = _run(capsys, "crosscheck", "--entries", "medial", "--n", "2..6",
+                              "--cap", "1000", "--workers", workers)
+        assert (code, out) == (70, "")
+        assert err == "linquas: cap exceeded: 6**4 assignments exceed the cap of 1000\n"
+        assert (oracle_calls, runs) == ([], [])
 
 
 def test_one_variable_check_past_the_table_cap_exits_70(capsys):
@@ -199,6 +227,12 @@ def test_cap_env_override(capsys, monkeypatch):
         main(["check", "--n", "3", "--a", "0", "--b", "1", "--c", "1",
               "--entry", "medial"])
     assert exc.value.code == 64
+    capsys.readouterr()
+    monkeypatch.setenv("LINQUAS_CAP", "abc")
+    code, out, err = _run(capsys, "check", "--n", "3", "--a", "0", "--b", "1", "--c", "1",
+                          "--entry", "medial")
+    assert (code, out) == (65, "")
+    assert err == "linquas: error: LINQUAS_CAP must be an integer, got 'abc'\n"
 
 
 def test_table_csv_exact(capsys):
@@ -264,6 +298,17 @@ def test_crosscheck_clean_entries(capsys, tmp_path):
     assert code == 0
     payload = _validate(out_file.read_text())
     assert all(r["mismatch_count"] == 0 for r in payload["results"])
+    _, single, _ = _run(capsys, "crosscheck", "--entries", "medial", "--n", "4",
+                        "--format", "json")
+    _, span, _ = _run(capsys, "crosscheck", "--entries", "medial", "--n", "4..4",
+                      "--format", "json")
+    assert single == span
+    code, out, _ = _run(capsys, "crosscheck", "--entries", "all", "--n", "2..3",
+                        "--format", "csv")
+    # one CSV row per row of every law with an identity, after the header
+    assert code == 0
+    assert len(out.splitlines()) - 1 == 227 == sum(
+        len(e.rows) for e in catalog_entries() if e.identity is not None)
 
 
 def test_crosscheck_output_independent_of_workers(capsys):
@@ -282,6 +327,11 @@ def test_search_finds_pinned_witness(capsys):
     payload = _validate(out)
     w = payload["results"][0]
     assert (w["n"], w["a"], w["b"], w["c"]) == (5, 0, 1, 3)
+    code, out, _ = _run(capsys, "search", "--entry", "stein_third", "--variant", "2",
+                        "--n", "2..5", "--format", "json")
+    assert code == 0
+    w = _validate(out)["results"][0]
+    assert (w["n"], w["a"], w["b"], w["c"]) == (5, 1, 1, 3)
 
 
 def test_search_certified_empty(capsys):

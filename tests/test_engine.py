@@ -215,12 +215,18 @@ def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
 
     monkeypatch.setattr(engine.multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(64)))
     ids, n_values = ["medial"], [2, 3]  # one task per (law, n): two tasks
     wide = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=64)]
     assert started == [2]
     assert wide == [r.to_dict() for r in crosscheck_all(n_values, ids, workers=1)]
     assert engine._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert started == [2, 2]
+    # nor more than the usable CPUs
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
+    started.clear()
+    assert engine._run_tasks(abs, list(range(-667, 0)), 1000) == list(range(667, 0, -1))
+    assert started == [2]
 
 
 def test_search_witnesses_examples():
