@@ -83,7 +83,8 @@ def _law(entry_id: str) -> IdentityEntry:
 def _resolve_entries(spec: str) -> list[str]:
     if spec == "all":
         return [e.id for e in catalog_entries() if e.identity is not None]
-    ids = [_law(token.strip()).id for token in spec.split(",") if token.strip()]
+    ids = list(dict.fromkeys(_law(token.strip()).id for token in spec.split(",")
+                             if token.strip()))
     if not ids:
         raise DataError(f"no catalog entry in {spec!r}")
     return ids
@@ -171,7 +172,7 @@ def _cmd_check(args: argparse.Namespace) -> _Result:
 def _cmd_classify(args: argparse.Namespace) -> _Result:
     g = LinearGroupoid(args.n, args.a, args.b, args.c)
     rows = [{"entry": entry_id, **outcome.to_dict()}
-            for entry_id, outcome in engine.classify(g, args.cap)]
+            for entry_id, outcome in engine.classify(g)]
     header = ["entry", "verdict", "method"]
     head = (f"groupoid ({g.polynomial_text()}) mod {g.n}; quasigroup: "
             f"{str(is_quasigroup(g)).lower()}")

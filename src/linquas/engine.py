@@ -25,8 +25,7 @@ from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
                       TableRow, catalog_entries, get_entry, row_sweep_admits)
 from .groupoid import BLOCK, LinearGroupoid, is_quasigroup, op_tables
 from .modring import is_prime
-from .termlang import (ELam, ERho, Identity, Lam, LDiv, NotApplicable, Prod,
-                       RDiv, Rho, Var)
+from .termlang import Binary, Identity, NotApplicable, Var
 
 DEFAULT_CAP = 10**7
 
@@ -90,8 +89,8 @@ def _blocks(n: int, k: int) -> tuple[tuple[int, tuple[np.ndarray, ...]], ...]:
 
 
 # The OpTables attribute each operation reads.
-_TABLE = {Prod: "mul", LDiv: "ldiv", RDiv: "rdiv", Rho: "rho", Lam: "lam",
-          ERho: "e_rho", ELam: "e_lam"}
+_TABLE = {"*": "mul", "\\": "ldiv", "/": "rdiv", "rho": "rho", "lam": "lam",
+          "er": "e_rho", "el": "e_lam"}
 
 
 def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray:
@@ -99,12 +98,12 @@ def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray
     which propagates by indexing the tables' -1 slot at index n."""
     if isinstance(term, Var):
         return env[term.name]
-    table = getattr(tables, _TABLE[type(term)])
-    if isinstance(term, (Prod, LDiv, RDiv)):
+    table = getattr(tables, _TABLE[term.op])
+    if isinstance(term, Binary):
         left = _eval_table(term.left, env, tables)
         right = _eval_table(term.right, env, tables)
         # z / x solves w*x = z: divisor indexes first
-        return table[right, left] if isinstance(term, RDiv) else table[left, right]
+        return table[right, left] if term.op == "/" else table[left, right]
     return table[_eval_table(term.child, env, tables)]
 
 
@@ -136,7 +135,7 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     _check_cap(g.n, k, cap)
     tables = op_tables(g.triple())
     counterexample = None
-    for start, grid in _blocks(g.n, max(k, 1)):
+    for start, grid in _blocks(g.n, k):
         env = dict(zip(ident.variables, grid))
         lhs = _eval_table(ident.lhs, env, tables)
         rhs = _eval_table(ident.rhs, env, tables)

@@ -27,48 +27,26 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Prod:
+class Binary:
+    """left op right, where op is one of BINARY."""
+
+    op: str
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class LDiv:
-    left: Term
-    right: Term
+class Unary:
+    """op(child), where op is one of UNARY."""
 
-
-@dataclass(frozen=True)
-class RDiv:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Rho:
+    op: str
     child: Term
 
 
-@dataclass(frozen=True)
-class Lam:
-    child: Term
+Term = Var | Binary | Unary
 
-
-@dataclass(frozen=True)
-class ERho:
-    child: Term
-
-
-@dataclass(frozen=True)
-class ELam:
-    child: Term
-
-
-Term = Var | Prod | LDiv | RDiv | Rho | Lam | ERho | ELam
-
-_UNARY = {"rho": Rho, "lam": Lam, "er": ERho, "el": ELam}
-_BINARY_OPS = {"*": Prod, "\\": LDiv, "/": RDiv}
-_SYMBOL = {node: text for ops in (_UNARY, _BINARY_OPS) for text, node in ops.items()}
+BINARY = ("*", "\\", "/")
+UNARY = ("rho", "lam", "er", "el")
 # The most operators and parentheses on one path of a parsed term: every walk
 # over a term recurses once per level.  The catalog's deepest term has 4.
 MAX_DEPTH = 100
@@ -93,7 +71,7 @@ class Identity:
 
 
 def _operands(term: Term) -> tuple[Term, ...]:
-    return (term.left, term.right) if isinstance(term, (Prod, LDiv, RDiv)) else (term.child,)
+    return (term.left, term.right) if isinstance(term, Binary) else (term.child,)
 
 
 def _term_variables(term: Term) -> list[str]:
@@ -148,11 +126,11 @@ class _Parser:
     def parse_term(self) -> tuple[Term, int]:
         """The term at pos and its depth (see MAX_DEPTH)."""
         node, depth = self._factor()
-        while self._peek() in _BINARY_OPS:
+        while self._peek() in BINARY:
             op = self.text[self.pos]
             self.pos += 1
             right, right_depth = self._factor()
-            node, depth = _BINARY_OPS[op](node, right), max(depth, right_depth) + 1
+            node, depth = Binary(op, node, right), max(depth, right_depth) + 1
         return node, self._within_bound(depth)
 
     def _closed(self) -> tuple[Term, int]:
@@ -182,11 +160,11 @@ class _Parser:
                 if not word.islower():
                     raise TermSyntaxError(f"variables are lowercase a-z, got {word!r}", start)
                 return Var(word), 0
-            if word in _UNARY:
+            if word in UNARY:
                 if self._peek() != "(":
                     raise TermSyntaxError(f"{word} must be applied as {word}(...)", self.pos)
                 child, depth = self._closed()
-                return _UNARY[word](child), depth
+                return Unary(word, child), depth
             raise TermSyntaxError(
                 f"{word!r} is not a variable or operator; juxtaposition is"
                 " not allowed, write an explicit '*'", start)
@@ -220,10 +198,9 @@ def canonical_print(term: Term) -> str:
     """Deterministic fully parenthesized rendering; parse round-trips it."""
     if isinstance(term, Var):
         return term.name
-    sym = _SYMBOL[type(term)]
-    if isinstance(term, (Prod, LDiv, RDiv)):
-        return f"({canonical_print(term.left)}{sym}{canonical_print(term.right)})"
-    return f"{sym}({canonical_print(term.child)})"
+    if isinstance(term, Binary):
+        return f"({canonical_print(term.left)}{term.op}{canonical_print(term.right)})"
+    return f"{term.op}({canonical_print(term.child)})"
 
 
 def identity_text(ident: Identity) -> str:
@@ -233,11 +210,11 @@ def identity_text(ident: Identity) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
-# The scalar operation of each node but Prod, and its name in reasons.
-_LOCAL = {LDiv: (gp.left_divide, "left division"), RDiv: (gp.right_divide, "right division"),
-          Rho: (gp.right_inverse, "right inverse"), Lam: (gp.left_inverse, "left inverse"),
-          ERho: (gp.local_right_identity, "local right identity"),
-          ELam: (gp.local_left_identity, "local left identity")}
+# The scalar operation of each op but "*", and its name in reasons.
+_LOCAL = {"\\": (gp.left_divide, "left division"), "/": (gp.right_divide, "right division"),
+          "rho": (gp.right_inverse, "right inverse"), "lam": (gp.left_inverse, "left inverse"),
+          "er": (gp.local_right_identity, "local right identity"),
+          "el": (gp.local_left_identity, "local left identity")}
 
 
 def evaluate(term: Term, env: dict[str, int], g: LinearGroupoid) -> int | NotApplicable:
@@ -246,23 +223,16 @@ def evaluate(term: Term, env: dict[str, int], g: LinearGroupoid) -> int | NotApp
         if term.name not in env:
             raise UnboundVariableError(term.name)
         return int(env[term.name]) % g.n
-    if isinstance(term, (Prod, LDiv, RDiv)):
-        left = evaluate(term.left, env, g)
-        if isinstance(left, NotApplicable):
-            return left
-        right = evaluate(term.right, env, g)
-        if isinstance(right, NotApplicable):
-            return right
-        if isinstance(term, Prod):
-            return gp.apply(g, left, right)
-        op, what = _LOCAL[type(term)]
-        local = op(g, left, right)
-    else:
-        child = evaluate(term.child, env, g)
-        if isinstance(child, NotApplicable):
-            return child
-        op, what = _LOCAL[type(term)]
-        local = op(g, child)
+    values = []
+    for operand in _operands(term):
+        value = evaluate(operand, env, g)
+        if isinstance(value, NotApplicable):
+            return value
+        values.append(value)
+    if term.op == "*":
+        return gp.apply(g, *values)
+    op, what = _LOCAL[term.op]
+    local = op(g, *values)
     if local.defined:
         return local.value
     return NotApplicable(f"{what} undefined ({local.reason}) on {g.triple()}")
@@ -275,17 +245,12 @@ def evaluate(term: Term, env: dict[str, int], g: LinearGroupoid) -> int | NotApp
 Laurent = tuple[tuple[int, int, int, int], ...]
 _ONE: Laurent = ((1, 0, 0, 0),)
 
-# (unit needed, shift, scales) of shift + sum(scale_i * operand_i) per operation:
-# x*y = a + bx + cy, x\z = c^-1 (z - a - bx), z/x = b^-1 (z - a - cx), e_rho(v) =
-# c^-1 ((1 - b) v - a), v^rho = c^-1 (e_rho(v) - a - bv); lam and el swap b and c.
-_RULES: dict[type, tuple[str | None, Laurent, tuple[Laurent, ...]]] = {
-    Prod: (None, ((1, 1, 0, 0),), (((1, 0, 1, 0),), ((1, 0, 0, 1),))),
-    LDiv: ("c", ((-1, 1, 0, -1),), (((-1, 0, 1, -1),), ((1, 0, 0, -1),))),
-    RDiv: ("b", ((-1, 1, -1, 0),), (((1, 0, -1, 0),), ((-1, 0, -1, 1),))),
-    ERho: ("c", ((-1, 1, 0, -1),), (((1, 0, 0, -1), (-1, 0, 1, -1)),)),
-    Rho: ("c", ((-1, 1, 0, -2), (-1, 1, 0, -1)), (((1, 0, 0, -2), (-1, 0, 1, -2), (-1, 0, 1, -1)),)),
-    ELam: ("b", ((-1, 1, -1, 0),), (((1, 0, -1, 0), (-1, 0, -1, 1)),)),
-    Lam: ("b", ((-1, 1, -2, 0), (-1, 1, -1, 0)), (((1, 0, -2, 0), (-1, 0, -2, 1), (-1, 0, -1, 1)),)),
+# (unit needed, shift, scales) of shift + scale_l * left + scale_r * right per
+# binary op: x*y = a + bx + cy, x\z = c^-1 (z - a - bx), z/x = b^-1 (z - a - cx).
+_RULES: dict[str, tuple[str | None, Laurent, tuple[Laurent, Laurent]]] = {
+    "*": (None, ((1, 1, 0, 0),), (((1, 0, 1, 0),), ((1, 0, 0, 1),))),
+    "\\": ("c", ((-1, 1, 0, -1),), (((-1, 0, 1, -1),), ((1, 0, 0, -1),))),
+    "/": ("b", ((-1, 1, -1, 0),), (((1, 0, -1, 0),), ((-1, 0, -1, 1),))),
 }
 
 
@@ -345,11 +310,24 @@ def _combine(shift: Laurent, parts: list[tuple[Laurent, Expansion]],
         tuple(dict.fromkeys(units)))
 
 
+def _binary(op: str, left: Expansion, right: Expansion) -> Expansion:
+    unit, shift, (scale_l, scale_r) = _RULES[op]
+    return _combine(shift, [(scale_l, left), (scale_r, right)], unit)
+
+
 def _expand(term: Term) -> Expansion:
     if isinstance(term, Var):
         return Expansion((), {term.name: _ONE}, ())
-    unit, shift, scales = _RULES[type(term)]
-    return _combine(shift, [(k, _expand(t)) for k, t in zip(scales, _operands(term))], unit)
+    if isinstance(term, Binary):
+        return _binary(term.op, _expand(term.left), _expand(term.right))
+    # The local elements by their defining divisions, with the child expanded
+    # once: er(v) = v\v, rho(v) = v\er(v), el(v) = v/v, lam(v) = el(v)/v.
+    v = _expand(term.child)
+    if term.op in ("er", "rho"):
+        e = _binary("\\", v, v)
+        return e if term.op == "er" else _binary("\\", v, e)
+    e = _binary("/", v, v)
+    return e if term.op == "el" else _binary("/", e, v)
 
 
 def expand_affine(term: Term, g: LinearGroupoid) -> AffineForm | NotApplicable:

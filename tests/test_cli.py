@@ -311,6 +311,15 @@ def test_crosscheck_clean_entries(capsys, tmp_path):
         len(e.rows) for e in catalog_entries() if e.identity is not None)
 
 
+def test_crosscheck_repeated_entry_is_swept_once(capsys):
+    for fmt in ("json", "csv", "pretty"):
+        _, once, _ = _run(capsys, "crosscheck", "--entries", "medial", "--n", "2..3",
+                          "--format", fmt)
+        code, twice, _ = _run(capsys, "crosscheck", "--entries", "medial, medial,",
+                              "--n", "2..3", "--format", fmt)
+        assert code == 0 and twice == once
+
+
 def test_crosscheck_output_independent_of_workers(capsys):
     args = ["crosscheck", "--entries", "unipotent,medial", "--n", "2..6",
             "--format", "json"]

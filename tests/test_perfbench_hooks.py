@@ -3,12 +3,14 @@
 names must fail here, not in a `perfbench/run.py` run."""
 
 import json
+import re
 import sys
 from pathlib import Path
 
 from linquas import engine
-from linquas.catalog import get_entry
+from linquas.catalog import catalog_entries, get_entry
 from linquas.groupoid import LinearGroupoid
+from linquas.termlang import identity_text
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DATA = Path(__file__).parent / "data"
@@ -49,6 +51,22 @@ def test_tracer_installs_and_uninstalls_on_current_modules(monkeypatch):
     # that makes no holds_bruteforce call dies there; the [benchmark] change
     # that guards that division (ROADMAP item 1) removes this assertion.
     assert tracer.oracle_stats(t.oracle_calls)["node_evals"] > 0
+
+
+def test_term_nodes_counts_every_node_of_the_catalog_laws(monkeypatch):
+    # perfbench/tracer.py walks terms by their .left, .right and .child fields
+    # to count node_evals; count the nodes in the printed text instead
+    tracer = _perfbench_module(monkeypatch, "tracer")
+    seen = set()
+    for entry in catalog_entries():
+        if entry.identity is None:
+            continue
+        text = identity_text(entry.identity)
+        tokens = re.findall(r"[a-z]+|[*\\/]", text)  # variables, unary words, ops
+        seen.update(tokens)
+        lhs, rhs = entry.identity.lhs, entry.identity.rhs
+        assert tracer.term_nodes(lhs) + tracer.term_nodes(rhs) == len(tokens), text
+    assert {"*", "\\", "/", "rho", "lam", "er", "el"} <= seen
 
 
 def test_benchmark_passes_run_on_current_engine(monkeypatch):

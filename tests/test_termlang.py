@@ -3,37 +3,38 @@ import random
 import numpy as np
 import pytest
 
+from linquas import termlang
 from linquas.groupoid import LinearGroupoid
-from linquas.termlang import (MAX_DEPTH, ELam, ERho, Lam, LDiv, NotApplicable,
-                              Prod, RDiv, Rho, TermSyntaxError, UnboundVariableError,
-                              Var, _expand, canonical_print, evaluate,
-                              expand_affine, identity_text, parse, parse_term)
+from linquas.termlang import (BINARY, MAX_DEPTH, UNARY, Binary, NotApplicable,
+                              TermSyntaxError, UnboundVariableError, Unary, Var,
+                              _expand, canonical_print, evaluate, expand_affine,
+                              identity_text, parse, parse_term)
 
 
 def test_parse_associative_law():
     ident = parse("(x*y)*z = x*(y*z)")
-    assert ident.lhs == Prod(Prod(Var("x"), Var("y")), Var("z"))
-    assert ident.rhs == Prod(Var("x"), Prod(Var("y"), Var("z")))
+    assert ident.lhs == Binary("*", Binary("*", Var("x"), Var("y")), Var("z"))
+    assert ident.rhs == Binary("*", Var("x"), Binary("*", Var("y"), Var("z")))
     assert ident.variables == ("x", "y", "z")
 
 
 def test_parse_cip_form():
     ident = parse("(x*y)*rho(x) = y")
-    assert ident.lhs == Prod(Prod(Var("x"), Var("y")), Rho(Var("x")))
+    assert ident.lhs == Binary("*", Binary("*", Var("x"), Var("y")), Unary("rho", Var("x")))
     assert ident.rhs == Var("y")
 
 
 def test_parse_unary_and_division_forms():
-    assert parse_term("lam(x)") == Lam(Var("x"))
-    assert parse_term("er(x*y)") == ERho(Prod(Var("x"), Var("y")))
-    assert parse_term("el(x)") == ELam(Var("x"))
-    assert parse_term("x\\y") == LDiv(Var("x"), Var("y"))
-    assert parse_term("x/y") == RDiv(Var("x"), Var("y"))
+    assert parse_term("lam(x)") == Unary("lam", Var("x"))
+    assert parse_term("er(x*y)") == Unary("er", Binary("*", Var("x"), Var("y")))
+    assert parse_term("el(x)") == Unary("el", Var("x"))
+    assert parse_term("x\\y") == Binary("\\", Var("x"), Var("y"))
+    assert parse_term("x/y") == Binary("/", Var("x"), Var("y"))
 
 
 def test_binary_operators_are_left_associative():
-    assert parse_term("x*y*z") == Prod(Prod(Var("x"), Var("y")), Var("z"))
-    assert parse_term("x*y\\z") == LDiv(Prod(Var("x"), Var("y")), Var("z"))
+    assert parse_term("x*y*z") == Binary("*", Binary("*", Var("x"), Var("y")), Var("z"))
+    assert parse_term("x*y\\z") == Binary("\\", Binary("*", Var("x"), Var("y")), Var("z"))
 
 
 def test_juxtaposition_is_rejected():
@@ -66,9 +67,9 @@ def test_syntax_errors_carry_position():
 
 
 def test_canonical_print_examples():
-    assert canonical_print(Prod(Prod(Var("x"), Var("y")), Var("z"))) == "((x*y)*z)"
-    assert canonical_print(Rho(Prod(Var("y"), Var("x")))) == "rho((y*x))"
-    assert canonical_print(LDiv(Var("x"), Var("x"))) == "(x\\x)"
+    assert canonical_print(Binary("*", Binary("*", Var("x"), Var("y")), Var("z"))) == "((x*y)*z)"
+    assert canonical_print(Unary("rho", Binary("*", Var("y"), Var("x")))) == "rho((y*x))"
+    assert canonical_print(Binary("\\", Var("x"), Var("x"))) == "(x\\x)"
     ident = parse("(x*y)*(y*x) = y")
     assert identity_text(ident) == "((x*y)*(y*x)) = y"
 
@@ -77,13 +78,10 @@ def _random_term(rng: random.Random, depth: int):
     if depth == 0 or rng.random() < 0.3:
         return Var(rng.choice("wxyz"))
     kind = rng.randrange(7)
-    if kind < 3:
-        return Prod(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
-    if kind == 3:
-        return LDiv(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
-    if kind == 4:
-        return RDiv(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
-    return rng.choice((Rho, Lam, ERho, ELam))(_random_term(rng, depth - 1))
+    if kind < 5:  # "*" three times in seven, each division once
+        op = "*" if kind < 3 else BINARY[kind - 2]
+        return Binary(op, _random_term(rng, depth - 1), _random_term(rng, depth - 1))
+    return Unary(rng.choice(UNARY), _random_term(rng, depth - 1))
 
 
 def test_parse_print_roundtrip_1000_random_terms():
@@ -114,13 +112,32 @@ def test_expand_affine_examples():
     assert form.constant == 0 and form.coeffs == {"x": 1}
     na = expand_affine(parse_term("rho(x)"), LinearGroupoid(6, 2, 4, 2))
     assert isinstance(na, NotApplicable) and "not a unit" in na.reason
-    # the local elements expand exactly as the divisions that define them:
-    # e_rho(t) = t\t, t^rho = t\(t\t), e_lam(t) = t/t, t^lam = (t/t)/t
-    for t in (Var("v"), parse_term("x*y\\z")):
-        assert _expand(ERho(t)) == _expand(LDiv(t, t))
-        assert _expand(Rho(t)) == _expand(LDiv(t, LDiv(t, t)))
-        assert _expand(ELam(t)) == _expand(RDiv(t, t))
-        assert _expand(Lam(t)) == _expand(RDiv(RDiv(t, t), t))
+
+
+# The local elements of v in closed form over Z[a, b, c, 1/b, 1/c], as (unit,
+# constant, coefficient of v), Laurent terms (coefficient, exp_a, exp_b, exp_c):
+# e_rho(v) = -a c^-1 + (1 - b) c^-1 v, v^rho = c^-1 (e_rho(v) - a - bv), and
+# e_lam, v^lam the same with b and c swapped.
+LOCAL_CLOSED_FORMS = {
+    "er": ("c", ((-1, 1, 0, -1),), ((1, 0, 0, -1), (-1, 0, 1, -1))),
+    "rho": ("c", ((-1, 1, 0, -2), (-1, 1, 0, -1)),
+            ((1, 0, 0, -2), (-1, 0, 1, -2), (-1, 0, 1, -1))),
+    "el": ("b", ((-1, 1, -1, 0),), ((1, 0, -1, 0), (-1, 0, -1, 1))),
+    "lam": ("b", ((-1, 1, -2, 0), (-1, 1, -1, 0)),
+            ((1, 0, -2, 0), (-1, 0, -2, 1), (-1, 0, -1, 1))),
+}
+
+
+def test_local_elements_expand_to_their_closed_forms(monkeypatch):
+    assert set(LOCAL_CLOSED_FORMS) == set(UNARY)
+    for op, (unit, constant, coeff) in LOCAL_CLOSED_FORMS.items():
+        assert _expand(Unary(op, Var("v"))) == (constant, {"v": coeff}, (unit,))
+    # each node expands once, however deeply the local elements nest
+    calls = []
+    expand = termlang._expand
+    monkeypatch.setattr(termlang, "_expand", lambda term: calls.append(term) or expand(term))
+    assert parse("rho(lam(rho(x))) = x").residual.units == ("c", "b")
+    assert len(calls) == 5
 
 
 def test_expand_affine_is_compositional():
@@ -132,7 +149,7 @@ def test_expand_affine_is_compositional():
         right = _random_term(rng, 2)
         lf = expand_affine(left, g)
         rf = expand_affine(right, g)
-        pf = expand_affine(Prod(left, right), g)
+        pf = expand_affine(Binary("*", left, right), g)
         if isinstance(lf, NotApplicable) or isinstance(rf, NotApplicable):
             assert isinstance(pf, NotApplicable)
             continue
@@ -205,8 +222,8 @@ def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
         if isinstance(term, Var):
             return {Var}
         if hasattr(term, "child"):
-            return {type(term)} | kinds(term.child)
-        return {type(term)} | kinds(term.left) | kinds(term.right)
+            return {term.op} | kinds(term.child)
+        return {term.op} | kinds(term.left) | kinds(term.right)
 
     rng = random.Random(2718)
     seen: set = set()
@@ -229,5 +246,5 @@ def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
                 else:
                     assert value == want
                     defined += 1
-    assert seen == {Var, Prod, LDiv, RDiv, Rho, Lam, ERho, ELam}
+    assert seen == {Var, *BINARY, *UNARY}
     assert undefined > 1000 and defined > 1000
