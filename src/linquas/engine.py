@@ -107,6 +107,22 @@ def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray
     return table[_eval_table(term.child, env, tables)]
 
 
+def _total(ident: Identity, tables) -> bool:
+    """True iff no table the identity reads has -1 in its body ([:n, :n] for
+    a binary operation, [:n] for a unary one), so that every value stays in
+    0..n-1 and no assignment can be undefined.  Once a block is evaluated
+    those tables are built, so this builds none; it reads cells, not
+    coefficients, so it holds for any OpTables, not only linear ones."""
+    ops, terms = set(), [ident.lhs, ident.rhs]
+    while terms:
+        term = terms.pop()
+        if not isinstance(term, Var):
+            ops.add(term.op)
+            terms.extend((term.left, term.right) if isinstance(term, Binary) else (term.child,))
+    read = (getattr(tables, _TABLE[op]) for op in ops)
+    return all(table[(slice(tables.n),) * table.ndim].min() >= 0 for table in read)
+
+
 def _first(mask: np.ndarray, ident: Identity, start: int) -> dict[str, int] | None:
     """The first flagged assignment of the block whose leading values begin
     at start, or None; the mask spans the block, one axis per variable."""
@@ -130,12 +146,17 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     Assignments are evaluated in lexicographic blocks (see _blocks), so
     memory grows with max(BLOCK, n**(k-1)), not with n**k, beside the
     (n+1)**2-cell operation tables the identity reads; the cap bounds both.
+    The scan stops at the first block holding a counterexample when no
+    table the identity reads has -1 in its body (see _total): no later
+    assignment can then be undefined, so the verdict cannot change.
+    Otherwise it goes on, since a later block could still be undefined.
     """
     k = len(ident.variables)
     _check_cap(g.n, k, cap)
     tables = op_tables(g.triple())
     counterexample = None
-    for start, grid in _blocks(g.n, k):
+    blocks = _blocks(g.n, k)
+    for i, (start, grid) in enumerate(blocks):
         env = dict(zip(ident.variables, grid))
         lhs = _eval_table(ident.lhs, env, tables)
         rhs = _eval_table(ident.rhs, env, tables)
@@ -145,6 +166,8 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
                                 na_reason=_na_reason(ident, undefined, g))
         if counterexample is None:
             counterexample = _first(lhs != rhs, ident, start)
+            if counterexample is not None and i + 1 < len(blocks) and _total(ident, tables):
+                break
     if counterexample is not None:
         return CheckOutcome(Verdict.FAILS, Method.BRUTE_FORCE,
                             counterexample=counterexample)

@@ -83,6 +83,19 @@ def test_check_fails_exit_1(capsys):
     assert payload["results"][0]["counterexample"] == {"x": 0, "y": 1}
 
 
+def test_check_fails_at_the_cap_exit_1(capsys):
+    # ~10**7 assignments, the first counterexample in the first row
+    argv = ["check", "--n", "3162", "--a", "852", "--b", "1658", "--c", "1925",
+            "--entry", "r_aaip", "--format", "json"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 1
+    result = _validate(out)["results"][0]
+    assert (result["verdict"], result["counterexample"]) == ("fails", {"x": 0, "y": 1})
+    code, out, _ = _run(capsys, *argv, "--method", "symbolic")
+    assert code == 1
+    assert _validate(out)["results"][0]["verdict"] == "fails"
+
+
 def test_check_not_applicable_exit_2(capsys):
     code, out, _ = _run(capsys, "check", "--n", "6", "--a", "2", "--b", "4",
                         "--c", "2", "--entry", "r_aip")

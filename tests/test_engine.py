@@ -386,25 +386,112 @@ def test_bruteforce_scans_for_undefined_values_past_a_failing_block(monkeypatch,
     assert holds_bruteforce(g, parse("x\\y = y")).verdict is Verdict.NOT_APPLICABLE
 
 
+def _scalar_first_failure(g, ident, assignments) -> dict[str, int] | None:
+    """The first of the value tuples at which termlang.evaluate finds the
+    two sides different, as an assignment."""
+    from linquas.termlang import evaluate
+
+    for values in assignments:
+        env = dict(zip(ident.variables, values))
+        if evaluate(ident.lhs, env, g) != evaluate(ident.rhs, env, g):
+            return env
+    return None
+
+
+def _top_level_evals(monkeypatch) -> list:
+    """Wrap engine._eval_table; the list gets one entry per call made from
+    outside it, that is one per side of the identity per block."""
+    calls, depth = [], []
+    evaluate = engine._eval_table
+
+    def counted(term, env, tables):
+        if not depth:
+            calls.append(term)
+        depth.append(term)
+        try:
+            return evaluate(term, env, tables)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(engine, "_eval_table", counted)
+    return calls
+
+
+def test_bruteforce_stops_at_the_first_failing_block_of_a_quasigroup(monkeypatch,
+                                                                     one_value_per_block):
+    # A quasigroup's tables are total, so nothing past the block with the
+    # first counterexample can change the verdict: x = 1 is the second of
+    # five blocks, so two blocks of two sides each are evaluated.
+    from itertools import product
+
+    calls = _top_level_evals(monkeypatch)
+    for entry_id, g in (("lip", LinearGroupoid(5, 0, 1, 4)),
+                        ("r_wip", LinearGroupoid(5, 0, 2, 2))):
+        ident = get_entry(entry_id).identity
+        reference = _scalar_first_failure(g, ident, product(range(g.n), repeat=2))
+        calls.clear()
+        out = holds_bruteforce(g, ident)
+        assert (out.verdict, out.counterexample) == (Verdict.FAILS, reference), entry_id
+        assert reference[ident.variables[0]] == 1 and len(calls) == 4, entry_id
+
+
+def _last_row_constant(monkeypatch) -> OpTables:
+    # x\y and y/x are undefined for x = 3 only; mul is total
+    table = np.array([[1, 0, 3, 2], [0, 1, 2, 3], [2, 3, 0, 1], [0, 0, 0, 0]])
+    tables = OpTables(np.pad(table, (0, 1), constant_values=-1))
+    monkeypatch.setattr(engine, "op_tables", lambda triple: tables)
+    return tables
+
+
+def test_bruteforce_stops_early_when_only_unread_tables_are_undefined(monkeypatch,
+                                                                     one_value_per_block):
+    tables = _last_row_constant(monkeypatch)
+    calls = _top_level_evals(monkeypatch)
+    out = holds_bruteforce(LinearGroupoid(4, 0, 1, 1), parse("x*y = y"))
+    assert (out.verdict, out.counterexample) == (Verdict.FAILS, {"x": 0, "y": 0})
+    assert len(calls) == 2  # block x = 0 only, of four
+    assert set(vars(tables)) == {"n", "mul"}
+    assert tables.ldiv[:4, :4].min() == tables.rdiv[:4, :4].min() == -1
+
+
+def test_bruteforce_scans_on_when_a_read_unary_table_is_undefined(monkeypatch,
+                                                                 one_value_per_block):
+    # er(x) = x fails at x = 0, and e_rho's body is [1, 1, 0, -1]: only its
+    # last cell is undefined, so every block is scanned and the check is
+    # not applicable (the linear groupoid itself is total, hence the reason)
+    tables = _last_row_constant(monkeypatch)
+    calls = _top_level_evals(monkeypatch)
+    out = holds_bruteforce(LinearGroupoid(4, 0, 1, 1), parse("er(x) = x"))
+    assert tables.e_rho[:4].tolist() == [1, 1, 0, -1]
+    assert (out.verdict, out.na_reason) == (Verdict.NOT_APPLICABLE, "undefined subterm")
+    assert len(calls) == 8
+
+
 def test_bruteforce_memory_is_bounded_at_the_cap():
     # ~10**7 assignments each: medial at n = 56 holds (a full scan), and
-    # r_aaip at n = 3162 holds while using a division table.  The window
-    # covers building the tables, which are int16 at n = 3162.
+    # r_aaip at n = 3162 holds while using a division table, and fails on
+    # total tables (so the scan stops at its first failing block).  The
+    # window covers building the tables, which are int16 at n = 3162.
     import tracemalloc
 
-    cases = [("medial", LinearGroupoid(56, 3, 5, 7)),
-             ("r_aaip", LinearGroupoid(3162, 2544, 947, 947))]
+    cases = [("medial", LinearGroupoid(56, 3, 5, 7), Verdict.HOLDS),
+             ("r_aaip", LinearGroupoid(3162, 2544, 947, 947), Verdict.HOLDS),
+             ("r_aaip", LinearGroupoid(3162, 852, 1658, 1925), Verdict.FAILS)]
     try:
-        for entry_id, g in cases:
+        for entry_id, g, verdict in cases:
+            ident = get_entry(entry_id).identity
             op_tables.cache_clear()
             tracemalloc.start()
             try:
-                out = holds_bruteforce(g, get_entry(entry_id).identity)
+                out = holds_bruteforce(g, ident)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert out.verdict is Verdict.HOLDS
+            assert out.verdict is holds_symbolic(g, ident).verdict is verdict
             assert peak < 64 * 2**20, (entry_id, peak)
+            if verdict is Verdict.FAILS:  # found in the row x = 0
+                row = ((0, y) for y in range(g.n))
+                assert out.counterexample == _scalar_first_failure(g, ident, row)
     finally:
         op_tables.cache_clear()
 
