@@ -2,11 +2,14 @@
 cross-checks over coefficient space, classification, witness search, and the
 known-discrepancy ledger for the catalog's cited examples.
 
-The exhaustive checker works purely from scanned operation tables
-(groupoid.op_tables), the symbolic checker from each law's residual system
-(Identity.residual: lhs - rhs over Z[a, b, c, 1/b, 1/c], derived once per
-law, evaluated mod n); the two paths share no algebra, which is what makes
-their agreement a meaningful cross-check.
+The exhaustive checker works purely from scanned operation tables, the
+symbolic checker from each law's residual system (Identity.residual: lhs -
+rhs over Z[a, b, c, 1/b, 1/c], derived once per law, evaluated mod n); the
+two paths share no algebra, which is what makes their agreement a
+meaningful cross-check.  A single check reads its groupoid's tables through
+the groupoid.op_tables LRU cache; a cross-check sweep reads the tables of
+each (law, n) task's admitted triples from groupoid.stacked_op_tables,
+built in stacks, and still makes one oracle call per admitted triple.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import catalog as cat
 from . import termlang as tl
 from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
                       TableRow, catalog_entries, get_entry, row_sweep_admits)
-from .groupoid import BLOCK, LinearGroupoid, is_quasigroup, op_tables
+from .groupoid import BLOCK, LinearGroupoid, is_quasigroup, op_tables, stacked_op_tables
 from .modring import is_prime
 from .termlang import Binary, Identity, NotApplicable, Var
 
@@ -137,7 +140,7 @@ def _first(mask: np.ndarray, ident: Identity, start: int) -> dict[str, int] | No
 
 
 def holds_bruteforce(g: LinearGroupoid, ident: Identity,
-                     cap: int = DEFAULT_CAP) -> CheckOutcome:
+                     cap: int = DEFAULT_CAP, tables=None) -> CheckOutcome:
     """Check the identity over every assignment of values to its variables.
 
     Fails carries the lexicographically first counterexample.  If any
@@ -150,10 +153,12 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     table the identity reads has -1 in its body (see _total): no later
     assignment can then be undefined, so the verdict cannot change.
     Otherwise it goes on, since a later block could still be undefined.
+    The tables are g's op_tables unless given (a sweep passes a StackMember).
     """
     k = len(ident.variables)
     _check_cap(g.n, k, cap)
-    tables = op_tables(g.triple())
+    if tables is None:
+        tables = op_tables(g.triple())
     counterexample = None
     blocks = _blocks(g.n, k)
     for i, (start, grid) in enumerate(blocks):
@@ -282,16 +287,20 @@ def _crosscheck_task(args: tuple) -> list[list]:
 
     Each triple that any of the rows admits gets one oracle call, and every
     admitting row tallies that verdict: (checked, NA, mismatches) per row.
+    The admitted triples' tables are built in stacks (stacked_op_tables).
     """
     entry_id, rows, n, cap = args
     ident = get_entry(entry_id).identity
     tallies = [[0, 0, []] for _ in rows]
+    admitted = []
     for g in _groupoids(n):
         admitting = [(row, tally) for row, tally in zip(rows, tallies)
                      if row_sweep_admits(row, g)]
-        if not admitting:
-            continue
-        outcome = holds_bruteforce(g, ident, cap)
+        if admitting:
+            admitted.append((g, admitting))
+    members = stacked_op_tables([g for g, _ in admitted])
+    for (g, admitting), tables in zip(admitted, members):
+        outcome = holds_bruteforce(g, ident, cap, tables=tables)
         for row, tally in admitting:
             if outcome.verdict is Verdict.NOT_APPLICABLE:
                 tally[1] += 1

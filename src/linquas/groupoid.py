@@ -2,6 +2,12 @@
 
 Cayley tables, quasigroup/Latin-square tests, local identities and local
 inverses, left/right division, and orthogonality of pairs of tables.
+
+The exhaustive checker reads operation tables scanned from the Cayley
+table: a single check reads one groupoid's OpTables through the op_tables
+LRU cache, and a cross-check sweep reads StackMembers of stacked_op_tables,
+which builds the tables of many groupoids of one modulus in one numpy pass
+per kind.
 """
 
 from __future__ import annotations
@@ -154,48 +160,65 @@ def orthogonal_det(g1: LinearGroupoid, g2: LinearGroupoid) -> bool:
 
 
 class OpTables:
-    """Operation tables for one groupoid; -1 marks an undefined entry.  Each
+    """Operation tables for one groupoid, or for a stack of groupoids of one
+    modulus along a leading axis; -1 marks an undefined entry.  Each table
     axis has one more slot, at index n, holding -1, so index -1 reads -1.
 
-    Only mul is given; the others are scanned from it on first access, so a
-    check builds just the tables its identity uses.  All are read-only and
-    share mul's dtype.
+    Only mul is given; the others are scanned from it on first access, for
+    the whole stack at once, so a check builds just the tables its identity
+    uses.  All are read-only and share mul's dtype.
     """
 
     def __init__(self, mul: np.ndarray) -> None:
         mul.setflags(write=False)
-        self.n = mul.shape[0] - 1
-        self.mul = mul  # mul[x, y] = x*y
+        self.n = mul.shape[-1] - 1
+        self.mul = mul  # mul[..., x, y] = x*y
 
     @cached_property
     def ldiv(self) -> np.ndarray:
-        """ldiv[x, z] = unique w with x*w = z, else -1."""
-        return _invert_rows(self.mul[:-1, :-1])
+        """ldiv[..., x, z] = unique w with x*w = z, else -1."""
+        return _invert_rows(self.mul[..., :-1, :-1])
 
     @cached_property
     def rdiv(self) -> np.ndarray:
-        """rdiv[x, z] = unique w with w*x = z, else -1."""
-        return _invert_rows(self.mul[:-1, :-1].T)
+        """rdiv[..., x, z] = unique w with w*x = z, else -1."""
+        return _invert_rows(self.mul[..., :-1, :-1].swapaxes(-1, -2))
 
     @cached_property
     def e_rho(self) -> np.ndarray:
-        """e_rho[x] = unique e with x*e = x, else -1."""
-        return self.ldiv.diagonal()
+        """e_rho[..., x] = unique e with x*e = x, else -1."""
+        return self.ldiv.diagonal(axis1=-2, axis2=-1)
 
     @cached_property
     def e_lam(self) -> np.ndarray:
-        """e_lam[x] = unique e with e*x = x, else -1."""
-        return self.rdiv.diagonal()
+        """e_lam[..., x] = unique e with e*x = x, else -1."""
+        return self.rdiv.diagonal(axis1=-2, axis2=-1)
 
     @cached_property
     def rho(self) -> np.ndarray:
-        """rho[x] = unique s with x*s = e_rho(x), else -1."""
-        return _read_only(self.ldiv[np.arange(self.n + 1), self.e_rho])
+        """rho[..., x] = unique s with x*s = e_rho(x), else -1."""
+        return _at_own_row(self.ldiv, self.e_rho)
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """lam[x] = unique s with s*x = e_lam(x), else -1."""
-        return _read_only(self.rdiv[np.arange(self.n + 1), self.e_lam])
+        """lam[..., x] = unique s with s*x = e_lam(x), else -1."""
+        return _at_own_row(self.rdiv, self.e_lam)
+
+
+class StackMember:
+    """The tables of groupoid `index` of a stacked OpTables, read as that
+    groupoid's own OpTables would be: each is the stack's slice, so the
+    first member to read a kind scans it for the whole stack."""
+
+    def __init__(self, stack: OpTables, index: int) -> None:
+        self.n = stack.n
+        self.stack = stack
+        self.index = index
+
+    def __getattr__(self, kind: str) -> np.ndarray:
+        table = getattr(self.stack, kind)[self.index]
+        setattr(self, kind, table)
+        return table
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -203,44 +226,85 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _padded(n: int) -> np.ndarray:
-    """An (n+1) x (n+1) table of -1.  A table of at most BLOCK cells is
-    int64, numpy's index type, which lookups use without a cast; a larger
-    one takes the smallest signed type holding -2n, and so the sums below
-    2n written while building mul, so that it stays in cache (int16 up to
-    n = 16384)."""
+def _at_own_row(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[..., x, index[..., x]] for every x: each row read at its own index."""
+    rows = table.reshape(-1, table.shape[-1])
+    return _read_only(rows[np.arange(len(rows)).reshape(index.shape), index])
+
+
+def _padded(n: int, *lead: int) -> np.ndarray:
+    """An (n+1) x (n+1) table of -1, or a stack of them shaped lead.  A table
+    of at most BLOCK cells is int64, numpy's index type, which lookups use
+    without a cast; a larger one takes the smallest signed type holding -2n,
+    and so the sums below 2n written while building mul, so that it stays in
+    cache (int16 up to n = 16384)."""
     cells = (n + 1) ** 2
     dtype = np.int64 if cells <= BLOCK else np.min_scalar_type(-2 * n)
-    return np.full((n + 1, n + 1), -1, dtype=dtype)
+    return np.full((*lead, n + 1, n + 1), -1, dtype=dtype)
 
 
 def _invert_rows(t: np.ndarray) -> np.ndarray:
-    """inv[x, v] = the unique w with t[x, w] = v, or -1; padded to n + 1.
-    Inverts blocks of at most BLOCK cells at a time."""
-    n = t.shape[0]
-    inv = _padded(n)
+    """inv[..., x, v] = the unique w with t[..., x, w] = v, or -1, for one
+    n x n table or a stack of them; padded to n + 1 on the last two axes.
+    Inverts blocks of at most BLOCK cells at a time: whole tables while one
+    fits, rows of one table past that."""
+    n = t.shape[-1]
+    inv = _padded(n, *t.shape[:-2])
+    # views, of one table or of a 3-D stack; inv itself is returned, so that
+    # a cached table holds no second array object
+    stack, body = t.reshape(-1, n, n), inv.reshape(-1, n + 1, n + 1)[:, :n, :n]
     cols = np.arange(n, dtype=np.int64)
+    tables = max(1, BLOCK // (n * n))
     step = max(1, BLOCK // n)
-    for start in range(0, n, step):
-        rows = t[start:start + step]
-        at = np.arange(len(rows))[:, None]
-        counts = np.bincount((at * n + rows).ravel(), minlength=rows.size)
-        block = inv[start:start + len(rows), :n]
-        block[at, rows] = cols
-        block[counts.reshape(rows.shape) != 1] = -1
+    for first in range(0, len(stack), tables):
+        for start in range(0, n, step):
+            part = stack[first:first + tables, start:start + step]
+            rows = part.reshape(-1, n)
+            at = np.arange(len(rows))[:, None]
+            counts = np.bincount((at * n + rows).ravel(), minlength=rows.size)
+            # every cell is written: once by its unique w, else with -1
+            block = np.empty(rows.shape, inv.dtype)
+            block[at, rows] = cols
+            block[counts.reshape(rows.shape) != 1] = -1
+            body[first:first + tables, start:start + step] = block.reshape(part.shape)
     return _read_only(inv)
+
+
+def _cayley(n: int, a, b, c) -> np.ndarray:
+    """The padded Cayley table of (n, a, b, c) for int coefficients, or the
+    stack of them for (m, 1) arrays of coefficients, in one broadcast pass
+    written straight into the padded array."""
+    mul = _padded(n, *np.shape(a)[:-1])
+    body = mul[..., :n, :n]
+    i = np.arange(n, dtype=np.int64)
+    # each term is below n, so their sum (below 2n) fits the table's dtype
+    np.add(((a + b * i) % n)[..., :, None], ((c * i) % n)[..., None, :], out=body,
+           casting="unsafe")
+    body %= n
+    return mul
 
 
 @lru_cache(maxsize=4096)
 def op_tables(triple: tuple[int, int, int, int]) -> OpTables:
     """Lookup tables for the groupoid (n, a, b, c); the Cayley table is
-    written straight into mul, the others are scanned from it."""
-    n, a, b, c = LinearGroupoid(*triple).triple()
-    mul = _padded(n)
-    body = mul[:n, :n]
-    i = np.arange(n, dtype=np.int64)
-    # each term is below n, so their sum (below 2n) fits the table's dtype
-    np.add(((a + b * i) % n)[:, None], ((c * i) % n)[None, :], out=body,
-           casting="unsafe")
-    body %= n
-    return OpTables(mul)
+    written straight into mul, the others are scanned from it.  Single
+    checks read these through the cache; sweeps read stacked_op_tables."""
+    return OpTables(_cayley(*LinearGroupoid(*triple).triple()))
+
+
+def stacked_op_tables(groupoids: list[LinearGroupoid]):
+    """Each groupoid's tables, in order, as StackMembers of stacks of at most
+    BLOCK mul cells (one groupoid a stack past that).  The groupoids share
+    one modulus; each kind is scanned for a whole stack on first use."""
+    if not groupoids:
+        return
+    n = groupoids[0].n
+    if any(g.n != n for g in groupoids):
+        raise ModulusMismatchError("the stacked groupoids' moduli differ")
+    size = max(1, BLOCK // (n + 1) ** 2)
+    for first in range(0, len(groupoids), size):
+        chunk = groupoids[first:first + size]
+        a, b, c = np.array([(g.a, g.b, g.c) for g in chunk], dtype=np.int64).T[..., None]
+        stack = OpTables(_cayley(n, a, b, c))
+        for index in range(len(chunk)):
+            yield StackMember(stack, index)

@@ -11,7 +11,7 @@ from linquas.engine import (CapExceeded, Method, Verdict, crosscheck,
                             crosscheck_all, holds_bruteforce, holds_symbolic,
                             search_witnesses, universality_scan,
                             verify_examples)
-from linquas.groupoid import LinearGroupoid, OpTables, op_tables
+from linquas.groupoid import LinearGroupoid, OpTables, op_tables, stacked_op_tables
 from linquas.termlang import parse
 
 
@@ -507,3 +507,36 @@ def test_tables_are_built_on_first_use():
             assert set(vars(op_tables(g.triple()))) == {"n", "mul", *scanned}, entry_id
     finally:
         op_tables.cache_clear()
+
+
+def test_sweeps_build_tables_on_first_use(monkeypatch):
+    # the sweep's stacks scan only the kinds the law reads, as op_tables does
+    stacks = []
+
+    def recorded(groupoids):
+        for member in stacked_op_tables(groupoids):
+            stacks.append(member.stack)
+            yield member
+
+    monkeypatch.setattr(engine, "stacked_op_tables", recorded)
+    for entry_id, scanned in [("medial", set()), ("r_aaip", {"ldiv", "e_rho", "rho"})]:
+        stacks.clear()
+        crosscheck_all([5, 12], [entry_id])
+        assert stacks
+        assert all(set(vars(stack)) == {"n", "mul", *scanned} for stack in stacks), entry_id
+
+
+def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
+    # l_saip is NA-heavy and reads lam (scanned from rdiv); cm_7 has 4 variables
+    selected = [(get_entry(i), get_entry(i).rows) for i in ("l_saip", "cm_7")]
+    n_values = list(range(2, 9))
+
+    def reports(workers):
+        return [r.to_dict() for r in engine.crosscheck_rows(selected, n_values,
+                                                            engine.DEFAULT_CAP, workers)]
+
+    one = reports(1)
+    assert any(r["na_excluded"] for r in one)
+    assert reports(2) == one
+    monkeypatch.setattr(groupoid, "BLOCK", 0)  # one-groupoid stacks of int8 tables
+    assert reports(1) == one

@@ -4,11 +4,13 @@ from math import gcd
 import numpy as np
 import pytest
 
+from linquas import groupoid
 from linquas.groupoid import (LinearGroupoid, ModulusMismatchError, apply,
                               cayley_table, is_latin_square, is_quasigroup,
                               left_divide, left_inverse, local_left_identity,
                               local_right_identity, op_tables, orthogonal,
-                              orthogonal_det, right_divide, right_inverse)
+                              orthogonal_det, right_divide, right_inverse,
+                              stacked_op_tables)
 
 
 def _all_triples(n):
@@ -241,3 +243,28 @@ def test_op_tables_match_scalar_operations():
             assert (table[-1, :] == -1).all() and (table[:, -1] == -1).all()
         for table in (t.e_rho, t.e_lam, t.rho, t.lam):
             assert table.dtype == np.int16 and table[-1] == -1
+
+
+@pytest.mark.parametrize("block", [groupoid.BLOCK, 64])
+def test_stacked_tables_equal_op_tables(monkeypatch, block):
+    # BLOCK = 64 splits stacks mid-n (7 groupoids a stack at n = 2), scans
+    # row blocks of one table, and makes the tables compact (int8) from n = 8
+    monkeypatch.setattr(groupoid, "BLOCK", block)
+    kinds = ("mul", "ldiv", "rdiv", "e_rho", "e_lam", "rho", "lam")
+    for n in range(2, 10):
+        groupoids = [LinearGroupoid(n, *t) for t in _all_triples(n)]
+        members = list(stacked_op_tables(groupoids))
+        assert len(members) == len(groupoids)
+        size = max(1, block // (n + 1) ** 2)
+        assert len({id(m.stack) for m in members}) == -(-len(groupoids) // size)
+        for g, member in zip(groupoids, members):
+            want = op_tables.__wrapped__(g.triple())  # built under the same BLOCK
+            for kind in kinds:
+                got = getattr(member, kind)
+                assert got.dtype == getattr(want, kind).dtype == (
+                    np.int64 if (n + 1) ** 2 <= block else np.int8)
+                assert not got.flags.writeable
+                assert np.array_equal(got, getattr(want, kind)), (g, kind)
+    assert list(stacked_op_tables([])) == []
+    with pytest.raises(ModulusMismatchError):
+        list(stacked_op_tables([LinearGroupoid(5, 1, 2, 3), LinearGroupoid(6, 1, 2, 3)]))

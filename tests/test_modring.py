@@ -1,6 +1,7 @@
 import pytest
 
-from linquas.modring import inverse_mod, is_prime, is_unit, solve_linear
+from linquas.catalog import catalog_entries
+from linquas.modring import inverse_mod, is_prime, is_unit, poly_value, solve_linear
 
 
 def test_inverse_examples():
@@ -15,6 +16,38 @@ def test_unit_times_inverse_is_one():
         for u in range(n):
             if is_unit(u, n):
                 assert u * inverse_mod(u, n) % n == 1
+
+
+def test_poly_value_matches_the_per_term_formula_on_every_catalog_residual():
+    # b and c are inverted once per call, and only when a negative exponent
+    # occurs; the reference takes pow(b, eb, n) term by term.
+    def per_term(terms, n, a, b, c):
+        return sum(k * pow(a, ea, n) * pow(b, eb, n) * pow(c, ec, n)
+                   for k, ea, eb, ec in terms) % n
+
+    polys = set()
+    for entry in catalog_entries():
+        if entry.identity is not None:
+            residual = entry.identity.residual
+            polys.update((residual.constant, *residual.coeffs.values()))
+    assert any(eb < 0 or ec < 0 for p in polys for _, _, eb, ec in p)
+    for n in range(2, 13):
+        for a in {2 % n, n - 1}:
+            for b in range(n):
+                for c in range(n):
+                    for terms in polys:
+                        try:
+                            want = per_term(terms, n, a, b, c)
+                        except ValueError:
+                            with pytest.raises(ValueError):
+                                poly_value(terms, n, a, b, c)
+                        else:
+                            assert poly_value(terms, n, a, b, c) == want, (terms, n, a, b, c)
+    # a non-unit b or c evaluates while its exponents stay non-negative
+    assert poly_value(((1, 0, 1, 0), (1, 0, 0, 1)), 6, 1, 2, 3) == 5
+    assert poly_value(((1, 0, 1, -1),), 6, 1, 2, 5) == 4
+    with pytest.raises(ValueError):
+        poly_value(((1, 0, 1, 0), (1, 0, -1, 0)), 6, 1, 2, 5)
 
 
 def test_solve_linear_examples():

@@ -5,11 +5,14 @@ names must fail here, not in a `perfbench/run.py` run."""
 import json
 import re
 import sys
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 from linquas import engine
-from linquas.catalog import catalog_entries, get_entry
+from linquas.catalog import ModulusKind, catalog_entries, get_entry, row_sweep_admits
 from linquas.groupoid import LinearGroupoid
+from linquas.modring import is_prime
 from linquas.termlang import identity_text
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,6 +54,36 @@ def test_tracer_installs_and_uninstalls_on_current_modules(monkeypatch):
     # that makes no holds_bruteforce call dies there; the [benchmark] change
     # that guards that division (ROADMAP item 1) removes this assertion.
     assert tracer.oracle_stats(t.oracle_calls)["node_evals"] > 0
+
+
+def test_traced_crosscheck_calls_the_oracle_once_per_admitted_triple(monkeypatch):
+    # perfbench/tracer.py reads the per-layer oracle counts from the
+    # holds_bruteforce calls it wraps; a sweep that batched them away would
+    # leave a traced crosscheck run nothing to count
+    tracer = _perfbench_module(monkeypatch, "tracer")
+    for owner, attr, _ in tracer.SPANNED + tracer.COUNTED:
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    n_values = [2, 3, 4]
+    t = tracer.Tracer()
+    t.install()
+    engine.crosscheck_all(n_values, cap=10**7, workers=1)
+    t.uninstall()
+    admitted = []
+    for entry in catalog_entries():
+        if entry.identity is None:
+            continue
+        for n in n_values:
+            rows = [row for row in entry.rows
+                    if row.modulus_kind is not ModulusKind.PRIME_P or is_prime(n)]
+            for a, b, c in product(range(n), repeat=3):
+                g = LinearGroupoid(n, a, b, c)
+                if any(row_sweep_admits(row, g) for row in rows):
+                    admitted.append((entry.identity, g))
+    assert [(ident, triple) for ident, triple, _ in t.oracle_calls] == \
+        [(ident, g.triple()) for ident, g in admitted]
+    direct = Counter(engine.holds_bruteforce(g, ident).verdict.value for ident, g in admitted)
+    assert tracer.oracle_stats(t.oracle_calls)["verdicts"] == \
+        {v: direct[v] for v in ("holds", "fails", "not_applicable")}
 
 
 def test_term_nodes_counts_every_node_of_the_catalog_laws(monkeypatch):
