@@ -4,10 +4,11 @@ Cayley tables, quasigroup/Latin-square tests, local identities and local
 inverses, left/right division, and orthogonality of pairs of tables.
 
 The exhaustive checker reads operation tables scanned from the Cayley
-table: a single check reads one groupoid's OpTables through the op_tables
-LRU cache, and a cross-check sweep reads StackMembers of stacked_op_tables,
-which builds the tables of many groupoids of one modulus in one numpy pass
-per kind.
+table: the divisions by inverting its rows (_invert_rows), the local
+elements by solving one target per row (_solve_rows).  A single check reads
+one groupoid's OpTables through the op_tables LRU cache, and a cross-check
+sweep reads StackMembers of stacked_op_tables, which builds the tables of
+many groupoids of one modulus in one numpy pass per kind.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import numpy as np
 from .modring import is_unit, solve_linear
 
 # Cells per numpy block, for the exhaustive checker's assignments and for
-# _invert_rows: a block's arrays (2 MiB each at int64) stay in cache, which
-# made both run faster than with 2**20-cell blocks.  Operation tables larger
-# than one block are stored compact (see _padded).
+# the table scans (_invert_rows, _solve_rows): a block's arrays (2 MiB each
+# at int64) stay in cache, which made them run faster than with 2**20-cell
+# blocks.  Operation tables larger than one block are stored compact (see
+# _padded).
 BLOCK = 1 << 18
 
 
@@ -166,7 +168,10 @@ class OpTables:
 
     Only mul is given; the others are scanned from it on first access, for
     the whole stack at once, so a check builds just the tables its identity
-    uses.  All are read-only and share mul's dtype.
+    uses.  The divisions invert whole rows of mul; each local element solves
+    one target per row of mul (of its transpose for e_lam and lam, read a
+    block at a time), so e_rho and rho build no ldiv, nor e_lam and lam an
+    rdiv.  All are read-only and share mul's dtype.
     """
 
     def __init__(self, mul: np.ndarray) -> None:
@@ -187,22 +192,27 @@ class OpTables:
     @cached_property
     def e_rho(self) -> np.ndarray:
         """e_rho[..., x] = unique e with x*e = x, else -1."""
-        return self.ldiv.diagonal(axis1=-2, axis2=-1)
+        return _solve_rows(self.mul[..., :-1, :-1], self._own())
 
     @cached_property
     def e_lam(self) -> np.ndarray:
         """e_lam[..., x] = unique e with e*x = x, else -1."""
-        return self.rdiv.diagonal(axis1=-2, axis2=-1)
+        return _solve_rows(self.mul[..., :-1, :-1].swapaxes(-1, -2), self._own())
 
     @cached_property
     def rho(self) -> np.ndarray:
         """rho[..., x] = unique s with x*s = e_rho(x), else -1."""
-        return _at_own_row(self.ldiv, self.e_rho)
+        return _solve_rows(self.mul[..., :-1, :-1], self.e_rho)
 
     @cached_property
     def lam(self) -> np.ndarray:
         """lam[..., x] = unique s with s*x = e_lam(x), else -1."""
-        return _at_own_row(self.rdiv, self.e_lam)
+        return _solve_rows(self.mul[..., :-1, :-1].swapaxes(-1, -2), self.e_lam)
+
+    def _own(self) -> np.ndarray:
+        """own[x] = x for every table, in mul's dtype so that a scan
+        compares without a cast."""
+        return np.arange(self.n, dtype=self.mul.dtype)
 
 
 class StackMember:
@@ -224,12 +234,6 @@ class StackMember:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _at_own_row(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table[..., x, index[..., x]] for every x: each row read at its own index."""
-    rows = table.reshape(-1, table.shape[-1])
-    return _read_only(rows[np.arange(len(rows)).reshape(index.shape), index])
 
 
 def _padded(n: int, *lead: int) -> np.ndarray:
@@ -268,6 +272,27 @@ def _invert_rows(t: np.ndarray) -> np.ndarray:
             block[counts.reshape(rows.shape) != 1] = -1
             body[first:first + tables, start:start + step] = block.reshape(part.shape)
     return _read_only(inv)
+
+
+def _solve_rows(t: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """out[..., x] = the unique w with t[..., x, w] = target[..., x], or -1,
+    for one n x n table or a stack of them; padded to n + 1 on the last
+    axis.  A 1-D target serves every table of a stack, and a -1 target
+    matches no cell.  Scans the same rows of every table at once, in blocks
+    of at most BLOCK cells, or of one row of each table if that is more: a
+    stack of stacked_op_tables is one block, a larger table is split by rows."""
+    n = t.shape[-1]
+    out = np.empty((*t.shape[:-2], n + 1), t.dtype)
+    out[..., n] = -1
+    goal = target[..., :n, None]
+    step = max(1, BLOCK * n // t.size)
+    for start in range(0, n, step):
+        rows = slice(start, min(n, start + step))
+        hit = t[..., rows, :] == goal[..., rows, :]
+        w = hit.argmax(axis=-1)
+        w[np.add.reduce(hit, -1) != 1] = -1
+        out[..., rows] = w
+    return _read_only(out)
 
 
 def _cayley(n: int, a, b, c) -> np.ndarray:

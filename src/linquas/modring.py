@@ -15,27 +15,11 @@ def inverse_mod(v: int, n: int) -> int:
 
 
 def poly_value(terms, n: int, a: int, b: int, c: int) -> int:
-    """sum(coef * a^ea * b^eb * c^ec) mod n over (coef, ea, eb, ec) terms.  A
-    negative eb or ec needs b or c to be a unit: its inverse is taken once,
-    at the first such term, and pow raises ValueError if there is none."""
-    total, b_inv, c_inv = 0, None, None
+    """sum(coef * a^ea * b^eb * c^ec) mod n over (coef, ea, eb, ec) terms; a
+    negative eb or ec makes pow invert b or c, which must then be a unit."""
+    total = 0
     for coef, ea, eb, ec in terms:
-        if eb >= 0 and ec >= 0:
-            total += coef * pow(a, ea, n) * pow(b, eb, n) * pow(c, ec, n)
-            continue
-        if eb < 0:
-            if b_inv is None:
-                b_inv = pow(b, -1, n)
-            coef *= pow(b_inv, -eb, n)
-        else:
-            coef *= pow(b, eb, n)
-        if ec < 0:
-            if c_inv is None:
-                c_inv = pow(c, -1, n)
-            coef *= pow(c_inv, -ec, n)
-        else:
-            coef *= pow(c, ec, n)
-        total += coef * pow(a, ea, n)
+        total += coef * pow(a, ea, n) * pow(b, eb, n) * pow(c, ec, n)
     return total % n
 
 

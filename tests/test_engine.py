@@ -468,14 +468,16 @@ def test_bruteforce_scans_on_when_a_read_unary_table_is_undefined(monkeypatch,
 
 
 def test_bruteforce_memory_is_bounded_at_the_cap():
-    # ~10**7 assignments each: medial at n = 56 holds (a full scan), and
-    # r_aaip at n = 3162 holds while using a division table, and fails on
-    # total tables (so the scan stops at its first failing block).  The
-    # window covers building the tables, which are int16 at n = 3162.
+    # ~10**7 assignments each: medial at n = 56 holds (a full scan); r_aaip
+    # and l_aaip at n = 3162 hold reading rho or lam, each scanned straight
+    # from mul, and r_aaip fails on total tables (so the scan stops at its
+    # first failing block).  The window covers building the tables, which
+    # are int16 at n = 3162.
     import tracemalloc
 
     cases = [("medial", LinearGroupoid(56, 3, 5, 7), Verdict.HOLDS),
              ("r_aaip", LinearGroupoid(3162, 2544, 947, 947), Verdict.HOLDS),
+             ("l_aaip", LinearGroupoid(3162, 2544, 947, 947), Verdict.HOLDS),
              ("r_aaip", LinearGroupoid(3162, 852, 1658, 1925), Verdict.FAILS)]
     try:
         for entry_id, g, verdict in cases:
@@ -497,9 +499,11 @@ def test_bruteforce_memory_is_bounded_at_the_cap():
 
 
 def test_tables_are_built_on_first_use():
-    # medial reads only mul; r_aaip reads rho, which is scanned from ldiv
+    # medial reads only mul; r_aaip reads rho and l_aaip lam, each scanned
+    # from mul through its local identity, with no division table
     cases = [("medial", LinearGroupoid(12, 5, 7, 1), set()),
-             ("r_aaip", LinearGroupoid(11, 2, 4, 4), {"ldiv", "e_rho", "rho"})]
+             ("r_aaip", LinearGroupoid(11, 2, 4, 4), {"e_rho", "rho"}),
+             ("l_aaip", LinearGroupoid(11, 2, 4, 4), {"e_lam", "lam"})]
     try:
         for entry_id, g, scanned in cases:
             op_tables.cache_clear()
@@ -519,7 +523,8 @@ def test_sweeps_build_tables_on_first_use(monkeypatch):
             yield member
 
     monkeypatch.setattr(engine, "stacked_op_tables", recorded)
-    for entry_id, scanned in [("medial", set()), ("r_aaip", {"ldiv", "e_rho", "rho"})]:
+    for entry_id, scanned in [("medial", set()), ("r_aaip", {"e_rho", "rho"}),
+                              ("l_aaip", {"e_lam", "lam"})]:
         stacks.clear()
         crosscheck_all([5, 12], [entry_id])
         assert stacks
@@ -527,7 +532,8 @@ def test_sweeps_build_tables_on_first_use(monkeypatch):
 
 
 def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
-    # l_saip is NA-heavy and reads lam (scanned from rdiv); cm_7 has 4 variables
+    # l_saip is NA-heavy and reads lam (scanned from mul through e_lam); cm_7
+    # has 4 variables
     selected = [(get_entry(i), get_entry(i).rows) for i in ("l_saip", "cm_7")]
     n_values = list(range(2, 9))
 

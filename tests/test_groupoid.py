@@ -221,18 +221,21 @@ def test_op_tables_match_scalar_operations():
             assert table[-1] == -1
         for table in (t.mul, t.ldiv, t.rdiv, t.e_rho, t.e_lam, t.rho, t.lam):
             assert table.dtype == np.int64 and not table.flags.writeable
-    # Past BLOCK cells the tables are int16; spot-check rows of a quasigroup
-    # (every entry defined) and of a groupoid with non-unit b and c.
-    for triple in [(515, 7, 2, 3), (600, 11, 4, 6)]:
+    # Past BLOCK cells the tables are int16 and scanned in row blocks (82
+    # rows a block at n = 3162; transposed ones for rdiv, e_lam and lam);
+    # spot-check rows of quasigroups (every entry defined), of a groupoid
+    # with non-unit b and c, and at the default cap of one with a non-unit
+    # c and one with a non-unit b.
+    for triple in [(515, 7, 2, 3), (600, 11, 4, 6), (3162, 2544, 947, 947),
+                   (3162, 11, 5, 34), (3162, 852, 1658, 1925)]:
         g = LinearGroupoid(*triple)
-        t = op_tables(g.triple())
+        t = op_tables.__wrapped__(g.triple())  # kept out of the LRU cache
         n = g.n
-        for x in (0, 1, 255, n - 2, n - 1):
-            erho, rho, lam = (local_right_identity(g, x), right_inverse(g, x),
-                              left_inverse(g, x))
-            assert t.e_rho[x] == (erho.value if erho.defined else -1)
-            assert t.rho[x] == (rho.value if rho.defined else -1)
-            assert t.lam[x] == (lam.value if lam.defined else -1)
+        for x in (0, 1, 255, n // 2, n - 2, n - 1):
+            for kind, element in (("e_rho", local_right_identity), ("rho", right_inverse),
+                                  ("e_lam", local_left_identity), ("lam", left_inverse)):
+                v = element(g, x)
+                assert getattr(t, kind)[x] == (v.value if v.defined else -1), (triple, kind, x)
             assert t.mul[x, :n].tolist() == [apply(g, x, y) for y in range(n)]
             assert t.ldiv[x, :n].tolist() == [
                 v.value if v.defined else -1 for v in (left_divide(g, x, y) for y in range(n))]
@@ -242,13 +245,16 @@ def test_op_tables_match_scalar_operations():
             assert table.dtype == np.int16 and table.shape == (n + 1, n + 1)
             assert (table[-1, :] == -1).all() and (table[:, -1] == -1).all()
         for table in (t.e_rho, t.e_lam, t.rho, t.lam):
-            assert table.dtype == np.int16 and table[-1] == -1
+            assert table.dtype == np.int16 and table.shape == (n + 1,)
+            assert table[-1] == -1 and not table.flags.writeable
 
 
-@pytest.mark.parametrize("block", [groupoid.BLOCK, 64])
+@pytest.mark.parametrize("block", [groupoid.BLOCK, 64, 16])
 def test_stacked_tables_equal_op_tables(monkeypatch, block):
     # BLOCK = 64 splits stacks mid-n (7 groupoids a stack at n = 2), scans
-    # row blocks of one table, and makes the tables compact (int8) from n = 8
+    # row blocks of one table (n = 9, in 7 rows and 2), and makes the tables
+    # compact (int8) from n = 8; BLOCK = 16 splits a table's rows from
+    # n = 5 on, down to one row a block at n = 9, direct and transposed
     monkeypatch.setattr(groupoid, "BLOCK", block)
     kinds = ("mul", "ldiv", "rdiv", "e_rho", "e_lam", "rho", "lam")
     for n in range(2, 10):

@@ -19,8 +19,8 @@ def test_unit_times_inverse_is_one():
 
 
 def test_poly_value_matches_the_per_term_formula_on_every_catalog_residual():
-    # b and c are inverted once per call, and only when a negative exponent
-    # occurs; the reference takes pow(b, eb, n) term by term.
+    # the reference takes pow(b, eb, n) term by term, and raises ValueError
+    # wherever a negative exponent meets a non-unit; poly_value must agree.
     def per_term(terms, n, a, b, c):
         return sum(k * pow(a, ea, n) * pow(b, eb, n) * pow(c, ec, n)
                    for k, ea, eb, ec in terms) % n
