@@ -319,14 +319,20 @@ def op_tables(triple: tuple[int, int, int, int]) -> OpTables:
 
 def stacked_op_tables(groupoids: list[LinearGroupoid]):
     """Each groupoid's tables, in order, as StackMembers of stacks of at most
-    BLOCK mul cells (one groupoid a stack past that).  The groupoids share
-    one modulus; each kind is scanned for a whole stack on first use."""
+    BLOCK // 8 mul cells (one groupoid a stack past that).  The groupoids
+    share one modulus; each kind is scanned for a whole stack on first use.
+
+    A division's scan holds its table and three temporaries of the stack's
+    size, where a local element's holds a few rows: at BLOCK cells (2 MiB
+    each at int64) a sweep that reads a division peaked about 7 MiB
+    higher than one that does not.  At BLOCK // 8 cells that gap is under
+    1 MiB, and every kind's scan of a stack stays one block."""
     if not groupoids:
         return
     n = groupoids[0].n
     if any(g.n != n for g in groupoids):
         raise ModulusMismatchError("the stacked groupoids' moduli differ")
-    size = max(1, BLOCK // (n + 1) ** 2)
+    size = max(1, BLOCK // 8 // (n + 1) ** 2)
     for first in range(0, len(groupoids), size):
         chunk = groupoids[first:first + size]
         a, b, c = np.array([(g.a, g.b, g.c) for g in chunk], dtype=np.int64).T[..., None]

@@ -249,19 +249,21 @@ def test_op_tables_match_scalar_operations():
             assert table[-1] == -1 and not table.flags.writeable
 
 
-@pytest.mark.parametrize("block", [groupoid.BLOCK, 64, 16])
+@pytest.mark.parametrize("block", [groupoid.BLOCK, 512, 64, 16])
 def test_stacked_tables_equal_op_tables(monkeypatch, block):
-    # BLOCK = 64 splits stacks mid-n (7 groupoids a stack at n = 2), scans
-    # row blocks of one table (n = 9, in 7 rows and 2), and makes the tables
-    # compact (int8) from n = 8; BLOCK = 16 splits a table's rows from
-    # n = 5 on, down to one row a block at n = 9, direct and transposed
+    # Stacks hold at most BLOCK // 8 cells: the default BLOCK splits them
+    # from n = 8 (404 groupoids a stack), BLOCK = 512 from n = 2 (7 a
+    # stack); BLOCK = 64 makes one-groupoid stacks, scans row blocks of one
+    # table (n = 9, in 7 rows and 2), and makes the tables compact (int8)
+    # from n = 8; BLOCK = 16 splits a table's rows from n = 5 on, down to
+    # one row a block at n = 9, direct and transposed
     monkeypatch.setattr(groupoid, "BLOCK", block)
     kinds = ("mul", "ldiv", "rdiv", "e_rho", "e_lam", "rho", "lam")
     for n in range(2, 10):
         groupoids = [LinearGroupoid(n, *t) for t in _all_triples(n)]
         members = list(stacked_op_tables(groupoids))
         assert len(members) == len(groupoids)
-        size = max(1, block // (n + 1) ** 2)
+        size = max(1, block // 8 // (n + 1) ** 2)
         assert len({id(m.stack) for m in members}) == -(-len(groupoids) // size)
         for g, member in zip(groupoids, members):
             want = op_tables.__wrapped__(g.triple())  # built under the same BLOCK
