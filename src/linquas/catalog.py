@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .groupoid import LinearGroupoid, is_quasigroup
 from .modring import is_unit, poly_value
 from .termlang import Identity, identity_text, parse
@@ -42,7 +44,8 @@ class ExampleStatus(enum.Enum):
 
 
 class HypAtom(enum.Enum):
-    """A side condition: its table text, and .holds(n, a, b, c) on the reduced triple."""
+    """A side condition: its table text, and .holds(n, a, b, c) on the reduced
+    triple, or elementwise on arrays of residues (see row_sweep_mask)."""
 
     def __new__(cls, text, holds):
         atom = object.__new__(cls)
@@ -62,7 +65,7 @@ class HypAtom(enum.Enum):
     BC_PLUS_C_NE_1 = "bc+c!=1", lambda n, a, b, c: (b * c + c) % n != 1 % n
     B_SQ_NONZERO = "b2!=0", lambda n, a, b, c: (b * b) % n != 0
     C_SQ_NONZERO = "c2!=0", lambda n, a, b, c: (c * c) % n != 0
-    NEG1_NE_B_NE_C = "-1!=b!=c", lambda n, a, b, c: b != (-1) % n and b != c
+    NEG1_NE_B_NE_C = "-1!=b!=c", lambda n, a, b, c: (b != (-1) % n) & (b != c)
 
 
 _MONOMIAL = re.compile(r"([+-]?)(\d*)((?:[abc]\d*)*)")
@@ -656,6 +659,20 @@ def row_sweep_admits(row: TableRow, g: LinearGroupoid) -> bool:
     triple = g.triple()
     return ((row.structure_kind is not StructureKind.QUASIGROUP or is_quasigroup(g))
             and all(atom.holds(*triple) for atom in row.hypothesis))
+
+
+def row_sweep_mask(row: TableRow, n: int) -> np.ndarray:
+    """row_sweep_admits for every triple of modulus n at once: a flat mask
+    over (a, b, c) in lexicographic order, from the same atom tests (a
+    quasigroup row adds b_unit and c_unit)."""
+    a, b, c = np.ix_(*[np.arange(n)] * 3)
+    atoms = row.hypothesis
+    if row.structure_kind is StructureKind.QUASIGROUP:
+        atoms = (HypAtom.B_UNIT, HypAtom.C_UNIT, *atoms)
+    mask = np.ones((n, n, n), dtype=bool)
+    for atom in atoms:
+        mask &= atom.holds(n, a, b, c)
+    return mask.ravel()
 
 
 def export_json() -> str:

@@ -7,9 +7,11 @@ symbolic checker from each law's residual system (Identity.residual: lhs -
 rhs over Z[a, b, c, 1/b, 1/c], derived once per law, evaluated mod n); the
 two paths share no algebra, which is what makes their agreement a
 meaningful cross-check.  A single check reads its groupoid's tables through
-the groupoid.op_tables LRU cache; a cross-check sweep reads the tables of
-each (law, n) task's admitted triples from groupoid.stacked_op_tables,
-built in stacks, and still makes one oracle call per admitted triple.
+the groupoid.op_tables LRU cache.  A cross-check sweep admits each (law, n)
+task's triples with one mask per row (catalog.row_sweep_mask) and reads
+their tables from groupoid.stacked_op_tables, built in stacks.  It still
+makes one oracle call per admitted triple, but the identity is evaluated
+once per chunk of a stack's groupoids, and each call reads its own result.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ import numpy as np
 from . import catalog as cat
 from . import termlang as tl
 from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
-                      TableRow, catalog_entries, get_entry, row_sweep_admits)
-from .groupoid import BLOCK, LinearGroupoid, is_quasigroup, op_tables, stacked_op_tables
+                      TableRow, catalog_entries, get_entry, row_sweep_admits,
+                      row_sweep_mask)
+from .groupoid import (BLOCK, LinearGroupoid, StackMember, is_quasigroup, op_tables,
+                       stacked_op_tables)
 from .modring import is_prime
 from .termlang import Binary, Identity, NotApplicable, Var
 
@@ -126,17 +130,84 @@ def _total(ident: Identity, tables) -> bool:
     return all(table[(slice(tables.n),) * table.ndim].min() >= 0 for table in read)
 
 
-def _first(mask: np.ndarray, ident: Identity, start: int) -> dict[str, int] | None:
+def _assignment(ident: Identity, n: int, index: int) -> dict[str, int]:
+    """The index-th assignment of values to the identity's variables, in
+    lexicographic order."""
+    values = []
+    for _ in ident.variables:
+        index, value = divmod(index, n)
+        values.append(value)
+    return dict(zip(ident.variables, reversed(values)))
+
+
+def _first(mask: np.ndarray, ident: Identity, n: int, start: int) -> dict[str, int] | None:
     """The first flagged assignment of the block whose leading values begin
     at start, or None; the mask spans the block, one axis per variable."""
     index = int(mask.argmax())
     if not mask.flat[index]:
         return None
-    trailing = []
-    for size in mask.shape[:0:-1]:
-        index, value = divmod(index, size)
-        trailing.append(value)
-    return dict(zip(ident.variables, [start + index, *reversed(trailing)]))
+    return _assignment(ident, n, start * n ** (len(ident.variables) - 1) + index)
+
+
+def _eval_stack(term: tl.Term, env: dict[str, np.ndarray], stack, rows: np.ndarray) -> np.ndarray:
+    """_eval_table over a chunk of a stack's groupoids at once, along a
+    leading member axis: rows holds each member's first row, (n+1) * index.
+    Each table is read flat, by row (rows + x) and column, so an index of -1
+    still reads -1: it lands on a padding cell of the same member, of the
+    one before it, or, for member 0, of the last one."""
+    if isinstance(term, Var):
+        return env[term.name]
+    flat = getattr(stack, _TABLE[term.op]).reshape(-1)
+    if isinstance(term, Binary):
+        left = _eval_stack(term.left, env, stack, rows)
+        right = _eval_stack(term.right, env, stack, rows)
+        if term.op == "/":  # z / x solves w*x = z: divisor indexes first
+            left, right = right, left
+        return flat[(rows + left) * (stack.n + 1) + right]
+    return flat[rows + _eval_stack(term.child, env, stack, rows)]
+
+
+@lru_cache(maxsize=64)
+def _stack_grid(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Open grids of the n**k assignments behind a leading member axis."""
+    grid = np.ix_(*[np.arange(n)] * (k + 1))[1:]
+    for values in grid:
+        values.setflags(write=False)
+    return grid
+
+
+def _scan_stack(stack, ident: Identity) -> tuple[list[int], list[int]]:
+    """For each groupoid of a stack, the index of its first undefined and of
+    its first failing assignment (lexicographic), or -1.  The identity is
+    evaluated once per chunk of members, of at most BLOCK // 8 cells (one
+    member past that), the size of the stacks' own tables: chunks of BLOCK
+    cells ran slower and raised the crosscheck benchmark's peak memory by
+    about 9 MB."""
+    n, k = stack.n, len(ident.variables)
+    members = len(stack.mul)
+    step = max(1, BLOCK // 8 // n ** k)
+    env = dict(zip(ident.variables, _stack_grid(n, k)))
+    undefined, failing = [], []
+    for first in range(0, members, step):
+        index = np.arange(first, min(first + step, members))
+        rows = (index * (n + 1)).reshape(-1, *[1] * k)
+        lhs = _eval_stack(ident.lhs, env, stack, rows)
+        rhs = _eval_stack(ident.rhs, env, stack, rows)
+        for flags, out in (((lhs < 0) | (rhs < 0), undefined), (lhs != rhs, failing)):
+            # a law whose sides are both variables has no member axis
+            flags = np.broadcast_to(flags, (len(index), *[n] * k)).reshape(len(index), -1)
+            out.extend(np.where(flags.any(axis=1), flags.argmax(axis=1), -1).tolist())
+    return undefined, failing
+
+
+def _stack_flags(stack, ident: Identity) -> tuple[list[int], list[int]]:
+    """_scan_stack, kept on the stack for the last identity scanned: every
+    member of a sweep's stack is checked against one identity in turn.  The
+    identity is compared by object, since hashing one walks its term tree."""
+    memo = getattr(stack, "flags", None)
+    if memo is None or memo[0] is not ident:
+        memo = stack.flags = (ident, *_scan_stack(stack, ident))
+    return memo[1], memo[2]
 
 
 def holds_bruteforce(g: LinearGroupoid, ident: Identity,
@@ -153,10 +224,25 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     table the identity reads has -1 in its body (see _total): no later
     assignment can then be undefined, so the verdict cannot change.
     Otherwise it goes on, since a later block could still be undefined.
-    The tables are g's op_tables unless given (a sweep passes a StackMember).
+
+    The tables are g's op_tables unless given.  A sweep passes a
+    StackMember and still calls once per groupoid: while n**k is at most
+    BLOCK, the first call of a stack evaluates the identity for the whole
+    stack, a chunk of members at a time (see _scan_stack), and each call
+    reads its member's result.
     """
     k = len(ident.variables)
     _check_cap(g.n, k, cap)
+    if isinstance(tables, StackMember) and g.n ** k <= BLOCK:
+        undefined, failing = _stack_flags(tables.stack, ident)
+        undefined, failing = undefined[tables.index], failing[tables.index]
+        if undefined >= 0:
+            return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                                na_reason=_na_reason(ident, _assignment(ident, g.n, undefined), g))
+        if failing >= 0:
+            return CheckOutcome(Verdict.FAILS, Method.BRUTE_FORCE,
+                                counterexample=_assignment(ident, g.n, failing))
+        return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
     if tables is None:
         tables = op_tables(g.triple())
     counterexample = None
@@ -165,12 +251,12 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
         env = dict(zip(ident.variables, grid))
         lhs = _eval_table(ident.lhs, env, tables)
         rhs = _eval_table(ident.rhs, env, tables)
-        undefined = _first((lhs < 0) | (rhs < 0), ident, start)
+        undefined = _first((lhs < 0) | (rhs < 0), ident, g.n, start)
         if undefined is not None:
             return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
                                 na_reason=_na_reason(ident, undefined, g))
         if counterexample is None:
-            counterexample = _first(lhs != rhs, ident, start)
+            counterexample = _first(lhs != rhs, ident, g.n, start)
             if counterexample is not None and i + 1 < len(blocks) and _total(ident, tables):
                 break
     if counterexample is not None:
@@ -285,23 +371,25 @@ def _groupoids(n: int):
 def _crosscheck_task(args: tuple) -> list[list]:
     """Worker task: the given rows of one law at one modulus.
 
-    Each triple that any of the rows admits gets one oracle call, and every
-    admitting row tallies that verdict: (checked, NA, mismatches) per row.
-    The admitted triples' tables are built in stacks (stacked_op_tables).
+    Each triple that any of the rows admits (row_sweep_mask) gets one oracle
+    call, and every admitting row tallies that verdict: (checked, NA,
+    mismatches) per row.  The admitted triples' tables are built in stacks
+    (stacked_op_tables), and the identity is evaluated once per chunk of a
+    stack (see holds_bruteforce).
     """
     entry_id, rows, n, cap = args
     ident = get_entry(entry_id).identity
     tallies = [[0, 0, []] for _ in rows]
-    admitted = []
-    for g in _groupoids(n):
-        admitting = [(row, tally) for row, tally in zip(rows, tallies)
-                     if row_sweep_admits(row, g)]
-        if admitting:
-            admitted.append((g, admitting))
-    members = stacked_op_tables([g for g, _ in admitted])
-    for (g, admitting), tables in zip(admitted, members):
+    masks = np.array([row_sweep_mask(row, n) for row in rows])
+    admitted = np.flatnonzero(masks.any(axis=0))
+    groupoids = [LinearGroupoid(n, *triple) for triple in
+                 zip(*(axis.tolist() for axis in np.unravel_index(admitted, (n, n, n))))]
+    admits = masks[:, admitted].T.tolist()
+    for g, tables, admitting in zip(groupoids, stacked_op_tables(groupoids), admits):
         outcome = holds_bruteforce(g, ident, cap, tables=tables)
-        for row, tally in admitting:
+        for row, tally, admitted_here in zip(rows, tallies, admitting):
+            if not admitted_here:
+                continue
             if outcome.verdict is Verdict.NOT_APPLICABLE:
                 tally[1] += 1
                 continue

@@ -8,7 +8,10 @@ table: the divisions by inverting its rows (_invert_rows), the local
 elements by solving one target per row (_solve_rows).  A single check reads
 one groupoid's OpTables through the op_tables LRU cache, and a cross-check
 sweep reads StackMembers of stacked_op_tables, which builds the tables of
-many groupoids of one modulus in one numpy pass per kind.
+many groupoids of one modulus in one numpy pass per kind.  The sweep
+evaluates its identity over a stack's contiguous tables read flat, where
+each table's -1 padding keeps an undefined value undefined (see
+engine._eval_stack).
 """
 
 from __future__ import annotations

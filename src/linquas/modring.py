@@ -6,7 +6,13 @@ import math
 
 
 def is_unit(v: int, n: int) -> bool:
-    return math.gcd(v % n, n) == 1
+    """True iff v is a unit mod n; elementwise (a bool array) for a numpy
+    array of residues, as catalog.row_sweep_mask passes."""
+    if isinstance(v, int):
+        return math.gcd(v % n, n) == 1
+    import numpy as np  # only arrays reach here, so numpy is loaded already
+
+    return np.gcd(v, n) == 1
 
 
 def inverse_mod(v: int, n: int) -> int:

@@ -5,7 +5,8 @@ from collections import Counter
 
 from linquas.catalog import (ExampleStatus, HypAtom, ModulusKind,
                              StructureKind, catalog_entries, export_json,
-                             get_entry, poly, table_numbers_covered)
+                             get_entry, poly, row_sweep_admits, row_sweep_mask,
+                             table_numbers_covered)
 from linquas.groupoid import LinearGroupoid
 from linquas.modring import is_unit, poly_value
 from linquas.termlang import identity_text
@@ -121,6 +122,20 @@ def test_each_hypothesis_atom_means_what_its_text_says():
             for a, b, c in itertools.product(range(n), repeat=3):
                 assert atom.holds(n, a, b, c) == means(n, a, b, c), \
                     (atom, n, a, b, c)
+
+
+def test_sweep_mask_equals_scalar_admission():
+    # a row's admission depends on its structure and hypothesis only, so each
+    # distinct pair stands for every row that has it; the tracer counts
+    # admitted triples with bool(row_sweep_admits(...)), so that stays a bool
+    kinds = {(row.structure_kind, row.hypothesis): row
+             for entry in catalog_entries() for row in entry.rows}
+    for n in range(2, 13):
+        groupoids = [LinearGroupoid(n, *abc) for abc in itertools.product(range(n), repeat=3)]
+        for row in kinds.values():
+            scalar = [row_sweep_admits(row, g) for g in groupoids]
+            assert {type(admits) for admits in scalar} == {bool}
+            assert row_sweep_mask(row, n).tolist() == scalar, (row.label(), n)
 
 
 def test_rows_use_every_hypothesis_atom():

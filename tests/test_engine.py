@@ -310,31 +310,35 @@ def one_value_per_block(monkeypatch):
     engine._blocks.cache_clear()
 
 
+def _reference(g, ident):
+    """(verdict, counterexample, na_reason, the deciding assignment), by
+    termlang.evaluate over every assignment in lexicographic order."""
+    from itertools import product
+
+    from linquas.termlang import NotApplicable, evaluate
+
+    first_fail = None
+    for values in product(range(g.n), repeat=len(ident.variables)):
+        env = dict(zip(ident.variables, values))
+        lhs, rhs = (evaluate(side, env, g) for side in (ident.lhs, ident.rhs))
+        for side in (lhs, rhs):
+            if isinstance(side, NotApplicable):
+                return Verdict.NOT_APPLICABLE, None, side.reason, env
+        if first_fail is None and lhs != rhs:
+            first_fail = env
+    if first_fail is None:
+        return Verdict.HOLDS, None, None, None
+    return Verdict.FAILS, first_fail, None, first_fail
+
+
 def test_blocks_match_scalar_reference_on_random_identities(monkeypatch,
                                                             one_value_per_block):
     # The verdict, the first counterexample and the first undefined
     # assignment must come out of the block scan, not out of one block, for
     # int64 tables and, with groupoid.BLOCK = 0, for compact (int8) ones.
-    from itertools import product
-
     from test_termlang import _random_term
 
-    from linquas.termlang import Identity, NotApplicable, evaluate
-
-    def reference(g, ident):
-        """(verdict, counterexample, na_reason, the deciding assignment)."""
-        first_fail = None
-        for values in product(range(g.n), repeat=len(ident.variables)):
-            env = dict(zip(ident.variables, values))
-            lhs, rhs = (evaluate(side, env, g) for side in (ident.lhs, ident.rhs))
-            for side in (lhs, rhs):
-                if isinstance(side, NotApplicable):
-                    return Verdict.NOT_APPLICABLE, None, side.reason, env
-            if first_fail is None and lhs != rhs:
-                first_fail = env
-        if first_fail is None:
-            return Verdict.HOLDS, None, None, None
-        return Verdict.FAILS, first_fail, None, first_fail
+    from linquas.termlang import Identity
 
     rng = random.Random(31415)
     cases = []
@@ -349,7 +353,7 @@ def test_blocks_match_scalar_reference_on_random_identities(monkeypatch,
             g = LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
             cases.append((g, entry.identity))
     cases = [(g, ident) for g, ident in cases if g.n ** len(ident.variables) <= 2000]
-    expected = [reference(g, ident) for g, ident in cases]
+    expected = [_reference(g, ident) for g, ident in cases]
     seen = {verdict: 0 for verdict in Verdict}
     past_first_block = 0
     for (_, ident), (verdict, _, _, deciding) in zip(cases, expected):
@@ -371,6 +375,45 @@ def test_blocks_match_scalar_reference_on_random_identities(monkeypatch,
                 assert op_tables(g.triple()).mul.dtype == dtype
     finally:
         op_tables.cache_clear()
+
+
+def test_stacked_members_match_scalar_reference_on_random_identities(monkeypatch):
+    # A sweep's holds_bruteforce call on a StackMember reads its outcome from
+    # one evaluation of the whole stack.  On every triple of a small modulus,
+    # the full outcome (verdict, first counterexample, NA reason) must equal
+    # the scalar reference's.  engine.BLOCK = 240 makes chunks of 30 cells,
+    # so that chunks split the stacks (one stack holds every triple at
+    # n <= 4), and sends n**k > 240 to the block scan; groupoid.BLOCK = 0
+    # makes one-groupoid stacks of int8 tables.
+    from test_termlang import _random_term
+
+    from linquas.termlang import Identity
+
+    rng = random.Random(27182)
+    idents = [Identity(_random_term(rng, rng.randint(1, 3)), _random_term(rng, rng.randint(1, 3)))
+              for _ in range(80)]
+    idents += [entry.identity for entry in catalog_entries() if entry.identity is not None]
+    cases = []
+    for ident in idents:
+        k = len(ident.variables)
+        n = rng.choice([n for n in (2, 3, 4) if n ** (k + 3) <= 3 ** 6])
+        groupoids = [LinearGroupoid(n, *abc) for abc in np.ndindex(n, n, n)]
+        cases.append((ident, groupoids, [_reference(g, ident)[:3] for g in groupoids]))
+    seen = {verdict: 0 for verdict in Verdict}
+    for _, _, expected in cases:
+        for verdict, _, _ in expected:
+            seen[verdict] += 1
+    assert min(seen.values()) >= 200, seen
+    # chunks of several members that still split the one stack
+    assert sum(1 < 30 // groupoids[0].n ** len(ident.variables) < len(groupoids)
+               for ident, groupoids, _ in cases) >= 20
+    monkeypatch.setattr(engine, "BLOCK", 240)
+    for block in (groupoid.BLOCK, 0):
+        monkeypatch.setattr(groupoid, "BLOCK", block)
+        for ident, groupoids, expected in cases:
+            members = stacked_op_tables(groupoids)
+            got = [holds_bruteforce(g, ident, tables=m) for g, m in zip(groupoids, members)]
+            assert [(o.verdict, o.counterexample, o.na_reason) for o in got] == expected, ident
 
 
 def test_bruteforce_scans_for_undefined_values_past_a_failing_block(monkeypatch,
@@ -514,7 +557,8 @@ def test_tables_are_built_on_first_use():
 
 
 def test_sweeps_build_tables_on_first_use(monkeypatch):
-    # the sweep's stacks scan only the kinds the law reads, as op_tables does
+    # the sweep's stacks scan only the kinds the law reads, as op_tables does;
+    # flags holds the law's evaluation over the stack (engine._stack_flags)
     stacks = []
 
     def recorded(groupoids):
@@ -528,7 +572,88 @@ def test_sweeps_build_tables_on_first_use(monkeypatch):
         stacks.clear()
         crosscheck_all([5, 12], [entry_id])
         assert stacks
-        assert all(set(vars(stack)) == {"n", "mul", *scanned} for stack in stacks), entry_id
+        assert all(set(vars(stack)) == {"n", "mul", "flags", *scanned}
+                   for stack in stacks), entry_id
+
+
+def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
+    # A stack keeps its own evaluation (engine._stack_flags), so it dies with
+    # its last member unless something refers back to it.  The cyclic
+    # collector is off, so a reference cycle through a stack would keep
+    # every stack alive.
+    import gc
+    import weakref
+
+    refs, alive = [], []
+    oracle = engine.holds_bruteforce
+
+    def recorded(groupoids):
+        for member in stacked_op_tables(groupoids):
+            if not refs or refs[-1]() is not member.stack:
+                refs.append(weakref.ref(member.stack))
+            yield member
+
+    def counted(g, ident, cap, tables=None):
+        alive.append(sum(ref() is not None for ref in refs))
+        return oracle(g, ident, cap, tables=tables)
+
+    monkeypatch.setattr(engine, "stacked_op_tables", recorded)
+    monkeypatch.setattr(engine, "holds_bruteforce", counted)
+    gc.disable()
+    try:
+        crosscheck_all([5, 12], ["medial", "r_aaip", "l_saip", "cm_7"])
+    finally:
+        gc.enable()
+    assert len(refs) > 8 and max(alive) == 1
+
+
+def _verdicts(ident, n, triples, stacked) -> dict:
+    """The oracle's verdict on each (a, b, c) at modulus n, checked as a
+    sweep checks it (on stacked tables) or as a single check."""
+    groupoids = [LinearGroupoid(n, *triple) for triple in triples]
+    members = stacked_op_tables(groupoids) if stacked else [None] * len(groupoids)
+    return {g.triple()[1:]: holds_bruteforce(g, ident, tables=member).verdict
+            for g, member in zip(groupoids, members)}
+
+
+@pytest.mark.parametrize("small_block", [False, True])
+def test_oracle_verdicts_follow_the_product_of_coprime_moduli(monkeypatch, small_block):
+    # Over Z_(m1*m2) with m1, m2 coprime the groupoid is the direct product of
+    # the groupoids over Z_m1 and Z_m2 (a, b, c reduced), and its divisions
+    # and local elements are taken componentwise, so the oracle's verdict at
+    # m1*m2 follows from its verdicts at the factors: not applicable if
+    # either is, else fails if either does, else holds.  This checks the
+    # oracle against itself, with no symbolic algebra.  The sweep's stacked
+    # evaluation checks every case; single checks, on a random sample of
+    # each case's triples, check them again with a small block
+    # (engine.BLOCK = 64, groupoid.BLOCK = 0): one block up to 64
+    # assignments, else a leading value a block, on int8 tables.
+    worst = [Verdict.HOLDS, Verdict.FAILS, Verdict.NOT_APPLICABLE].index
+    rng = random.Random(1212)
+    laws = [entry.identity for entry in catalog_entries() if entry.identity is not None]
+    cases = [(ident, m1, m2, list(np.ndindex(m1 * m2, m1 * m2, m1 * m2)))
+             for ident in laws if len(ident.variables) <= 3 for m1, m2 in ((2, 3), (2, 5))]
+    sample = rng.sample(list(np.ndindex(12, 12, 12)), 30)
+    cases += [(ident, 3, 4, sample) for ident in laws]
+    if small_block:
+        cases = [(ident, m1, m2, rng.sample(triples, 10)) for ident, m1, m2, triples in cases]
+        monkeypatch.setattr(engine, "BLOCK", 64)
+        monkeypatch.setattr(groupoid, "BLOCK", 0)
+    engine._blocks.cache_clear()
+    op_tables.cache_clear()
+    seen = set()
+    try:
+        for ident, m1, m2, triples in cases:
+            reduced = [sorted({(a % m, b % m, c % m) for a, b, c in triples}) for m in (m1, m2)]
+            factors = [_verdicts(ident, m, at, not small_block) for m, at in zip((m1, m2), reduced)]
+            for (a, b, c), verdict in _verdicts(ident, m1 * m2, triples, not small_block).items():
+                parts = [at[a % m, b % m, c % m] for m, at in zip((m1, m2), factors)]
+                assert verdict is max(parts, key=worst), (ident, m1 * m2, a, b, c, parts)
+                seen.add((verdict, *parts))
+    finally:
+        engine._blocks.cache_clear()
+        op_tables.cache_clear()
+    assert len(seen) == 9, seen  # every pair of factor verdicts occurs
 
 
 def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
