@@ -115,19 +115,23 @@ def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray
 
 
 def _total(ident: Identity, tables) -> bool:
-    """True iff no table the identity reads has -1 in its body ([:n, :n] for
-    a binary operation, [:n] for a unary one), so that every value stays in
-    0..n-1 and no assignment can be undefined.  Once a block is evaluated
-    those tables are built, so this builds none; it reads cells, not
-    coefficients, so it holds for any OpTables, not only linear ones."""
-    ops, terms = set(), [ident.lhs, ident.rhs]
+    """True iff no table the identity reads has -1 in its body, so that every
+    value stays in 0..n-1 and no assignment can be undefined.  The body is
+    the trailing [:n, :n] of a binary operation's table and the trailing
+    [:n] of a unary one's, so a stack's tables are read whole.  Once a block
+    is evaluated those tables are built, so this builds none; it reads
+    cells, not coefficients, so it holds for any OpTables, not only linear
+    ones."""
+    bodies, terms = {}, [ident.lhs, ident.rhs]
     while terms:
         term = terms.pop()
-        if not isinstance(term, Var):
-            ops.add(term.op)
-            terms.extend((term.left, term.right) if isinstance(term, Binary) else (term.child,))
-    read = (getattr(tables, _TABLE[op]) for op in ops)
-    return all(table[(slice(tables.n),) * table.ndim].min() >= 0 for table in read)
+        if isinstance(term, Binary):
+            bodies[term.op] = (..., slice(tables.n), slice(tables.n))
+            terms.extend((term.left, term.right))
+        elif not isinstance(term, Var):
+            bodies[term.op] = (..., slice(tables.n))
+            terms.append(term.child)
+    return all(getattr(tables, _TABLE[op])[body].min() >= 0 for op, body in bodies.items())
 
 
 def _assignment(ident: Identity, n: int, index: int) -> dict[str, int]:
@@ -220,10 +224,14 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     Assignments are evaluated in lexicographic blocks (see _blocks), so
     memory grows with max(BLOCK, n**(k-1)), not with n**k, beside the
     (n+1)**2-cell operation tables the identity reads; the cap bounds both.
-    The scan stops at the first block holding a counterexample when no
-    table the identity reads has -1 in its body (see _total): no later
-    assignment can then be undefined, so the verdict cannot change.
-    Otherwise it goes on, since a later block could still be undefined.
+    A check of more than one block asks once, after its first block has
+    built the tables, whether any table the identity reads has -1 in its
+    body (see _total).  If none does, no assignment can be undefined: no
+    block reads the undefined flags, and the scan stops at the first block
+    holding a counterexample, since the verdict cannot change.  Otherwise
+    every block reads them, and the scan goes on past a counterexample,
+    since a later block could still be undefined.  A one-block check reads
+    its flags without asking.
 
     The tables are g's op_tables unless given.  A sweep passes a
     StackMember and still calls once per groupoid: while n**k is at most
@@ -245,19 +253,22 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
         return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
     if tables is None:
         tables = op_tables(g.triple())
-    counterexample = None
+    counterexample, total = None, False
     blocks = _blocks(g.n, k)
     for i, (start, grid) in enumerate(blocks):
         env = dict(zip(ident.variables, grid))
         lhs = _eval_table(ident.lhs, env, tables)
         rhs = _eval_table(ident.rhs, env, tables)
-        undefined = _first((lhs < 0) | (rhs < 0), ident, g.n, start)
-        if undefined is not None:
-            return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
-                                na_reason=_na_reason(ident, undefined, g))
+        if i == 0 and len(blocks) > 1:  # the tables read are built now
+            total = _total(ident, tables)
+        if not total:
+            undefined = _first((lhs < 0) | (rhs < 0), ident, g.n, start)
+            if undefined is not None:
+                return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                                    na_reason=_na_reason(ident, undefined, g))
         if counterexample is None:
             counterexample = _first(lhs != rhs, ident, g.n, start)
-            if counterexample is not None and i + 1 < len(blocks) and _total(ident, tables):
+            if counterexample is not None and total:
                 break
     if counterexample is not None:
         return CheckOutcome(Verdict.FAILS, Method.BRUTE_FORCE,

@@ -250,30 +250,37 @@ def _padded(n: int, *lead: int) -> np.ndarray:
     return np.full((*lead, n + 1, n + 1), -1, dtype=dtype)
 
 
+def _table_blocks(tables: int, n: int):
+    """(members, rows) slices that cover a stack of `tables` n x n tables in
+    blocks of at most BLOCK cells: whole tables while one fits, rows of one
+    table past that."""
+    per = max(1, BLOCK // (n * n))
+    step = max(1, BLOCK // n)
+    for first in range(0, tables, per):
+        for start in range(0, n, step):
+            yield slice(first, first + per), slice(start, min(n, start + step))
+
+
 def _invert_rows(t: np.ndarray) -> np.ndarray:
     """inv[..., x, v] = the unique w with t[..., x, w] = v, or -1, for one
     n x n table or a stack of them; padded to n + 1 on the last two axes.
-    Inverts blocks of at most BLOCK cells at a time: whole tables while one
-    fits, rows of one table past that."""
+    Inverts blocks of at most BLOCK cells at a time (see _table_blocks)."""
     n = t.shape[-1]
     inv = _padded(n, *t.shape[:-2])
     # views, of one table or of a 3-D stack; inv itself is returned, so that
     # a cached table holds no second array object
     stack, body = t.reshape(-1, n, n), inv.reshape(-1, n + 1, n + 1)[:, :n, :n]
     cols = np.arange(n, dtype=np.int64)
-    tables = max(1, BLOCK // (n * n))
-    step = max(1, BLOCK // n)
-    for first in range(0, len(stack), tables):
-        for start in range(0, n, step):
-            part = stack[first:first + tables, start:start + step]
-            rows = part.reshape(-1, n)
-            at = np.arange(len(rows))[:, None]
-            counts = np.bincount((at * n + rows).ravel(), minlength=rows.size)
-            # every cell is written: once by its unique w, else with -1
-            block = np.empty(rows.shape, inv.dtype)
-            block[at, rows] = cols
-            block[counts.reshape(rows.shape) != 1] = -1
-            body[first:first + tables, start:start + step] = block.reshape(part.shape)
+    for at_block in _table_blocks(len(stack), n):
+        part = stack[at_block]
+        rows = part.reshape(-1, n)
+        at = np.arange(len(rows))[:, None]
+        counts = np.bincount((at * n + rows).ravel(), minlength=rows.size)
+        # every cell is written: once by its unique w, else with -1
+        block = np.empty(rows.shape, inv.dtype)
+        block[at, rows] = cols
+        block[counts.reshape(rows.shape) != 1] = -1
+        body[at_block] = block.reshape(part.shape)
     return _read_only(inv)
 
 
@@ -300,15 +307,22 @@ def _solve_rows(t: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _cayley(n: int, a, b, c) -> np.ndarray:
     """The padded Cayley table of (n, a, b, c) for int coefficients, or the
-    stack of them for (m, 1) arrays of coefficients, in one broadcast pass
-    written straight into the padded array."""
+    stack of them for (m, 1) arrays of coefficients, in blocks of at most
+    BLOCK cells (see _table_blocks).  Each cell is the sum s of a row
+    term (a + b*x) % n and a column term (c*y) % n; both are below n, so
+    s < 2n fits the table's dtype.  A block sums them in an unsigned array
+    of that width and reduces s with no division: there s - n wraps past s
+    when s < n, so min(s, s - n) is s mod n.  The block is then copied into
+    the padded array, which ran faster on a stack's small tables than
+    summing into their short padded rows."""
     mul = _padded(n, *np.shape(a)[:-1])
-    body = mul[..., :n, :n]
+    stack = mul.reshape(-1, n + 1, n + 1).view(f"u{mul.itemsize}")
     i = np.arange(n, dtype=np.int64)
-    # each term is below n, so their sum (below 2n) fits the table's dtype
-    np.add(((a + b * i) % n)[..., :, None], ((c * i) % n)[..., None, :], out=body,
-           casting="unsafe")
-    body %= n
+    rows = ((a + b * i) % n).astype(stack.dtype).reshape(-1, n, 1)
+    cols = ((c * i) % n).astype(stack.dtype).reshape(-1, 1, n)
+    for members, part in _table_blocks(len(stack), n):
+        s = rows[members, part] + cols[members]
+        stack[members, part, :n] = np.minimum(s, s - n, out=s)
     return mul
 
 

@@ -510,6 +510,36 @@ def test_bruteforce_scans_on_when_a_read_unary_table_is_undefined(monkeypatch,
     assert len(calls) == 8
 
 
+def test_bruteforce_reads_no_undefined_flags_once_its_tables_are_total(monkeypatch,
+                                                                      one_value_per_block):
+    # medial reads only mul, total on every linear groupoid, and holds on
+    # each: after the first of five blocks, _total is asked once, and each
+    # block then asks _first only for a counterexample.  A one-block check
+    # never asks _total and reads both flags.
+    firsts, totals = [], []
+    first, total = engine._first, engine._total
+    monkeypatch.setattr(engine, "_first", lambda *args: firsts.append(1) or first(*args))
+    monkeypatch.setattr(engine, "_total", lambda *args: totals.append(1) or total(*args))
+    g, medial = LinearGroupoid(5, 1, 2, 3), get_entry("medial").identity
+    assert holds_bruteforce(g, medial).verdict is Verdict.HOLDS
+    assert (len(firsts), len(totals)) == (5, 1)
+    monkeypatch.setattr(engine, "BLOCK", groupoid.BLOCK)
+    engine._blocks.cache_clear()
+    firsts.clear()
+    totals.clear()
+    assert holds_bruteforce(g, medial).verdict is Verdict.HOLDS
+    assert (len(firsts), len(totals)) == (2, 0)
+
+
+def test_total_reads_every_member_of_a_stack():
+    # c = 0 leaves ldiv and e_rho undefined, in the last of four members
+    groupoids = [LinearGroupoid(3, a, 1, 1) for a in range(3)] + [LinearGroupoid(3, 0, 1, 0)]
+    stack = next(stacked_op_tables(groupoids)).stack
+    for law in ("x\\y = y", "er(x) = x"):
+        assert not engine._total(parse(law), stack), law
+        assert engine._total(parse(law), OpTables(stack.mul[:3])), law
+
+
 def test_bruteforce_memory_is_bounded_at_the_cap():
     # ~10**7 assignments each: medial at n = 56 holds (a full scan); r_aaip
     # and l_aaip at n = 3162 hold reading rho or lam, each scanned straight

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import gcd
 
 import numpy as np
@@ -49,6 +50,38 @@ def test_cayley_table_examples():
         assert sorted(row) == list(range(6))
     for col in t.T:
         assert sorted(col) == list(range(6))
+
+
+def test_cayley_build_matches_python_ints(monkeypatch):
+    # _cayley reduces each sum below 2n by a compare-and-subtract in an
+    # unsigned array, in blocks of at most BLOCK cells.  Every dtype _padded
+    # returns: int64 by default at n = 5, 64 and 65, and int16 at n = 600
+    # (blocks of 436 rows and 164); with BLOCK = 0, built one row a block,
+    # int8 at n = 5 and 64 (sums up to 126) and int16 at n = 65 and 600.
+    # Single tables and a stack of mixed triples, with b = 0 and c = 0.
+    rng = random.Random(16384)
+    cases = []
+    for n in (5, 64, 65, 600):
+        triples = [(n - 1, n - 1, n - 1), (n - 1, 0, n - 1), (n - 1, n - 1, 0), (1, 0, 0)]
+        triples += [tuple(rng.randrange(n) for _ in range(3)) for _ in range(2 if n == 600 else 4)]
+        want = [[[(a + b * x + c * y) % n for y in range(n)] for x in range(n)]
+                for a, b, c in triples]
+        cases.append((n, triples, want))
+    dtypes = []
+    for block in (groupoid.BLOCK, 0):
+        monkeypatch.setattr(groupoid, "BLOCK", block)
+        for n, triples, want in cases:
+            a, b, c = np.array(triples, dtype=np.int64).T[..., None]
+            stack = groupoid._cayley(n, a, b, c)
+            assert stack.shape == (len(triples), n + 1, n + 1)
+            for triple, table, member in zip(triples, want, stack):
+                single = groupoid._cayley(n, *triple)
+                for mul in (single, member):
+                    assert mul.dtype == stack.dtype
+                    assert mul[:n, :n].tolist() == table, (block, n, triple)
+                    assert (mul[n] == -1).all() and (mul[:, n] == -1).all()
+            dtypes.append(stack.dtype)
+    assert dtypes == [np.int64, np.int64, np.int64, np.int16, np.int8, np.int8, np.int16, np.int16]
 
 
 def test_is_latin_square_examples():
