@@ -6,12 +6,16 @@ The exhaustive checker works purely from scanned operation tables, the
 symbolic checker from each law's residual system (Identity.residual: lhs -
 rhs over Z[a, b, c, 1/b, 1/c], derived once per law, evaluated mod n); the
 two paths share no algebra, which is what makes their agreement a
-meaningful cross-check.  A single check reads its groupoid's tables through
-the groupoid.op_tables LRU cache.  A cross-check sweep admits each (law, n)
-task's triples with one mask per row (catalog.row_sweep_mask) and reads
-their tables from groupoid.stacked_op_tables, built in stacks.  It still
-makes one oracle call per admitted triple, but the identity is evaluated
-once per chunk of a stack's groupoids, and each call reads its own result.
+meaningful cross-check.  The exhaustive checker splits checks by size: a
+single check of at most BLOCK assignments is one block of 2-D table
+lookups (_eval_table); every larger check, and every sweep stack, is one
+chunked scan of flat lookups (_scan), one groupoid's tables being a stack
+of one.  A single check reads its groupoid's tables through the
+groupoid.op_tables LRU cache.  A cross-check sweep admits each (law, n)
+task's triples with one mask per row (catalog.row_sweep_mask), reads their
+tables from groupoid.stacked_op_tables, built in stacks, and still makes
+one oracle call per admitted triple, which reads its result from its
+stack's scan.
 """
 
 from __future__ import annotations
@@ -79,20 +83,20 @@ class CheckOutcome:
 # --- exhaustive checking ----------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _blocks(n: int, k: int) -> tuple[tuple[int, tuple[np.ndarray, ...]], ...]:
-    """The n**k assignments in lexicographic blocks of at most BLOCK (at least
-    one leading value each): (start, grid) pairs, where start is the block's
-    first leading value and grid[i] is an open grid of variable i's values,
-    shaped along axis i, so that table lookups broadcast to the block."""
-    step = max(1, BLOCK // n ** (k - 1))
-    blocks = tuple((start, np.ix_(np.arange(start, min(start + step, n)),
-                                  *[np.arange(n)] * (k - 1)))
-                   for start in range(0, n, step))
-    for _, grid in blocks:
-        for values in grid:
-            values.setflags(write=False)
-    return blocks
+@lru_cache(maxsize=128)  # 64 (n, k) pairs, each with BLOCK and BLOCK // 8 cells
+def _blocks(n: int, k: int, cells: int) -> tuple[tuple[int, tuple[np.ndarray, ...]], ...]:
+    """The n**k assignments in lexicographic blocks of at most `cells` (at
+    least one leading value each): (start, grid) pairs, where start is the
+    block's first leading value and grid[i] is an open grid of variable i's
+    values, shaped along axis i + 1 behind a member axis of length 1, so
+    that table lookups broadcast to the block.  The blocks share one grid,
+    each a slice of its leading variable's: a check of hundreds of blocks
+    holds one arange(n) per variable, not one per block."""
+    step = max(1, cells // n ** (k - 1))
+    lead, *rest = np.ix_(*[np.arange(n)] * (k + 1))[1:]
+    for values in (lead, *rest):
+        values.setflags(write=False)
+    return tuple((start, (lead[:, start:start + step], *rest)) for start in range(0, n, step))
 
 
 # The OpTables attribute each operation reads.
@@ -118,7 +122,7 @@ def _total(ident: Identity, tables) -> bool:
     """True iff no table the identity reads has -1 in its body, so that every
     value stays in 0..n-1 and no assignment can be undefined.  The body is
     the trailing [:n, :n] of a binary operation's table and the trailing
-    [:n] of a unary one's, so a stack's tables are read whole.  Once a block
+    [:n] of a unary one's, so a stack's tables are read whole.  Once a chunk
     is evaluated those tables are built, so this builds none; it reads
     cells, not coefficients, so it holds for any OpTables, not only linear
     ones."""
@@ -144,21 +148,19 @@ def _assignment(ident: Identity, n: int, index: int) -> dict[str, int]:
     return dict(zip(ident.variables, reversed(values)))
 
 
-def _first(mask: np.ndarray, ident: Identity, n: int, start: int) -> dict[str, int] | None:
-    """The first flagged assignment of the block whose leading values begin
-    at start, or None; the mask spans the block, one axis per variable."""
+def _first(mask: np.ndarray) -> int:
+    """The index of the first flagged assignment of a one-block check, or -1."""
     index = int(mask.argmax())
-    if not mask.flat[index]:
-        return None
-    return _assignment(ident, n, start * n ** (len(ident.variables) - 1) + index)
+    return index if mask.flat[index] else -1
 
 
 def _eval_stack(term: tl.Term, env: dict[str, np.ndarray], stack, rows: np.ndarray) -> np.ndarray:
     """_eval_table over a chunk of a stack's groupoids at once, along a
-    leading member axis: rows holds each member's first row, (n+1) * index.
-    Each table is read flat, by row (rows + x) and column, so an index of -1
-    still reads -1: it lands on a padding cell of the same member, of the
-    one before it, or, for member 0, of the last one."""
+    leading member axis: rows holds each member's first row, (n+1) * index,
+    as intp, since x * (n+1) overflows a compact table's dtype.  Each table
+    is read flat, by row (rows + x) and column, so an index of -1 still
+    reads -1: it lands on a padding cell of the same member, of the one
+    before it, or, for member 0, of the last one."""
     if isinstance(term, Var):
         return env[term.name]
     flat = getattr(stack, _TABLE[term.op]).reshape(-1)
@@ -171,47 +173,66 @@ def _eval_stack(term: tl.Term, env: dict[str, np.ndarray], stack, rows: np.ndarr
     return flat[rows + _eval_stack(term.child, env, stack, rows)]
 
 
-@lru_cache(maxsize=64)
-def _stack_grid(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """Open grids of the n**k assignments behind a leading member axis."""
-    grid = np.ix_(*[np.arange(n)] * (k + 1))[1:]
-    for values in grid:
-        values.setflags(write=False)
-    return grid
+def _firsts(mask: np.ndarray, shape: tuple[int, ...], offset: int) -> np.ndarray:
+    """Each member's first flagged assignment of a chunk shaped (members,
+    *block), as an index into its n**k assignments, of which the block's
+    first is offset, or -1.  A law whose sides are both variables has no
+    member axis, hence the broadcast."""
+    flags = np.broadcast_to(mask, shape).reshape(shape[0], -1)
+    return np.where(flags.any(axis=1), flags.argmax(axis=1) + offset, -1)
 
 
-def _scan_stack(stack, ident: Identity) -> tuple[list[int], list[int]]:
-    """For each groupoid of a stack, the index of its first undefined and of
-    its first failing assignment (lexicographic), or -1.  The identity is
-    evaluated once per chunk of members, of at most BLOCK // 8 cells (one
-    member past that), the size of the stacks' own tables: chunks of BLOCK
-    cells ran slower and raised the crosscheck benchmark's peak memory by
-    about 9 MB."""
-    n, k = stack.n, len(ident.variables)
-    members = len(stack.mul)
+def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
+    """For each of the `members` groupoids of a stack of tables, the indices
+    of its first undefined and of its first failing assignment
+    (lexicographic), or -1; one groupoid's OpTables is a stack of one.  The
+    identity is evaluated in chunks of at most BLOCK // 8 assignments, the
+    size of the stacks' own tables (chunks of BLOCK cells ran slower and
+    raised the crosscheck benchmark's peak memory by about 9 MB): whole
+    members while n**k fits, else the blocks of one member (see _blocks).
+
+    A scan of more than one chunk asks once, after its first chunk has
+    built the tables, whether any table the identity reads has -1 in its
+    body (see _total).  If none does, no assignment can be undefined: no
+    chunk reads the undefined flags, and a member's blocks stop at the
+    first one holding a counterexample, since the verdict cannot change.
+    Otherwise every chunk reads them, and a member's blocks go on past a
+    counterexample up to the first undefined assignment, since a later
+    block could still hold one."""
+    n, k = tables.n, len(ident.variables)
+    blocks = _blocks(n, k, BLOCK // 8)
     step = max(1, BLOCK // 8 // n ** k)
-    env = dict(zip(ident.variables, _stack_grid(n, k)))
-    undefined, failing = [], []
+    undefined, failing = np.full(members, -1), np.full(members, -1)
+    total = None
     for first in range(0, members, step):
-        index = np.arange(first, min(first + step, members))
-        rows = (index * (n + 1)).reshape(-1, *[1] * k)
-        lhs = _eval_stack(ident.lhs, env, stack, rows)
-        rhs = _eval_stack(ident.rhs, env, stack, rows)
-        for flags, out in (((lhs < 0) | (rhs < 0), undefined), (lhs != rhs, failing)):
-            # a law whose sides are both variables has no member axis
-            flags = np.broadcast_to(flags, (len(index), *[n] * k)).reshape(len(index), -1)
-            out.extend(np.where(flags.any(axis=1), flags.argmax(axis=1), -1).tolist())
-    return undefined, failing
+        at = slice(first, first + step)
+        rows = np.arange(first, min(first + step, members)).reshape(-1, *[1] * k) * (n + 1)
+        for start, grid in blocks:
+            env = dict(zip(ident.variables, grid))
+            lhs = _eval_stack(ident.lhs, env, tables, rows)
+            rhs = _eval_stack(ident.rhs, env, tables, rows)
+            if total is None:  # the tables read are built now
+                total = (len(blocks) > 1 or step < members) and _total(ident, tables)
+            shape = (len(rows), *(values.shape[axis] for axis, values in enumerate(grid, 1)))
+            offset = start * n ** (k - 1)
+            if not total:
+                undefined[at] = _firsts((lhs < 0) | (rhs < 0), shape, offset)
+            if failing[first] < 0:  # a member of several blocks keeps its first
+                failing[at] = _firsts(lhs != rhs, shape, offset)
+            if undefined[first] >= 0 or (total and failing[first] >= 0):
+                break  # only a chunk of one member has blocks left
+    return list(zip(undefined.tolist(), failing.tolist()))
 
 
-def _stack_flags(stack, ident: Identity) -> tuple[list[int], list[int]]:
-    """_scan_stack, kept on the stack for the last identity scanned: every
-    member of a sweep's stack is checked against one identity in turn.  The
-    identity is compared by object, since hashing one walks its term tree."""
+def _stack_flags(stack, ident: Identity) -> list[tuple[int, int]]:
+    """_scan over a whole stack, kept on the stack for the last identity
+    scanned: every member of a sweep's stack is checked against one
+    identity in turn.  The identity is compared by object, since hashing
+    one walks its term tree."""
     memo = getattr(stack, "flags", None)
     if memo is None or memo[0] is not ident:
-        memo = stack.flags = (ident, *_scan_stack(stack, ident))
-    return memo[1], memo[2]
+        memo = stack.flags = (ident, _scan(ident, stack, len(stack.mul)))
+    return memo[1]
 
 
 def holds_bruteforce(g: LinearGroupoid, ident: Identity,
@@ -221,58 +242,35 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     Fails carries the lexicographically first counterexample.  If any
     assignment makes either side undefined the whole check is NotApplicable:
     skipping such tuples would silently weaken the universal quantifier.
-    Assignments are evaluated in lexicographic blocks (see _blocks), so
-    memory grows with max(BLOCK, n**(k-1)), not with n**k, beside the
-    (n+1)**2-cell operation tables the identity reads; the cap bounds both.
-    A check of more than one block asks once, after its first block has
-    built the tables, whether any table the identity reads has -1 in its
-    body (see _total).  If none does, no assignment can be undefined: no
-    block reads the undefined flags, and the scan stops at the first block
-    holding a counterexample, since the verdict cannot change.  Otherwise
-    every block reads them, and the scan goes on past a counterexample,
-    since a later block could still be undefined.  A one-block check reads
-    its flags without asking.
 
-    The tables are g's op_tables unless given.  A sweep passes a
-    StackMember and still calls once per groupoid: while n**k is at most
-    BLOCK, the first call of a stack evaluates the identity for the whole
-    stack, a chunk of members at a time (see _scan_stack), and each call
-    reads its member's result.
+    The tables are g's op_tables unless given.  A check of at most BLOCK
+    assignments is one block of 2-D table lookups, which beat flat ones on
+    tiny tables.  A larger one scans its groupoid as a stack of one (see
+    _scan), so memory grows with max(BLOCK // 8, n**(k-1)) assignments,
+    not with n**k, beside the (n+1)**2-cell operation tables the identity
+    reads; the cap bounds both.  A sweep passes a StackMember and still
+    calls once per groupoid: the first call of a stack scans the whole
+    stack, and each call reads its member's result.
     """
-    k = len(ident.variables)
-    _check_cap(g.n, k, cap)
-    if isinstance(tables, StackMember) and g.n ** k <= BLOCK:
-        undefined, failing = _stack_flags(tables.stack, ident)
-        undefined, failing = undefined[tables.index], failing[tables.index]
-        if undefined >= 0:
-            return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
-                                na_reason=_na_reason(ident, _assignment(ident, g.n, undefined), g))
-        if failing >= 0:
-            return CheckOutcome(Verdict.FAILS, Method.BRUTE_FORCE,
-                                counterexample=_assignment(ident, g.n, failing))
-        return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
+    n, k = g.n, len(ident.variables)
+    _check_cap(n, k, cap)
     if tables is None:
         tables = op_tables(g.triple())
-    counterexample, total = None, False
-    blocks = _blocks(g.n, k)
-    for i, (start, grid) in enumerate(blocks):
-        env = dict(zip(ident.variables, grid))
+    if isinstance(tables, StackMember):
+        undefined, failing = _stack_flags(tables.stack, ident)[tables.index]
+    elif n ** k <= BLOCK:
+        env = dict(zip(ident.variables, _blocks(n, k, BLOCK)[0][1]))
         lhs = _eval_table(ident.lhs, env, tables)
         rhs = _eval_table(ident.rhs, env, tables)
-        if i == 0 and len(blocks) > 1:  # the tables read are built now
-            total = _total(ident, tables)
-        if not total:
-            undefined = _first((lhs < 0) | (rhs < 0), ident, g.n, start)
-            if undefined is not None:
-                return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
-                                    na_reason=_na_reason(ident, undefined, g))
-        if counterexample is None:
-            counterexample = _first(lhs != rhs, ident, g.n, start)
-            if counterexample is not None and total:
-                break
-    if counterexample is not None:
+        undefined, failing = _first((lhs < 0) | (rhs < 0)), _first(lhs != rhs)
+    else:
+        undefined, failing = _scan(ident, tables, 1)[0]
+    if undefined >= 0:
+        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                            na_reason=_na_reason(ident, _assignment(ident, n, undefined), g))
+    if failing >= 0:
         return CheckOutcome(Verdict.FAILS, Method.BRUTE_FORCE,
-                            counterexample=counterexample)
+                            counterexample=_assignment(ident, n, failing))
     return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
 
 

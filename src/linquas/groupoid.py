@@ -8,26 +8,30 @@ table: the divisions by inverting its rows (_invert_rows), the local
 elements by solving one target per row (_solve_rows).  A single check reads
 one groupoid's OpTables through the op_tables LRU cache, and a cross-check
 sweep reads StackMembers of stacked_op_tables, which builds the tables of
-many groupoids of one modulus in one numpy pass per kind.  The sweep
-evaluates its identity over a stack's contiguous tables read flat, where
-each table's -1 padding keeps an undefined value undefined (see
-engine._eval_stack).
+many groupoids of one modulus in one numpy pass per kind.  The sweep, and
+any single check of more than one block, evaluates its identity over a
+stack's contiguous tables read flat, where each table's -1 padding keeps
+an undefined value undefined (see engine._eval_stack); one groupoid's
+OpTables is read as a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .modring import is_unit, solve_linear
 
-# Cells per numpy block, for the exhaustive checker's assignments and for
-# the table scans (_invert_rows, _solve_rows): a block's arrays (2 MiB each
-# at int64) stay in cache, which made them run faster than with 2**20-cell
-# blocks.  Operation tables larger than one block are stored compact (see
-# _padded).
+# Cells per numpy block, for the table scans (_invert_rows, _solve_rows,
+# _cayley) and for the exhaustive checker: a single check of at most BLOCK
+# assignments is one block, and a larger check or a sweep's stack is
+# evaluated in chunks of BLOCK // 8 (engine._scan).  A block's arrays
+# (2 MiB each at int64) stay in cache, which made them run faster than with
+# 2**20-cell blocks.  Operation tables larger than one block are stored
+# compact (see _padded).
 BLOCK = 1 << 18
 
 
@@ -218,20 +222,13 @@ class OpTables:
         return np.arange(self.n, dtype=self.mul.dtype)
 
 
-class StackMember:
-    """The tables of groupoid `index` of a stacked OpTables, read as that
-    groupoid's own OpTables would be: each is the stack's slice, so the
-    first member to read a kind scans it for the whole stack."""
+class StackMember(NamedTuple):
+    """Groupoid `index` of a stacked OpTables.  The sweep's oracle reads its
+    verdict from one scan of the whole stack (engine._stack_flags), and its
+    tables as getattr(stack, kind)[index]."""
 
-    def __init__(self, stack: OpTables, index: int) -> None:
-        self.n = stack.n
-        self.stack = stack
-        self.index = index
-
-    def __getattr__(self, kind: str) -> np.ndarray:
-        table = getattr(self.stack, kind)[self.index]
-        setattr(self, kind, table)
-        return table
+    stack: OpTables
+    index: int
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -305,9 +305,6 @@ def test_verify_examples_checks_each_law_and_triple_once(monkeypatch):
 def one_value_per_block(monkeypatch):
     """BLOCK = 1: every leading value is its own block."""
     monkeypatch.setattr(engine, "BLOCK", 1)
-    engine._blocks.cache_clear()
-    yield
-    engine._blocks.cache_clear()
 
 
 def _reference(g, ident):
@@ -361,7 +358,7 @@ def test_blocks_match_scalar_reference_on_random_identities(monkeypatch,
         past_first_block += bool(deciding and deciding[ident.variables[0]] > 0)
     assert min(seen.values()) >= 50, seen
     assert past_first_block >= 10, past_first_block
-    assert len(engine._blocks(6, 3)) == 6
+    assert len(engine._blocks(6, 3, engine.BLOCK // 8)) == 6
     for (g, ident), (verdict, _, _, _) in zip(cases, expected):
         assert holds_symbolic(g, ident).verdict is verdict, (g, ident)
     try:
@@ -383,8 +380,8 @@ def test_stacked_members_match_scalar_reference_on_random_identities(monkeypatch
     # the full outcome (verdict, first counterexample, NA reason) must equal
     # the scalar reference's.  engine.BLOCK = 240 makes chunks of 30 cells,
     # so that chunks split the stacks (one stack holds every triple at
-    # n <= 4), and sends n**k > 240 to the block scan; groupoid.BLOCK = 0
-    # makes one-groupoid stacks of int8 tables.
+    # n <= 4), and a member with n**k > 30 is scanned in several blocks of
+    # its own; groupoid.BLOCK = 0 makes one-groupoid stacks of int8 tables.
     from test_termlang import _random_term
 
     from linquas.termlang import Identity
@@ -442,21 +439,22 @@ def _scalar_first_failure(g, ident, assignments) -> dict[str, int] | None:
 
 
 def _top_level_evals(monkeypatch) -> list:
-    """Wrap engine._eval_table; the list gets one entry per call made from
-    outside it, that is one per side of the identity per block."""
+    """Wrap engine._eval_stack, where every check of more than one block
+    evaluates; the list gets one entry per call made from outside it, that
+    is one per side of the identity per block."""
     calls, depth = [], []
-    evaluate = engine._eval_table
+    evaluate = engine._eval_stack
 
-    def counted(term, env, tables):
+    def counted(term, env, tables, rows):
         if not depth:
             calls.append(term)
         depth.append(term)
         try:
-            return evaluate(term, env, tables)
+            return evaluate(term, env, tables, rows)
         finally:
             depth.pop()
 
-    monkeypatch.setattr(engine, "_eval_table", counted)
+    monkeypatch.setattr(engine, "_eval_stack", counted)
     return calls
 
 
@@ -510,25 +508,100 @@ def test_bruteforce_scans_on_when_a_read_unary_table_is_undefined(monkeypatch,
     assert len(calls) == 8
 
 
+def test_bruteforce_keeps_the_first_counterexample_on_tables_that_are_not_total(
+        monkeypatch, one_value_per_block):
+    # e_rho's body is [1, 1, 0, -1], but y*y is never 3, so er(y*y) is
+    # always defined: no assignment is undefined, yet a table the law reads
+    # is not total, so every block is scanned, and the counterexample of
+    # the first block (x = 0) must outlast the later ones, of which the
+    # last (x = 3) holds
+    tables = _last_row_constant(monkeypatch)
+    calls = _top_level_evals(monkeypatch)
+    law = parse("x*x = x*er(y*y)")
+    out = holds_bruteforce(LinearGroupoid(4, 0, 1, 1), law)
+    assert not engine._total(law, tables)
+    assert (out.verdict, out.counterexample) == (Verdict.FAILS, {"x": 0, "y": 0})
+    assert len(calls) == 8
+
+
 def test_bruteforce_reads_no_undefined_flags_once_its_tables_are_total(monkeypatch,
                                                                       one_value_per_block):
     # medial reads only mul, total on every linear groupoid, and holds on
     # each: after the first of five blocks, _total is asked once, and each
-    # block then asks _first only for a counterexample.  A one-block check
-    # never asks _total and reads both flags.
+    # block then reads only its failing flags (_firsts).  A one-block check
+    # never asks _total and reads both flags (_first).
     firsts, totals = [], []
-    first, total = engine._first, engine._total
+    first, scanned, total = engine._first, engine._firsts, engine._total
     monkeypatch.setattr(engine, "_first", lambda *args: firsts.append(1) or first(*args))
+    monkeypatch.setattr(engine, "_firsts", lambda *args: firsts.append(1) or scanned(*args))
     monkeypatch.setattr(engine, "_total", lambda *args: totals.append(1) or total(*args))
     g, medial = LinearGroupoid(5, 1, 2, 3), get_entry("medial").identity
     assert holds_bruteforce(g, medial).verdict is Verdict.HOLDS
     assert (len(firsts), len(totals)) == (5, 1)
     monkeypatch.setattr(engine, "BLOCK", groupoid.BLOCK)
-    engine._blocks.cache_clear()
     firsts.clear()
     totals.clear()
     assert holds_bruteforce(g, medial).verdict is Verdict.HOLDS
     assert (len(firsts), len(totals)) == (2, 0)
+
+
+def test_sweep_stacks_follow_the_na_rule(monkeypatch):
+    # engine.BLOCK = 240 makes chunks of 30 cells: three members of n = 3
+    # each, four chunks for the twelve quasigroups.  A stack of several
+    # chunks asks _total once, after its first chunk; on total tables no
+    # chunk reads its undefined flags (one _firsts call each, for the
+    # failing flags).  A c = 0 member leaves ldiv undefined: every chunk
+    # then reads both flags, and that member is not applicable, as in a
+    # single check.
+    firsts, totals = [], []
+    scanned, total = engine._firsts, engine._total
+    monkeypatch.setattr(engine, "_firsts", lambda *args: firsts.append(1) or scanned(*args))
+    monkeypatch.setattr(engine, "_total", lambda *args: totals.append(1) or total(*args))
+    monkeypatch.setattr(engine, "BLOCK", 240)
+    ident = parse("x\\(x*y) = y")
+    quasigroups = [LinearGroupoid(3, a, b, c) for a in range(3) for b in (1, 2) for c in (1, 2)]
+    for groupoids, chunks in ((quasigroups, 4), (quasigroups + [LinearGroupoid(3, 1, 2, 0)], 5)):
+        single = [holds_bruteforce(g, ident) for g in groupoids]
+        firsts.clear()
+        totals.clear()
+        got = [holds_bruteforce(g, ident, tables=m)
+               for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+        assert got == single
+        total_tables = groupoids is quasigroups
+        assert (len(totals), len(firsts)) == (1, chunks * (1 if total_tables else 2))
+    assert got[-1].verdict is Verdict.NOT_APPLICABLE
+    assert {o.verdict for o in got[:-1]} == {Verdict.HOLDS}
+
+
+def test_large_sweep_members_stop_at_their_first_failing_block(monkeypatch):
+    # engine.BLOCK = 8 makes chunks of one cell, so each member of a stack
+    # of quasigroups at n = 5 is scanned alone, in five blocks of one
+    # leading value.  Its tables are total, so a failing member evaluates
+    # only the blocks up to its first counterexample, and every outcome
+    # equals the single check's.
+    monkeypatch.setattr(engine, "BLOCK", 8)
+    ident = get_entry("lip").identity
+    groupoids = [LinearGroupoid(5, a, b, c) for a in range(5)
+                 for b in range(1, 5) for c in range(1, 5)]
+    single = [holds_bruteforce(g, ident) for g in groupoids]
+    calls = _top_level_evals(monkeypatch)
+    got = [holds_bruteforce(g, ident, tables=m)
+           for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+    assert got == single
+    blocks = [out.counterexample["x"] + 1 if out.counterexample else 5 for out in got]
+    assert {1, 2, 5} <= set(blocks)
+    assert len(calls) == 2 * sum(blocks)
+
+
+def test_blocks_share_one_grid():
+    # A large check's blocks slice one leading grid and share the trailing
+    # one: at n = 3162, 317 blocks of one arange(n) each would hold 317 x
+    # 25 KB.
+    blocks = engine._blocks(3162, 2, engine.BLOCK // 8)
+    lead, trailing = blocks[0][1]
+    assert len(blocks) == 317
+    for _, (values, rest) in blocks:
+        assert rest is trailing and values.base is lead.base is not None
 
 
 def test_total_reads_every_member_of_a_stack():
@@ -669,7 +742,6 @@ def test_oracle_verdicts_follow_the_product_of_coprime_moduli(monkeypatch, small
         cases = [(ident, m1, m2, rng.sample(triples, 10)) for ident, m1, m2, triples in cases]
         monkeypatch.setattr(engine, "BLOCK", 64)
         monkeypatch.setattr(groupoid, "BLOCK", 0)
-    engine._blocks.cache_clear()
     op_tables.cache_clear()
     seen = set()
     try:
@@ -681,7 +753,6 @@ def test_oracle_verdicts_follow_the_product_of_coprime_moduli(monkeypatch, small
                 assert verdict is max(parts, key=worst), (ident, m1 * m2, a, b, c, parts)
                 seen.add((verdict, *parts))
     finally:
-        engine._blocks.cache_clear()
         op_tables.cache_clear()
     assert len(seen) == 9, seen  # every pair of factor verdicts occurs
 

@@ -301,7 +301,7 @@ def test_stacked_tables_equal_op_tables(monkeypatch, block):
         for g, member in zip(groupoids, members):
             want = op_tables.__wrapped__(g.triple())  # built under the same BLOCK
             for kind in kinds:
-                got = getattr(member, kind)
+                got = getattr(member.stack, kind)[member.index]
                 assert got.dtype == getattr(want, kind).dtype == (
                     np.int64 if (n + 1) ** 2 <= block else np.int8)
                 assert not got.flags.writeable
