@@ -4,18 +4,22 @@ known-discrepancy ledger for the catalog's cited examples.
 
 The exhaustive checker works purely from scanned operation tables, the
 symbolic checker from each law's residual system (Identity.residual: lhs -
-rhs over Z[a, b, c, 1/b, 1/c], derived once per law, evaluated mod n); the
-two paths share no algebra, which is what makes their agreement a
-meaningful cross-check.  The exhaustive checker splits checks by size: a
-single check of at most BLOCK assignments is one block of 2-D table
-lookups (_eval_table); every larger check, and every sweep stack, is one
-chunked scan of flat lookups (_scan), one groupoid's tables being a stack
-of one.  A single check reads its groupoid's tables through the
-groupoid.op_tables LRU cache.  A cross-check sweep admits each (law, n)
-task's triples with one mask per row (catalog.row_sweep_mask), reads their
-tables from groupoid.stacked_op_tables, built in stacks, and still makes
-one oracle call per admitted triple, which reads its result from its
-stack's scan.
+rhs over Z[a, b, c, 1/b, 1/c], derived once per law); the two paths share
+no algebra, which is what makes their agreement a meaningful cross-check.
+Residuals are evaluated mod n by one evaluator, termlang.evaluate_compiled,
+from rows compiled over a basis of distinct monomials: holds_symbolic reads
+a law's own rows (Identity.compiled), and classify walks every catalog law
+in one pass over rows that share one basis, built on its first call.
+
+The exhaustive checker splits checks by size: a single check of at most
+BLOCK assignments is one block of 2-D table lookups (_eval_table); every
+larger check, and every sweep stack, is one chunked scan of flat lookups
+(_scan), one groupoid's tables being a stack of one.  A single check reads
+its groupoid's tables through the groupoid.op_tables LRU cache.  A
+cross-check sweep admits each (law, n) task's triples with one mask per row
+(catalog.row_sweep_mask), reads their tables from
+groupoid.stacked_op_tables, built in stacks, and still makes one oracle
+call per admitted triple, which reads its result from its stack's scan.
 """
 
 from __future__ import annotations
@@ -282,38 +286,56 @@ def _na_reason(ident: Identity, env: dict[str, int], g: LinearGroupoid) -> str:
     return "undefined subterm"
 
 
+# The two symbolic outcomes that carry nothing but their verdict.
+_HOLDS = CheckOutcome(Verdict.HOLDS, Method.SYMBOLIC)
+_FAILS = CheckOutcome(Verdict.FAILS, Method.SYMBOLIC)
+
+
 def holds_symbolic(g: LinearGroupoid, ident: Identity) -> CheckOutcome:
-    """Evaluate the identity's residual (see Identity.residual) mod n.  Exact:
-    an affine form vanishes on all of Z_n^k iff its constant and every
-    coefficient are 0 mod n (set all variables to 0, then one to 1 at a time)."""
-    residual = ident.residual.evaluate(g)
-    if isinstance(residual, NotApplicable):
-        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.SYMBOLIC, na_reason=residual.reason)
-    fails = residual.constant or any(residual.coeffs.values())
-    return CheckOutcome(Verdict.FAILS if fails else Verdict.HOLDS, Method.SYMBOLIC)
+    """Evaluate the identity's residual (see Identity.residual) mod n, from
+    its compiled rows (Identity.compiled).  Exact: an affine form vanishes on
+    all of Z_n^k iff its constant and every coefficient are 0 mod n (set all
+    variables to 0, then one to 1 at a time)."""
+    (residue,) = tl.evaluate_compiled(ident.compiled, g)
+    if isinstance(residue, NotApplicable):
+        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.SYMBOLIC, na_reason=residue.reason)
+    return _FAILS if residue else _HOLDS
 
 
 # --- classification -----------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _catalog_laws() -> tuple[tuple[tuple[str, Identity], ...], tl.Compiled]:
+    """The catalog's (id, identity) laws in id order, and their residuals
+    compiled over one shared basis; built on the first classify."""
+    laws = tuple((entry.id, entry.identity) for entry in sorted(catalog_entries(), key=lambda e: e.id)
+                 if entry.identity is not None)
+    return laws, tl.compile_expansions(ident.residual for _, ident in laws)
+
+
 def classify(g: LinearGroupoid, cap: int = DEFAULT_CAP) -> list[tuple[str, CheckOutcome]]:
     """Verdict for every catalog entry with a defined identity, ordered by id.
 
-    The symbolic checker decides every law.  A not_applicable verdict is
-    reported as the exhaustive checker's, without its n**k scan: every derived
-    table of a linear groupoid is total or undefined throughout, so the first
-    undefined assignment is the all-zero one.  Nothing scans, so cap is unused.
+    One pass over the catalog's compiled residuals (tl.evaluate_compiled)
+    decides every law as holds_symbolic would: b and c are tested for units
+    once, and each monomial of the laws' shared basis is evaluated once.  A
+    not_applicable verdict is reported as the exhaustive checker's, without
+    its n**k scan: every derived table of a linear groupoid is total or
+    undefined throughout, so the first undefined assignment is the all-zero
+    one.  Nothing scans, so cap is unused; the signature keeps it because
+    perfbench/onepass.py still passes it.
     """
+    laws, compiled = _catalog_laws()
     results = []
-    for entry in sorted(catalog_entries(), key=lambda e: e.id):
-        if entry.identity is None:
-            continue
-        outcome = holds_symbolic(g, entry.identity)
-        if outcome.verdict is Verdict.NOT_APPLICABLE:
-            zeros = dict.fromkeys(entry.identity.variables, 0)
+    for (entry_id, ident), residue in zip(laws, tl.evaluate_compiled(compiled, g)):
+        if isinstance(residue, NotApplicable):
+            zeros = dict.fromkeys(ident.variables, 0)
             outcome = CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
-                                   na_reason=_na_reason(entry.identity, zeros, g))
-        results.append((entry.id, outcome))
+                                   na_reason=_na_reason(ident, zeros, g))
+        else:
+            outcome = _FAILS if residue else _HOLDS
+        results.append((entry_id, outcome))
     return results
 
 

@@ -11,13 +11,15 @@ Grammar (one precedence level, left associative, juxtaposition forbidden):
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 from . import groupoid as gp
 # perfbench/tracer.py counts calls through termlang.inverse_mod, so it stays imported
-from .modring import inverse_mod, is_unit, poly_value  # noqa: F401
+from .modring import inverse_mod, is_unit  # noqa: F401
 from .groupoid import LinearGroupoid
 
 
@@ -68,6 +70,11 @@ class Identity:
     def residual(self) -> Expansion:
         """lhs - rhs over Z[a, b, c, 1/b, 1/c], with the units both sides need."""
         return _combine((), [(_ONE, _expand(self.lhs)), (((-1, 0, 0, 0),), _expand(self.rhs))])
+
+    @cached_property
+    def compiled(self) -> Compiled:
+        """The residual as rows over a basis of its own monomials."""
+        return compile_expansions([self.residual])
 
 
 def _operands(term: Term) -> tuple[Term, ...]:
@@ -276,15 +283,77 @@ class Expansion(NamedTuple):
     coeffs: dict[str, Laurent]
     units: tuple[str, ...]
 
-    def evaluate(self, g: LinearGroupoid) -> AffineForm | NotApplicable:
-        """The expansion mod n at g, or NotApplicable naming its first non-unit."""
-        n, a, b, c = g.n, g.a, g.b, g.c
-        for name in self.units:
-            value = b if name == "b" else c
-            if not is_unit(value, n):
-                return NotApplicable(f"{name} = {value} is not a unit mod {n}")
-        return AffineForm(n, poly_value(self.constant, n, a, b, c),
-                          {name: poly_value(p, n, a, b, c) for name, p in self.coeffs.items()})
+
+# A monomial a^exp_a * b^exp_b * c^exp_c, by its exponents.
+Monomial = tuple[int, int, int]
+# Each unit's bit in a mask of units.
+_UNIT_BIT = {"b": 1, "c": 2}
+
+
+class Rows(NamedTuple):
+    """An Expansion compiled, over a basis of monomials (see Compiled), as a
+    system that vanishes where its constant and every coefficient do: the
+    units it needs, their mask, and for each component that is not the zero
+    polynomial its integer coefficients and the basis indices of their
+    monomials."""
+
+    units: tuple[str, ...]
+    mask: int
+    components: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+class Compiled(NamedTuple):
+    """Expansions compiled over one basis, the distinct monomials of them all."""
+
+    basis: tuple[Monomial, ...]
+    exponents: tuple[tuple[int, ...], ...]  # the distinct exponents of a, b and c
+    rows: tuple[Rows, ...]
+
+
+def compile_expansions(expansions: Iterable[Expansion]) -> Compiled:
+    """The expansions as rows over the basis of their distinct monomials."""
+    index: dict[Monomial, int] = {}
+    rows = []
+    for expansion in expansions:
+        parts = (expansion.constant, *expansion.coeffs.values())
+        components = tuple((tuple(k for k, *_ in part),
+                            tuple(index.setdefault(tuple(m), len(index)) for _, *m in part))
+                           for part in parts if part)
+        mask = sum(_UNIT_BIT[name] for name in expansion.units)
+        rows.append(Rows(expansion.units, mask, components))
+    exponents = tuple(tuple({m[axis] for m in index}) for axis in range(3))
+    return Compiled(tuple(index), exponents, tuple(rows))
+
+
+def evaluate_compiled(compiled: Compiled, g: LinearGroupoid) -> Iterator[int | NotApplicable]:
+    """Each compiled expansion at g, in order: NotApplicable naming the first
+    unit it needs that is not one mod n, else the first of its components
+    that is nonzero mod n, or 0 if all vanish (so an expansion of one
+    component reads its value).
+
+    b and c are tested for units once, each power of a, b and c that the
+    basis holds is taken once, a negative one only of a unit, and then each
+    basis monomial is evaluated once.  A monomial with a negative power of a
+    non-unit reads 0, and no expansion that needs that unit reads it."""
+    n, a, b, c = g.n, g.a, g.b, g.c
+    missing = sum(bit for name, bit in _UNIT_BIT.items() if not is_unit(getattr(g, name), n))
+    exps_a, exps_b, exps_c = compiled.exponents
+    powers_a = {e: pow(a, e, n) for e in exps_a}
+    powers_b = {e: pow(b, e, n) if e >= 0 or not missing & 1 else 0 for e in exps_b}
+    powers_c = {e: pow(c, e, n) if e >= 0 or not missing & 2 else 0 for e in exps_c}
+    value = [powers_a[ea] * powers_b[eb] * powers_c[ec] % n
+             for ea, eb, ec in compiled.basis].__getitem__
+    for rows in compiled.rows:
+        if rows.mask & missing:
+            name = next(name for name in rows.units if _UNIT_BIT[name] & missing)
+            yield NotApplicable(f"{name} = {getattr(g, name)} is not a unit mod {n}")
+            continue
+        residue = 0
+        for coefs, indices in rows.components:
+            residue = sum(map(mul, coefs, map(value, indices))) % n
+            if residue:
+                break
+        yield residue
 
 
 def _sum_of_products(pairs) -> Laurent:
@@ -332,6 +401,14 @@ def _expand(term: Term) -> Expansion:
 
 def expand_affine(term: Term, g: LinearGroupoid) -> AffineForm | NotApplicable:
     """The term as constant + coefficient vector mod n: its expansion
-    evaluated at g; NotApplicable where a division or rho/lam/er/el needs b
-    or c to be a unit and it is not."""
-    return _expand(term).evaluate(g)
+    evaluated at g; NotApplicable, naming the first unit missing, where a
+    division or rho/lam/er/el needs b or c to be a unit and it is not.  Each
+    component is compiled as an expansion of its own, so that
+    evaluate_compiled reads its value."""
+    expansion = _expand(term)
+    parts = (expansion.constant, *expansion.coeffs.values())
+    first, *rest = evaluate_compiled(
+        compile_expansions(Expansion(part, {}, expansion.units) for part in parts), g)
+    if isinstance(first, NotApplicable):
+        return first
+    return AffineForm(g.n, first, dict(zip(expansion.coeffs, rest)))

@@ -7,11 +7,12 @@ import pytest
 
 from linquas import engine, groupoid
 from linquas.catalog import catalog_entries, get_entry
-from linquas.engine import (CapExceeded, Method, Verdict, crosscheck,
+from linquas.engine import (CapExceeded, CheckOutcome, Method, Verdict, crosscheck,
                             crosscheck_all, holds_bruteforce, holds_symbolic,
                             search_witnesses, universality_scan,
                             verify_examples)
 from linquas.groupoid import LinearGroupoid, OpTables, op_tables, stacked_op_tables
+from linquas.modring import is_unit, poly_value
 from linquas.termlang import parse
 
 
@@ -142,6 +143,107 @@ def test_classify_past_the_cap_runs_no_exhaustive_check(monkeypatch):
           if outcome.verdict is Verdict.NOT_APPLICABLE}
     assert na and all(outcome.method is Method.BRUTE_FORCE and "undefined" in outcome.na_reason
                       for outcome in na.values())
+
+
+_SYMBOLIC = {verdict: CheckOutcome(verdict, Method.SYMBOLIC)
+             for verdict in (Verdict.HOLDS, Verdict.FAILS)}
+
+
+def _symbolic_reference(g, ident, values):
+    """holds_symbolic's outcome from the residual's raw terms: the units it
+    needs in order, then each component through modring.poly_value, whose
+    values at g are kept in `values` for the laws that share a component."""
+    n, a, b, c = g.triple()
+    residual = ident.residual
+    for name in residual.units:
+        value = b if name == "b" else c
+        if not is_unit(value, n):
+            return CheckOutcome(Verdict.NOT_APPLICABLE, Method.SYMBOLIC,
+                                na_reason=f"{name} = {value} is not a unit mod {n}")
+    for part in (residual.constant, *residual.coeffs.values()):
+        if part not in values:
+            values[part] = poly_value(part, n, a, b, c)
+        if values[part]:
+            return _SYMBOLIC[Verdict.FAILS]
+    return _SYMBOLIC[Verdict.HOLDS]
+
+
+def _spread_triples():
+    """Every triple of n = 2..12, and at n = 520, 2**61 - 1 and 10**20 + 39
+    coefficients spread over the range.  The two large moduli are prime and
+    their b and c nonzero, so every law applies there: a local element's
+    NA reason enumerates gcd(b, n) or gcd(c, n) solutions."""
+    triples = [(n, a, b, c) for n in range(2, 13)
+               for a in range(n) for b in range(n) for c in range(n)]
+    values = (0, 2, 3, 13, 173, 260, 519)
+    triples += [(520, a, b, c) for a in values for b in values for c in values]
+    for n in (2**61 - 1, 10**20 + 39):
+        spread = (1, 2, n // 3, n // 2, n - 2, n - 1)
+        triples += [(n, a, b, c) for a in (0, *spread) for b in spread for c in spread]
+    return triples
+
+
+def test_classify_and_holds_symbolic_equal_the_per_term_reference():
+    # One pass over the catalog's compiled rows must give every law the
+    # verdict that poly_value gives term by term; an NA law is reported as
+    # the exhaustive checker would, with its reason at the all-zero
+    # assignment.  holds_symbolic, on each law's own rows, is checked too,
+    # on every triple up to n = 6 and at the large moduli.
+    laws = [(e.id, e.identity) for e in sorted(catalog_entries(), key=lambda e: e.id)
+            if e.identity is not None]
+    seen = {verdict: 0 for verdict in Verdict}
+    for triple in _spread_triples():
+        g = LinearGroupoid(*triple)
+        expected, values = [], {}
+        for entry_id, ident in laws:
+            reference = _symbolic_reference(g, ident, values)
+            if not 6 < g.n < 13:
+                assert holds_symbolic(g, ident) == reference, (entry_id, triple)
+            if reference.verdict is Verdict.NOT_APPLICABLE:
+                zeros = dict.fromkeys(ident.variables, 0)
+                reference = CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                                         na_reason=engine._na_reason(ident, zeros, g))
+            seen[reference.verdict] += 1
+            expected.append((entry_id, reference))
+        assert engine.classify(g) == expected, triple  # CheckOutcome == compares to_dict()'s fields
+    assert min(seen.values()) > 10_000, seen
+
+
+def test_symbolic_takes_no_negative_power_of_a_non_unit():
+    # b = 2 is no unit mod 6: a law that needs it is NA, and nothing raises
+    # from the b^-1 and b^-2 of its residual.
+    ident = get_entry("l_wip").identity
+    assert ident.residual.units == ("b",)
+    assert any(eb < 0 for part in (ident.residual.constant, *ident.residual.coeffs.values())
+               for _, _, eb, _ in part)
+    g = LinearGroupoid(6, 1, 2, 5)
+    assert holds_symbolic(g, ident).to_dict() == {
+        "verdict": "not_applicable", "method": "symbolic",
+        "na_reason": "b = 2 is not a unit mod 6"}
+    assert dict(engine.classify(g))["l_wip"].verdict is Verdict.NOT_APPLICABLE
+
+
+def test_classify_takes_each_power_once(monkeypatch):
+    # classify evaluates the catalog's residuals from one basis of distinct
+    # monomials, built from powers of a, b and c each taken once.  pow is
+    # counted in termlang and modring, where a per-term evaluation (poly_value)
+    # would take about 1,800 powers for one groupoid.
+    from linquas import modring, termlang
+
+    g = LinearGroupoid(7, 3, 5, 2)  # a quasigroup: no law is NA, so no reason is built
+    engine.classify(g)  # the catalog's rows are compiled on the first call
+    basis = engine._catalog_laws()[1].basis
+    assert len(basis) == len(set(basis)) == 34
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    for module in (termlang, modring):
+        monkeypatch.setattr(module, "pow", counted, raising=False)
+    engine.classify(g)
+    assert 0 < len(calls) <= len(basis), len(calls)
 
 
 def test_crosscheck_clean_rows():
@@ -411,6 +513,40 @@ def test_stacked_members_match_scalar_reference_on_random_identities(monkeypatch
             members = stacked_op_tables(groupoids)
             got = [holds_bruteforce(g, ident, tables=m) for g, m in zip(groupoids, members)]
             assert [(o.verdict, o.counterexample, o.na_reason) for o in got] == expected, ident
+
+
+def test_symbolic_matches_scalar_reference_on_deep_random_identities():
+    # Random identities of depth up to 5, and ((x/y)/y)/y = x on every
+    # triple of n = 2..6, whose residual has b^-3: exponents outside the
+    # catalog's -2..3 must pass through the compiled rows as well.
+    from test_termlang import _random_term
+
+    from linquas.termlang import Identity
+
+    def exponents(ident):
+        residual = ident.residual
+        return {e for part in (residual.constant, *residual.coeffs.values())
+                for _, *monomial in part for e in monomial}
+
+    rng = random.Random(16180)
+    cases = []
+    while len(cases) < 400:
+        n = rng.randint(2, 6)
+        g = LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
+        ident = Identity(_random_term(rng, rng.randint(1, 5)), _random_term(rng, rng.randint(1, 5)))
+        if n ** len(ident.variables) <= 300:
+            cases.append((g, ident))
+    beyond = sum(not exponents(ident) <= set(range(-2, 4)) for _, ident in cases)
+    cube = parse("((x/y)/y)/y = x")
+    assert min(exponents(cube)) == -3
+    cases += [(LinearGroupoid(n, a, b, c), cube)
+              for n in range(2, 7) for a in range(n) for b in range(n) for c in range(n)]
+    seen = {verdict: 0 for verdict in Verdict}
+    for g, ident in cases:
+        verdict = _reference(g, ident)[0]
+        assert holds_symbolic(g, ident).verdict is verdict, (g, ident)
+        seen[verdict] += 1
+    assert beyond >= 50 and min(seen.values()) >= 40, (beyond, seen)
 
 
 def test_bruteforce_scans_for_undefined_values_past_a_failing_block(monkeypatch,
