@@ -58,6 +58,7 @@ CLI_INVOCATIONS = [
     ["check", "--n", "6", "--a", "2", "--b", "4", "--c", "2", "--entry", "no_such_law"],
     ["check", "--n", "6", "--a", "2", "--b", "4", "--c", "2", "--entry", "slim"],
     ["classify", "--n", "6", "--a", "2", "--b", "5", "--c", "1"],
+    ["classify", "--n", "2147483647", "--a", "0", "--b", "0", "--c", "0"],
     ["crosscheck", "--entries", "unipotent,medial,stein_third", "--n", "2..6",
      "--workers", "2"],
     ["crosscheck", "--entries", "medial,slim", "--n", "2..6"],

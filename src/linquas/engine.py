@@ -14,17 +14,23 @@ in one pass over rows that share one basis, built on its first call.
 The exhaustive checker splits checks by size: a single check of at most
 BLOCK assignments is one block of 2-D table lookups (_eval_table); every
 larger check, and every sweep stack, is one chunked scan of flat lookups
-(_scan), one groupoid's tables being a stack of one.  A single check reads
-its groupoid's tables through the groupoid.op_tables LRU cache.  A
-cross-check sweep admits each (law, n) task's triples with one mask per row
+(_scan), one groupoid's tables being a stack of one.  The scan asks per
+member whether the tables it reads are total (_total), and drops each
+member once a block decides it.  A single check reads its groupoid's
+tables through the groupoid.op_tables LRU cache.  A cross-check sweep
+admits each (law, n) task's triples with one mask per row
 (catalog.row_sweep_mask), reads their tables from
 groupoid.stacked_op_tables, built in stacks, and still makes one oracle
 call per admitted triple, which reads its result from its stack's scan.
+A stack whose members each fit one chunk is scanned prefix first: the slab
+where the leading variable is 0 for every member, then the rest of the
+assignments only for the members that slab left undecided.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -122,24 +128,29 @@ def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray
     return table[_eval_table(term.child, env, tables)]
 
 
-def _total(ident: Identity, tables) -> bool:
-    """True iff no table the identity reads has -1 in its body, so that every
-    value stays in 0..n-1 and no assignment can be undefined.  The body is
-    the trailing [:n, :n] of a binary operation's table and the trailing
-    [:n] of a unary one's, so a stack's tables are read whole.  Once a chunk
-    is evaluated those tables are built, so this builds none; it reads
-    cells, not coefficients, so it holds for any OpTables, not only linear
-    ones."""
-    bodies, terms = {}, [ident.lhs, ident.rhs]
+def _total(ident: Identity, tables) -> np.ndarray:
+    """For each member of a stack of tables, whether no table the identity
+    reads has -1 in that member's body, so that every value stays in 0..n-1
+    and no assignment of that member can be undefined: a bool array over
+    the stack, 0-d for one groupoid's OpTables.  The body is the trailing
+    [:n, :n] of a binary operation's table and the trailing [:n] of a unary
+    one's.  Once a chunk is evaluated those tables are built, so this
+    builds none; it reads cells, not coefficients, so it holds for any
+    OpTables, not only linear ones."""
+    axes, terms = {}, [ident.lhs, ident.rhs]
     while terms:
         term = terms.pop()
         if isinstance(term, Binary):
-            bodies[term.op] = (..., slice(tables.n), slice(tables.n))
+            axes[term.op] = (-2, -1)
             terms.extend((term.left, term.right))
         elif not isinstance(term, Var):
-            bodies[term.op] = (..., slice(tables.n))
+            axes[term.op] = (-1,)
             terms.append(term.child)
-    return all(getattr(tables, _TABLE[op])[body].min() >= 0 for op, body in bodies.items())
+    total = np.True_
+    for op, axis in axes.items():
+        cells = getattr(tables, _TABLE[op])[(..., *[slice(tables.n)] * len(axis))]
+        total = total & (cells.min(axis=axis) >= 0)
+    return total
 
 
 def _assignment(ident: Identity, n: int, index: int) -> dict[str, int]:
@@ -190,41 +201,55 @@ def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
     """For each of the `members` groupoids of a stack of tables, the indices
     of its first undefined and of its first failing assignment
     (lexicographic), or -1; one groupoid's OpTables is a stack of one.  The
-    identity is evaluated in chunks of at most BLOCK // 8 assignments, the
-    size of the stacks' own tables (chunks of BLOCK cells ran slower and
-    raised the crosscheck benchmark's peak memory by about 9 MB): whole
-    members while n**k fits, else the blocks of one member (see _blocks).
+    identity is evaluated block by block (see _blocks), in lexicographic
+    order, over the members still undecided, packed into chunks of at most
+    BLOCK // 8 assignments, the size of the stacks' own tables (chunks of
+    BLOCK cells ran slower and raised the crosscheck benchmark's peak
+    memory by about 9 MB).
 
-    A scan of more than one chunk asks once, after its first chunk has
-    built the tables, whether any table the identity reads has -1 in its
-    body (see _total).  If none does, no assignment can be undefined: no
-    chunk reads the undefined flags, and a member's blocks stop at the
-    first one holding a counterexample, since the verdict cannot change.
-    Otherwise every chunk reads them, and a member's blocks go on past a
-    counterexample up to the first undefined assignment, since a later
-    block could still hold one."""
+    After the first chunk has built the tables, the scan asks once which
+    members read only tables with no -1 in their bodies (see _total).  On
+    such a member no assignment can be undefined, so its undefined flags
+    are not read, and it is decided `fails` by the block holding its first
+    counterexample.  Any other member reads both flags, and is decided by
+    its first undefined assignment, since a later block could still hold
+    one; it keeps its first counterexample.  A decided member drops out of
+    the later blocks.
+
+    When a whole member fits one chunk (a sweep's stack), its assignments
+    are scanned prefix first, as two blocks: the slab where the leading
+    variable is 0, for every member, then the other leading values for the
+    members the slab left undecided.  Most members of a sweep fail, or are
+    not applicable, inside that slab."""
     n, k = tables.n, len(ident.variables)
     blocks = _blocks(n, k, BLOCK // 8)
-    step = max(1, BLOCK // 8 // n ** k)
+    if len(blocks) == 1:
+        lead, *rest = blocks[0][1]
+        blocks = ((0, (lead[:, :1], *rest)), (1, (lead[:, 1:], *rest)))
     undefined, failing = np.full(members, -1), np.full(members, -1)
-    total = None
-    for first in range(0, members, step):
-        at = slice(first, first + step)
-        rows = np.arange(first, min(first + step, members)).reshape(-1, *[1] * k) * (n + 1)
-        for start, grid in blocks:
-            env = dict(zip(ident.variables, grid))
+    live, total = np.arange(members), None
+    for start, grid in blocks:
+        env = dict(zip(ident.variables, grid))
+        block = tuple(values.shape[axis] for axis, values in enumerate(grid, 1))
+        step = max(1, BLOCK // 8 // math.prod(block))
+        offset = start * n ** (k - 1)
+        for first in range(0, len(live), step):
+            at = live[first:first + step]
+            rows = at.reshape(-1, *[1] * k) * (n + 1)
             lhs = _eval_stack(ident.lhs, env, tables, rows)
             rhs = _eval_stack(ident.rhs, env, tables, rows)
             if total is None:  # the tables read are built now
-                total = (len(blocks) > 1 or step < members) and _total(ident, tables)
-            shape = (len(rows), *(values.shape[axis] for axis, values in enumerate(grid, 1)))
-            offset = start * n ** (k - 1)
-            if not total:
-                undefined[at] = _firsts((lhs < 0) | (rhs < 0), shape, offset)
-            if failing[first] < 0:  # a member of several blocks keeps its first
+                total = np.broadcast_to(_total(ident, tables), members)
+            shape = (len(at), *block)
+            if total[at].all():  # a live member on total tables has no counterexample yet
                 failing[at] = _firsts(lhs != rhs, shape, offset)
-            if undefined[first] >= 0 or (total and failing[first] >= 0):
-                break  # only a chunk of one member has blocks left
+            else:  # a member of several blocks keeps its first counterexample
+                undefined[at] = _firsts((lhs < 0) | (rhs < 0), shape, offset)
+                earlier = failing[at]
+                failing[at] = np.where(earlier < 0, _firsts(lhs != rhs, shape, offset), earlier)
+        live = live[np.where(total[live], failing[live], undefined[live]) < 0]
+        if not live.size:
+            break
     return list(zip(undefined.tolist(), failing.tolist()))
 
 
@@ -254,7 +279,9 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     not with n**k, beside the (n+1)**2-cell operation tables the identity
     reads; the cap bounds both.  A sweep passes a StackMember and still
     calls once per groupoid: the first call of a stack scans the whole
-    stack, and each call reads its member's result.
+    stack, prefix first, deciding most members on the slab where the
+    leading variable is 0 (see _scan), and each call reads its member's
+    result.
     """
     n, k = g.n, len(ident.variables)
     _check_cap(n, k, cap)

@@ -12,7 +12,9 @@ many groupoids of one modulus in one numpy pass per kind.  The sweep, and
 any single check of more than one block, evaluates its identity over a
 stack's contiguous tables read flat, where each table's -1 padding keeps
 an undefined value undefined (see engine._eval_stack); one groupoid's
-OpTables is read as a stack of one.
+OpTables is read as a stack of one.  The sweep scans each stack prefix
+first: every member over the slab where the leading variable is 0, then
+only the members that slab left undecided over the rest (engine._scan).
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class LocalElement:
     reason: str | None = None
 
 
-def _from_solutions(sols: tuple[int, ...]) -> LocalElement:
+def _from_solutions(sols: range) -> LocalElement:
     if len(sols) == 1:
         return LocalElement(True, sols[0])
     return LocalElement(False, None, NO_SOLUTION if not sols else NON_UNIQUE)

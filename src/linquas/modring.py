@@ -29,20 +29,22 @@ def poly_value(terms, n: int, a: int, b: int, c: int) -> int:
     return total % n
 
 
-def solve_linear(k: int, rhs: int, n: int) -> tuple[int, ...]:
-    """All s in Z_n with k*s = rhs (mod n), sorted ascending.
+def solve_linear(k: int, rhs: int, n: int) -> range:
+    """All s in Z_n with k*s = rhs (mod n), as an ascending range.
 
     The solution set is empty when gcd(k, n) does not divide rhs, and has
-    exactly gcd(k, n) elements otherwise.
+    exactly gcd(k, n) elements otherwise, spaced n / gcd(k, n) apart; a
+    range holds them in O(1) memory, so a division by 0 at a huge n (every
+    w solves 0*w = 0) stays cheap.
     """
     k %= n
     rhs %= n
     d = math.gcd(k, n)
     if rhs % d:
-        return ()
+        return range(0)
     m = n // d
     base = (rhs // d) * pow((k // d) % m, -1, m) % m
-    return tuple(base + t * m for t in range(d))
+    return range(base, n, m)
 
 
 def is_prime(n: int) -> bool:

@@ -41,7 +41,7 @@ def test_outputs_match_cli_pins(capsys):
         if (code, _sha256(out), _sha256(err)) != (
                 pin["exit"], pin["stdout_sha256"], pin["stderr_sha256"]):
             drifted.append(pin["argv"])
-    assert len(CLI_PINS) == 61
+    assert len(CLI_PINS) == 64
     assert drifted == []
 
 

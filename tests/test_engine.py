@@ -145,6 +145,23 @@ def test_classify_past_the_cap_runs_no_exhaustive_check(monkeypatch):
                       for outcome in na.values())
 
 
+def test_classify_at_a_huge_modulus_holds_no_solution_set():
+    # At (2**31 - 1, 0, 0, 0) every division is by 0, and 0*w = 0 has
+    # n solutions: an NA law's reason solves it (modring.solve_linear),
+    # which must not hold those n solutions, as a tuple of them did.
+    import tracemalloc
+
+    engine.classify(LinearGroupoid(5, 0, 0, 0))  # the catalog's rows are compiled once
+    tracemalloc.start()
+    try:
+        results = engine.classify(LinearGroupoid(2**31 - 1, 0, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert any(outcome.verdict is Verdict.NOT_APPLICABLE for _, outcome in results)
+    assert peak < 2**20, peak
+
+
 _SYMBOLIC = {verdict: CheckOutcome(verdict, Method.SYMBOLIC)
              for verdict in (Verdict.HOLDS, Verdict.FAILS)}
 
@@ -576,14 +593,14 @@ def _scalar_first_failure(g, ident, assignments) -> dict[str, int] | None:
 
 def _top_level_evals(monkeypatch) -> list:
     """Wrap engine._eval_stack, where every check of more than one block
-    evaluates; the list gets one entry per call made from outside it, that
-    is one per side of the identity per block."""
+    evaluates; the list gets one (rows, env) entry per call made from
+    outside it, that is one per side of the identity per chunk."""
     calls, depth = [], []
     evaluate = engine._eval_stack
 
     def counted(term, env, tables, rows):
         if not depth:
-            calls.append(term)
+            calls.append((rows, env))
         depth.append(term)
         try:
             return evaluate(term, env, tables, rows)
@@ -682,13 +699,16 @@ def test_bruteforce_reads_no_undefined_flags_once_its_tables_are_total(monkeypat
 
 
 def test_sweep_stacks_follow_the_na_rule(monkeypatch):
-    # engine.BLOCK = 240 makes chunks of 30 cells: three members of n = 3
-    # each, four chunks for the twelve quasigroups.  A stack of several
-    # chunks asks _total once, after its first chunk; on total tables no
-    # chunk reads its undefined flags (one _firsts call each, for the
-    # failing flags).  A c = 0 member leaves ldiv undefined: every chunk
-    # then reads both flags, and that member is not applicable, as in a
-    # single check.
+    # engine.BLOCK = 240 makes chunks of 30 cells.  At n = 3 a stack is
+    # scanned prefix first: the slab x = 0 (3 cells, ten members a chunk)
+    # for every member, then x = 1..2 (6 cells, five members a chunk) for
+    # the members the slab left undecided.  _total is asked once, after the
+    # first chunk.  The twelve quasigroups' tables are total and each holds,
+    # so no chunk reads its undefined flags: one _firsts call per chunk, two
+    # slab chunks and three for the rest.  A c = 0 member leaves ldiv
+    # undefined: the slab chunk that holds it reads both flags, and that
+    # member is not applicable in the slab, as in a single check, so the
+    # rest is the quasigroups' three chunks again.
     firsts, totals = [], []
     scanned, total = engine._firsts, engine._total
     monkeypatch.setattr(engine, "_firsts", lambda *args: firsts.append(1) or scanned(*args))
@@ -696,17 +716,75 @@ def test_sweep_stacks_follow_the_na_rule(monkeypatch):
     monkeypatch.setattr(engine, "BLOCK", 240)
     ident = parse("x\\(x*y) = y")
     quasigroups = [LinearGroupoid(3, a, b, c) for a in range(3) for b in (1, 2) for c in (1, 2)]
-    for groupoids, chunks in ((quasigroups, 4), (quasigroups + [LinearGroupoid(3, 1, 2, 0)], 5)):
+    for groupoids, calls in ((quasigroups, 2 + 3), (quasigroups + [LinearGroupoid(3, 1, 2, 0)],
+                                                    1 + 2 + 3)):
         single = [holds_bruteforce(g, ident) for g in groupoids]
         firsts.clear()
         totals.clear()
         got = [holds_bruteforce(g, ident, tables=m)
                for g, m in zip(groupoids, stacked_op_tables(groupoids))]
         assert got == single
-        total_tables = groupoids is quasigroups
-        assert (len(totals), len(firsts)) == (1, chunks * (1 if total_tables else 2))
+        assert (len(totals), len(firsts)) == (1, calls)
     assert got[-1].verdict is Verdict.NOT_APPLICABLE
     assert {o.verdict for o in got[:-1]} == {Verdict.HOLDS}
+
+
+def test_sweep_members_decided_in_their_first_slab_are_not_scanned_further(monkeypatch):
+    # One stack of four members at n = 3, for a law that reads \: one fails
+    # at x = 0, the c = 0 one is not applicable (ldiv is undefined
+    # throughout), one first fails at x = 1 and one holds.  The first two
+    # are decided in the slab x = 0 (9 of 27 assignments); only the last two
+    # are evaluated past it.
+    ident = parse("x\\(y*z) = (x\\y)*(x\\z)")
+    groupoids = [LinearGroupoid(3, *abc) for abc in ((1, 1, 1), (0, 0, 0), (0, 1, 1), (0, 0, 1))]
+    single = [holds_bruteforce(g, ident) for g in groupoids]
+    assert [o.verdict for o in single] == [Verdict.FAILS, Verdict.NOT_APPLICABLE,
+                                           Verdict.FAILS, Verdict.HOLDS]
+    assert [o.counterexample["x"] for o in single if o.counterexample] == [0, 1]
+    calls = _top_level_evals(monkeypatch)
+    got = [holds_bruteforce(g, ident, tables=m)
+           for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+    assert got == single
+    evaluated = [0] * len(groupoids)
+    for rows, env in calls:
+        cells = np.prod(np.broadcast_shapes(*(values.shape for values in env.values())))
+        for member in rows.ravel() // (3 + 1):
+            evaluated[member] += cells
+    assert evaluated == [2 * 9, 2 * 9, 2 * 27, 2 * 27]  # two sides each
+
+
+def test_sweep_members_that_read_undefined_cells_scan_on_past_their_slab(monkeypatch):
+    # A stack of the last-row-constant table, where x\\y is undefined for
+    # x = 3 only, and of (4, 0, 1, 1).  The first member fails at (0, 0), in
+    # the slab x = 0, but reads a table that is not total, so its scan goes
+    # on to its first undefined assignment, (3, 0); the second, a
+    # quasigroup, first fails at (1, 0), past the slab.
+    mul = np.stack([_last_row_constant(monkeypatch).mul, op_tables((4, 0, 1, 1)).mul])
+    assert engine._scan(parse("x\\y = y"), OpTables(mul), 2) == [(12, 0), (-1, 4)]
+
+
+def test_sweep_outcomes_equal_single_checks(monkeypatch, oracle_up_to_6):
+    # Every catalog law on every triple of n = 2..7, checked as a sweep
+    # checks it (one scan of a stack) and as a single check (one block of
+    # 2-D lookups, which never reaches the stack scan): the verdict, the
+    # first counterexample and the NA reason must agree.  engine.BLOCK =
+    # 8 * 7**4 makes chunks of 2,401 cells: every member still fits one
+    # chunk, but at n = 7 the slab pass and the full pass split into several
+    # (k = 3: 49 members a slab chunk, 8 a chunk of the rest; k = 4: 7 and 1).
+    laws = [e for e in catalog_entries() if e.identity is not None]
+    cases = [(entry, [LinearGroupoid(n, *abc) for abc in np.ndindex(n, n, n)])
+             for entry in laws for n in range(2, 8)]
+    single = {}
+    for entry, groupoids in cases:
+        single[entry.id, groupoids[0].n] = [
+            oracle_up_to_6[entry.id, g.triple()] if g.n < 7 else holds_bruteforce(g, entry.identity)
+            for g in groupoids]
+    for block in (engine.BLOCK, 8 * 7**4):
+        monkeypatch.setattr(engine, "BLOCK", block)
+        for entry, groupoids in cases:
+            got = [holds_bruteforce(g, entry.identity, tables=m)
+                   for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+            assert got == single[entry.id, groupoids[0].n], (entry.id, groupoids[0].n, block)
 
 
 def test_large_sweep_members_stop_at_their_first_failing_block(monkeypatch):
@@ -745,8 +823,9 @@ def test_total_reads_every_member_of_a_stack():
     groupoids = [LinearGroupoid(3, a, 1, 1) for a in range(3)] + [LinearGroupoid(3, 0, 1, 0)]
     stack = next(stacked_op_tables(groupoids)).stack
     for law in ("x\\y = y", "er(x) = x"):
-        assert not engine._total(parse(law), stack), law
-        assert engine._total(parse(law), OpTables(stack.mul[:3])), law
+        assert engine._total(parse(law), stack).tolist() == [True, True, True, False], law
+        assert engine._total(parse(law), OpTables(stack.mul[:3])).all(), law
+        assert not engine._total(parse(law), OpTables(stack.mul[3]))
 
 
 def test_bruteforce_memory_is_bounded_at_the_cap():
