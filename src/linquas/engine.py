@@ -24,7 +24,9 @@ groupoid.stacked_op_tables, built in stacks, and still makes one oracle
 call per admitted triple, which reads its result from its stack's scan.
 A stack whose members each fit one chunk is scanned prefix first: the slab
 where the leading variable is 0 for every member, then the rest of the
-assignments only for the members that slab left undecided.
+assignments only for the members that slab left undecided.  Every
+evaluation is memoized on the tables it read (OpTables.flags), so a
+repeated check, as witness searches make, evaluates nothing.
 """
 
 from __future__ import annotations
@@ -220,7 +222,8 @@ def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
     are scanned prefix first, as two blocks: the slab where the leading
     variable is 0, for every member, then the other leading values for the
     members the slab left undecided.  Most members of a sweep fail, or are
-    not applicable, inside that slab."""
+    not applicable, inside that slab.  The result is memoized in the
+    tables' flags (see holds_bruteforce)."""
     n, k = tables.n, len(ident.variables)
     blocks = _blocks(n, k, BLOCK // 8)
     if len(blocks) == 1:
@@ -253,17 +256,6 @@ def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
     return list(zip(undefined.tolist(), failing.tolist()))
 
 
-def _stack_flags(stack, ident: Identity) -> list[tuple[int, int]]:
-    """_scan over a whole stack, kept on the stack for the last identity
-    scanned: every member of a sweep's stack is checked against one
-    identity in turn.  The identity is compared by object, since hashing
-    one walks its term tree."""
-    memo = getattr(stack, "flags", None)
-    if memo is None or memo[0] is not ident:
-        memo = stack.flags = (ident, _scan(ident, stack, len(stack.mul)))
-    return memo[1]
-
-
 def holds_bruteforce(g: LinearGroupoid, ident: Identity,
                      cap: int = DEFAULT_CAP, tables=None) -> CheckOutcome:
     """Check the identity over every assignment of values to its variables.
@@ -282,20 +274,30 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     stack, prefix first, deciding most members on the slab where the
     leading variable is 0 (see _scan), and each call reads its member's
     result.
+
+    Each evaluation is memoized in the tables' flags as indices, so a
+    repeated check evaluates nothing; the outcome, with a counterexample
+    dict of its own, is built on every call, after the cap.
     """
     n, k = g.n, len(ident.variables)
     _check_cap(n, k, cap)
     if tables is None:
         tables = op_tables(g.triple())
-    if isinstance(tables, StackMember):
-        undefined, failing = _stack_flags(tables.stack, ident)[tables.index]
-    elif n ** k <= BLOCK:
-        env = dict(zip(ident.variables, _blocks(n, k, BLOCK)[0][1]))
-        lhs = _eval_table(ident.lhs, env, tables)
-        rhs = _eval_table(ident.rhs, env, tables)
-        undefined, failing = _first((lhs < 0) | (rhs < 0)), _first(lhs != rhs)
-    else:
-        undefined, failing = _scan(ident, tables, 1)[0]
+    member = isinstance(tables, StackMember)
+    memo = (tables.stack if member else tables).flags
+    flags = memo.get(ident)
+    if flags is None:
+        if member:
+            flags = _scan(ident, tables.stack, len(tables.stack.mul))
+        elif n ** k <= BLOCK:
+            env = dict(zip(ident.variables, _blocks(n, k, BLOCK)[0][1]))
+            lhs = _eval_table(ident.lhs, env, tables)
+            rhs = _eval_table(ident.rhs, env, tables)
+            flags = (_first((lhs < 0) | (rhs < 0)), _first(lhs != rhs))
+        else:
+            (flags,) = _scan(ident, tables, 1)
+        memo[ident] = flags
+    undefined, failing = flags[tables.index] if member else flags
     if undefined >= 0:
         return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
                             na_reason=_na_reason(ident, _assignment(ident, n, undefined), g))
@@ -650,7 +652,7 @@ def verify_examples(cap: int = DEFAULT_CAP) -> list[Finding]:
     claimed structure, and satisfy the identity by exhaustive check.
     Disagreements are findings, not errors: the sorted findings are the
     regression-tested ledger.  Examples that share a law and a triple share
-    one oracle call.
+    one evaluation, through the oracle's memo (see holds_bruteforce).
     """
     examples = []
     for entry in catalog_entries():
@@ -666,14 +668,10 @@ def verify_examples(cap: int = DEFAULT_CAP) -> list[Finding]:
             row = next(r for r in entry.rows
                        if r.table_number == table_number and r.variant == variant)
         examples.append((source, entry, kind, triple, row))
-    outcomes: dict[tuple, CheckOutcome] = {}
     findings = []
     for source, entry, kind, triple, row in examples:
-        g = LinearGroupoid(*triple)
-        key = (g.triple(), entry.identity)
-        if key not in outcomes:
-            outcomes[key] = holds_bruteforce(g, entry.identity, cap)
-        finding = check_example(source, entry, kind, triple, row, outcomes[key])
+        outcome = holds_bruteforce(LinearGroupoid(*triple), entry.identity, cap)
+        finding = check_example(source, entry, kind, triple, row, outcome)
         if finding:
             findings.append(finding)
     findings.sort(key=lambda f: (f.source, f.n, f.a, f.b, f.c))

@@ -181,12 +181,18 @@ class OpTables:
     one target per row of mul (of its transpose for e_lam and lam, read a
     block at a time), so e_rho and rho build no ldiv, nor e_lam and lam an
     rdiv.  All are read-only and share mul's dtype.
+
+    flags is the exhaustive checker's memo (engine.holds_bruteforce): each
+    identity checked maps to its first undefined and first failing
+    assignment's index, or -1, as a pair, or for a stack a list of each
+    member's pair.  It dies with the tables (op_tables' LRU, a sweep's stack).
     """
 
     def __init__(self, mul: np.ndarray) -> None:
         mul.setflags(write=False)
         self.n = mul.shape[-1] - 1
         self.mul = mul  # mul[..., x, y] = x*y
+        self.flags: dict = {}
 
     @cached_property
     def ldiv(self) -> np.ndarray:
@@ -226,8 +232,8 @@ class OpTables:
 
 class StackMember(NamedTuple):
     """Groupoid `index` of a stacked OpTables.  The sweep's oracle reads its
-    verdict from one scan of the whole stack (engine._stack_flags), and its
-    tables as getattr(stack, kind)[index]."""
+    verdict from one scan of the whole stack, memoized in the stack's flags,
+    and its tables as getattr(stack, kind)[index]."""
 
     stack: OpTables
     index: int

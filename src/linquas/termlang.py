@@ -66,6 +66,13 @@ class Identity:
         names = _term_variables(self.lhs) + _term_variables(self.rhs)
         object.__setattr__(self, "variables", tuple(dict.fromkeys(names)))
 
+    def __hash__(self) -> int:  # the oracle's memo (OpTables.flags) is keyed by identity
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # once: hashing walks both terms
+        return hash((self.lhs, self.rhs))
+
     @cached_property
     def residual(self) -> Expansion:
         """lhs - rhs over Z[a, b, c, 1/b, 1/c], with the units both sides need."""

@@ -6,8 +6,9 @@ import jsonschema
 import pytest
 
 from linquas import engine
-from linquas.catalog import catalog_entries
+from linquas.catalog import ExampleStatus, catalog_entries
 from linquas.cli import main
+from linquas.groupoid import op_tables
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "linquas" / "schema.json")
@@ -401,6 +402,27 @@ def test_report_statuses(capsys, monkeypatch):
     for cell, observed in given:
         if observed:
             assert (cell["status"], cell["detail"]) == ("discrepancy", observed)
+
+
+def test_report_searches_evaluate_each_law_and_triple_once(monkeypatch):
+    # `report --search-max 6` searches every `?` cell, and the rows of one
+    # law revisit the same triples: 600 oracle calls over 480 distinct
+    # (law, triple) pairs.  The oracle's memo evaluates each pair once, as
+    # one block of two sides (engine._eval_table).
+    from test_engine import _top_level_evals
+
+    op_tables.cache_clear()
+    calls = []
+    oracle = engine.holds_bruteforce
+    monkeypatch.setattr(engine, "holds_bruteforce", lambda g, ident, cap: calls.append(
+        (ident, g.triple())) or oracle(g, ident, cap))
+    evals = _top_level_evals(monkeypatch, "_eval_table")
+    for entry in catalog_entries():
+        for row in entry.rows:
+            if entry.identity is not None and row.example_status is ExampleStatus.QUESTION_MARK:
+                engine.search_witnesses(entry, row, list(range(2, 7)), 1, engine.DEFAULT_CAP)
+    assert (len(calls), len(set(calls))) == (600, 480)
+    assert len(evals) == 2 * 480
 
 
 def test_catalog_command(capsys):

@@ -412,17 +412,25 @@ def test_verify_examples_is_deterministic():
 
 
 def test_verify_examples_checks_each_law_and_triple_once(monkeypatch):
+    # every example calls the oracle, and examples that share a law and a
+    # triple share its memo: each of the 113 pairs is evaluated once, as
+    # one block of two sides
+    op_tables.cache_clear()
     calls = []
     oracle = engine.holds_bruteforce
     monkeypatch.setattr(engine, "holds_bruteforce",
                         lambda g, ident, cap: calls.append((g, ident)) or oracle(g, ident, cap))
+    evals = _top_level_evals(monkeypatch, "_eval_table")
     verify_examples()
-    assert len(calls) == len(set(calls)) == 113
+    assert (len(calls), len(set(calls))) == (174, 113)
+    assert len(evals) == 2 * 113
 
 
 @pytest.fixture
 def one_value_per_block(monkeypatch):
-    """BLOCK = 1: every leading value is its own block."""
+    """BLOCK = 1: every leading value is its own block.  The op_tables
+    cache starts empty, so that no memoized verdict answers for the scan."""
+    op_tables.cache_clear()
     monkeypatch.setattr(engine, "BLOCK", 1)
 
 
@@ -505,6 +513,7 @@ def test_stacked_members_match_scalar_reference_on_random_identities(monkeypatch
 
     from linquas.termlang import Identity
 
+    op_tables.cache_clear()
     rng = random.Random(27182)
     idents = [Identity(_random_term(rng, rng.randint(1, 3)), _random_term(rng, rng.randint(1, 3)))
               for _ in range(80)]
@@ -591,23 +600,24 @@ def _scalar_first_failure(g, ident, assignments) -> dict[str, int] | None:
     return None
 
 
-def _top_level_evals(monkeypatch) -> list:
+def _top_level_evals(monkeypatch, name: str = "_eval_stack") -> list:
     """Wrap engine._eval_stack, where every check of more than one block
-    evaluates; the list gets one (rows, env) entry per call made from
-    outside it, that is one per side of the identity per chunk."""
+    evaluates (or engine._eval_table, where a one-block check does); the
+    list gets the arguments after the term of each call made from outside
+    it, that is one entry per side of the identity per chunk."""
     calls, depth = [], []
-    evaluate = engine._eval_stack
+    evaluate = getattr(engine, name)
 
-    def counted(term, env, tables, rows):
+    def counted(term, *args):
         if not depth:
-            calls.append((rows, env))
+            calls.append(args)
         depth.append(term)
         try:
-            return evaluate(term, env, tables, rows)
+            return evaluate(term, *args)
         finally:
             depth.pop()
 
-    monkeypatch.setattr(engine, "_eval_stack", counted)
+    monkeypatch.setattr(engine, name, counted)
     return calls
 
 
@@ -644,7 +654,7 @@ def test_bruteforce_stops_early_when_only_unread_tables_are_undefined(monkeypatc
     out = holds_bruteforce(LinearGroupoid(4, 0, 1, 1), parse("x*y = y"))
     assert (out.verdict, out.counterexample) == (Verdict.FAILS, {"x": 0, "y": 0})
     assert len(calls) == 2  # block x = 0 only, of four
-    assert set(vars(tables)) == {"n", "mul"}
+    assert set(vars(tables)) == {"n", "mul", "flags"}
     assert tables.ldiv[:4, :4].min() == tables.rdiv[:4, :4].min() == -1
 
 
@@ -682,7 +692,8 @@ def test_bruteforce_reads_no_undefined_flags_once_its_tables_are_total(monkeypat
     # medial reads only mul, total on every linear groupoid, and holds on
     # each: after the first of five blocks, _total is asked once, and each
     # block then reads only its failing flags (_firsts).  A one-block check
-    # never asks _total and reads both flags (_first).
+    # never asks _total and reads both flags (_first); the cache is cleared
+    # before it, so that the scan's memoized verdict does not answer for it.
     firsts, totals = [], []
     first, scanned, total = engine._first, engine._firsts, engine._total
     monkeypatch.setattr(engine, "_first", lambda *args: firsts.append(1) or first(*args))
@@ -692,6 +703,7 @@ def test_bruteforce_reads_no_undefined_flags_once_its_tables_are_total(monkeypat
     assert holds_bruteforce(g, medial).verdict is Verdict.HOLDS
     assert (len(firsts), len(totals)) == (5, 1)
     monkeypatch.setattr(engine, "BLOCK", groupoid.BLOCK)
+    op_tables.cache_clear()
     firsts.clear()
     totals.clear()
     assert holds_bruteforce(g, medial).verdict is Verdict.HOLDS
@@ -709,6 +721,7 @@ def test_sweep_stacks_follow_the_na_rule(monkeypatch):
     # undefined: the slab chunk that holds it reads both flags, and that
     # member is not applicable in the slab, as in a single check, so the
     # rest is the quasigroups' three chunks again.
+    op_tables.cache_clear()
     firsts, totals = [], []
     scanned, total = engine._firsts, engine._total
     monkeypatch.setattr(engine, "_firsts", lambda *args: firsts.append(1) or scanned(*args))
@@ -735,6 +748,7 @@ def test_sweep_members_decided_in_their_first_slab_are_not_scanned_further(monke
     # throughout), one first fails at x = 1 and one holds.  The first two
     # are decided in the slab x = 0 (9 of 27 assignments); only the last two
     # are evaluated past it.
+    op_tables.cache_clear()
     ident = parse("x\\(y*z) = (x\\y)*(x\\z)")
     groupoids = [LinearGroupoid(3, *abc) for abc in ((1, 1, 1), (0, 0, 0), (0, 1, 1), (0, 0, 1))]
     single = [holds_bruteforce(g, ident) for g in groupoids]
@@ -746,7 +760,7 @@ def test_sweep_members_decided_in_their_first_slab_are_not_scanned_further(monke
            for g, m in zip(groupoids, stacked_op_tables(groupoids))]
     assert got == single
     evaluated = [0] * len(groupoids)
-    for rows, env in calls:
+    for env, _, rows in calls:
         cells = np.prod(np.broadcast_shapes(*(values.shape for values in env.values())))
         for member in rows.ravel() // (3 + 1):
             evaluated[member] += cells
@@ -771,6 +785,7 @@ def test_sweep_outcomes_equal_single_checks(monkeypatch, oracle_up_to_6):
     # 8 * 7**4 makes chunks of 2,401 cells: every member still fits one
     # chunk, but at n = 7 the slab pass and the full pass split into several
     # (k = 3: 49 members a slab chunk, 8 a chunk of the rest; k = 4: 7 and 1).
+    op_tables.cache_clear()
     laws = [e for e in catalog_entries() if e.identity is not None]
     cases = [(entry, [LinearGroupoid(n, *abc) for abc in np.ndindex(n, n, n)])
              for entry in laws for n in range(2, 8)]
@@ -793,6 +808,7 @@ def test_large_sweep_members_stop_at_their_first_failing_block(monkeypatch):
     # leading value.  Its tables are total, so a failing member evaluates
     # only the blocks up to its first counterexample, and every outcome
     # equals the single check's.
+    op_tables.cache_clear()
     monkeypatch.setattr(engine, "BLOCK", 8)
     ident = get_entry("lip").identity
     groupoids = [LinearGroupoid(5, a, b, c) for a in range(5)
@@ -869,14 +885,14 @@ def test_tables_are_built_on_first_use():
         for entry_id, g, scanned in cases:
             op_tables.cache_clear()
             assert holds_bruteforce(g, get_entry(entry_id).identity).verdict is Verdict.HOLDS
-            assert set(vars(op_tables(g.triple()))) == {"n", "mul", *scanned}, entry_id
+            assert set(vars(op_tables(g.triple()))) == {"n", "mul", "flags", *scanned}, entry_id
     finally:
         op_tables.cache_clear()
 
 
 def test_sweeps_build_tables_on_first_use(monkeypatch):
     # the sweep's stacks scan only the kinds the law reads, as op_tables does;
-    # flags holds the law's evaluation over the stack (engine._stack_flags)
+    # flags holds the law's evaluation over the stack (engine.holds_bruteforce)
     stacks = []
 
     def recorded(groupoids):
@@ -895,7 +911,7 @@ def test_sweeps_build_tables_on_first_use(monkeypatch):
 
 
 def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
-    # A stack keeps its own evaluation (engine._stack_flags), so it dies with
+    # A stack keeps its own evaluation (its flags), so it dies with
     # its last member unless something refers back to it.  The cyclic
     # collector is off, so a reference cycle through a stack would keep
     # every stack alive.
@@ -923,6 +939,90 @@ def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
     finally:
         gc.enable()
     assert len(refs) > 8 and max(alive) == 1
+
+
+def test_a_repeated_check_evaluates_nothing(monkeypatch):
+    # A one-block check, a check of several blocks (520**2 > BLOCK) and a
+    # sweep's members: the second check of each reads its tables' memo and
+    # returns an equal outcome, with a counterexample of its own.
+    op_tables.cache_clear()
+    evals = _top_level_evals(monkeypatch, "_eval_table")
+    scans = _top_level_evals(monkeypatch, "_eval_stack")
+    law = get_entry("commutative").identity
+    for g in (LinearGroupoid(6, 1, 2, 3), LinearGroupoid(520, 1, 2, 3)):
+        first = holds_bruteforce(g, law)
+        done = len(evals) + len(scans)
+        second = holds_bruteforce(g, law)
+        assert done and len(evals) + len(scans) == done
+        assert second == first and second.counterexample is not first.counterexample
+        first.counterexample.clear()
+        assert holds_bruteforce(g, law) == second != first
+    groupoids = [LinearGroupoid(5, a, 1, 2) for a in range(5)] + [LinearGroupoid(5, 0, 3, 3)]
+    members = list(stacked_op_tables(groupoids))
+    first = [holds_bruteforce(g, law, tables=m) for g, m in zip(groupoids, members)]
+    done = len(scans)
+    assert first[0].verdict is Verdict.FAILS and first[-1].verdict is Verdict.HOLDS
+    assert [holds_bruteforce(g, law, tables=m) for g, m in zip(groupoids, members)] == first
+    assert len(scans) == done
+
+
+def test_a_memoized_check_is_still_held_to_the_cap():
+    op_tables.cache_clear()
+    g, law = LinearGroupoid(20, 1, 2, 3), get_entry("medial").identity  # 20**4 assignments
+    assert holds_bruteforce(g, law).verdict is Verdict.HOLDS
+    assert law in op_tables(g.triple()).flags
+    with pytest.raises(CapExceeded):
+        holds_bruteforce(g, law, cap=10**5)
+    member = next(stacked_op_tables([g]))
+    holds_bruteforce(g, law, tables=member)
+    with pytest.raises(CapExceeded):
+        holds_bruteforce(g, law, cap=10**5, tables=member)
+
+
+def test_hand_built_tables_read_no_other_tables_memo(monkeypatch):
+    # x*y = y first fails at (1, 0) on (4, 0, 1, 1), but at (0, 0) on the
+    # last-row-constant tables put in its place; each keeps its own memo
+    op_tables.cache_clear()
+    g, law = LinearGroupoid(4, 0, 1, 1), parse("x*y = y")
+    assert holds_bruteforce(g, law).counterexample == {"x": 1, "y": 0}
+    tables = _last_row_constant(monkeypatch)
+    assert not tables.flags
+    assert holds_bruteforce(g, law).counterexample == {"x": 0, "y": 0}
+    assert holds_bruteforce(g, law, tables=op_tables(g.triple())).counterexample == {"x": 1, "y": 0}
+    assert list(tables.flags) == list(op_tables(g.triple()).flags) == [law]
+
+
+def test_the_memo_is_keyed_by_law(monkeypatch):
+    # Two parses of one text are equal laws and share one entry.  Every
+    # catalog law at one triple gets an entry of its own, even when two laws
+    # are made to hash alike, and reads the outcome fresh tables give.
+    op_tables.cache_clear()
+    g = LinearGroupoid(6, 1, 5, 1)
+    evals = _top_level_evals(monkeypatch, "_eval_table")
+    one, two = parse("x*(y*z) = (x*y)*z"), parse("x*(y*z) = (x*y)*z")
+    assert one is not two and hash(one) == hash(two)
+    assert holds_bruteforce(g, one) == holds_bruteforce(g, two)
+    assert len(evals) == 2 and list(op_tables(g.triple()).flags) == [one]
+    idempotent, trivial = parse("x*x = x"), parse("x*y = x*y")
+    vars(trivial)["_hash"] = hash(idempotent)
+    laws = [idempotent, trivial] + list({entry.identity for entry in catalog_entries()
+                                      if entry.identity is not None})
+    memoized = [holds_bruteforce(g, law) for law in laws]
+    assert len(op_tables(g.triple()).flags) == 1 + len(set(laws))
+    assert memoized == [holds_bruteforce(g, law, tables=op_tables.__wrapped__(g.triple()))
+                        for law in laws]
+    assert [out.verdict for out in memoized[:2]] == [Verdict.FAILS, Verdict.HOLDS]
+
+
+def test_no_memo_survives_a_cache_clear(monkeypatch):
+    g, law = LinearGroupoid(5, 1, 2, 3), get_entry("medial").identity
+    holds_bruteforce(g, law)
+    assert law in op_tables(g.triple()).flags
+    op_tables.cache_clear()
+    assert not op_tables(g.triple()).flags
+    evals = _top_level_evals(monkeypatch, "_eval_table")
+    holds_bruteforce(g, law)
+    assert len(evals) == 2
 
 
 def _verdicts(ident, n, triples, stacked) -> dict:
@@ -975,6 +1075,7 @@ def test_oracle_verdicts_follow_the_product_of_coprime_moduli(monkeypatch, small
 def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
     # l_saip is NA-heavy and reads lam (scanned from mul through e_lam); cm_7
     # has 4 variables
+    op_tables.cache_clear()
     selected = [(get_entry(i), get_entry(i).rows) for i in ("l_saip", "cm_7")]
     n_values = list(range(2, 9))
 

@@ -102,6 +102,37 @@ def test_term_nodes_counts_every_node_of_the_catalog_laws(monkeypatch):
     assert {"*", "\\", "/", "rho", "lam", "er", "el"} <= seen
 
 
+def _queries_spec() -> tuple[dict, dict]:
+    """The witness pins by (entry, table, variant), and a small `queries`
+    pass over them: three searches with a pinned witness, two classifies."""
+    pins = {(p["entry"], p["table"], p["variant"]): p["witness"]
+            for p in json.loads((DATA / "witness_pins.json").read_text())["cells"]}
+    searches = [key for key, witness in pins.items() if witness][:3]
+    spec = {"requests": [["search", *key] for key in searches]
+            + [["classify", 6, 2, 4, 2], ["classify", 7, 3, 5, 2]],
+            "tail": [], "n_values": list(range(2, 13)), "cap": 10**7}
+    return pins, spec
+
+
+def test_traced_queries_call_the_oracle(monkeypatch):
+    # perfbench/run.py per_layer divides by the oracle's node_evals, so a
+    # traced `queries` pass whose searches made no holds_bruteforce call
+    # would die there: searches call the oracle once per admitted triple,
+    # even where its memo answers.
+    tracer = _perfbench_module(monkeypatch, "tracer")
+    onepass = _perfbench_module(monkeypatch, "onepass")
+    for owner, attr, _ in tracer.SPANNED + tracer.COUNTED:
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        onepass.run_queries(_queries_spec()[1], 1)
+    finally:
+        t.uninstall()
+    assert t.layer_times()["engine.holds_bruteforce"]["calls"] > 0
+    assert tracer.oracle_stats(t.oracle_calls)["node_evals"] > 0
+
+
 def test_benchmark_passes_run_on_current_engine(monkeypatch):
     onepass = _perfbench_module(monkeypatch, "onepass")
     n_values, cap = list(range(2, 13)), 10**7
@@ -119,12 +150,8 @@ def test_benchmark_passes_run_on_current_engine(monkeypatch):
     assert [out.verdict.value for out in output[1]] == ["holds", "fails", "not_applicable"]
     assert onepass.check_large_n(spec, output) == []
 
-    pins = {(p["entry"], p["table"], p["variant"]): p["witness"]
-            for p in json.loads((DATA / "witness_pins.json").read_text())["cells"]}
-    searches = [key for key, witness in pins.items() if witness][:3]
-    spec = {"requests": [["search", *key] for key in searches]
-            + [["classify", 6, 2, 4, 2], ["classify", 7, 3, 5, 2]],
-            "tail": [], "n_values": n_values, "cap": cap}
+    pins, spec = _queries_spec()
+    searches = [tuple(request[1:]) for request in spec["requests"][:3]]
     _, (calls, results), extra = onepass.run_queries(spec, 1)
     assert len(extra["latencies"]) == len(results) == 5
     for key, witnesses in zip(searches, results):
