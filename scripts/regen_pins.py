@@ -55,6 +55,7 @@ CLI_INVOCATIONS = [
      "--ident", "rho(x)\\(y/el(x)) = x\\(x*y)"],
     ["check", "--n", "200", "--a", "0", "--b", "1", "--c", "1", "--entry", "medial",
      "--cap", "100000"],
+    ["check", "--n", "11", "--a", "3", "--b", "5", "--c", "5", "--entry", "cm_7"],
     ["check", "--n", "6", "--a", "2", "--b", "4", "--c", "2", "--entry", "no_such_law"],
     ["check", "--n", "6", "--a", "2", "--b", "4", "--c", "2", "--entry", "slim"],
     ["classify", "--n", "6", "--a", "2", "--b", "5", "--c", "1"],

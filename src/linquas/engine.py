@@ -11,15 +11,15 @@ from rows compiled over a basis of distinct monomials: holds_symbolic reads
 a law's own rows (Identity.compiled), and classify walks every catalog law
 in one pass over rows that share one basis, built on its first call.
 
-The exhaustive checker splits checks by size: a single check of at most
-BLOCK assignments is one block of 2-D table lookups (_eval_table); every
-larger check, and every sweep stack, is one chunked scan of flat lookups
-(_scan), one groupoid's tables being a stack of one.  The scan asks per
-member whether the tables it reads are total (_total), and drops each
-member once a block decides it.  A single check reads its groupoid's
-tables through the groupoid.op_tables LRU cache.  A cross-check sweep
-admits each (law, n) task's triples with one mask per row
-(catalog.row_sweep_mask), reads their tables from
+The exhaustive checker reads every table flat, from one evaluator
+(_eval_stack), one groupoid's tables being a stack of one, and splits
+checks by size: a single check of at most BLOCK assignments is one block,
+and every larger check, and every sweep stack, is one chunked scan
+(_scan).  The scan asks per member whether the tables it reads are total
+(_total), and drops each member once a block decides it.  A single check
+reads its groupoid's tables through the groupoid.op_tables LRU cache.  A
+cross-check sweep admits each (law, n) task's triples with one mask per
+row (catalog.row_sweep_mask), reads their tables from
 groupoid.stacked_op_tables, built in stacks, and still makes one oracle
 call per admitted triple, which reads its result from its stack's scan.
 A stack whose members each fit one chunk is scanned prefix first: the slab
@@ -116,20 +116,6 @@ _TABLE = {"*": "mul", "\\": "ldiv", "/": "rdiv", "rho": "rho", "lam": "lam",
           "er": "e_rho", "el": "e_lam"}
 
 
-def _eval_table(term: tl.Term, env: dict[str, np.ndarray], tables) -> np.ndarray:
-    """Evaluate over all assignments at once; -1 marks an undefined value,
-    which propagates by indexing the tables' -1 slot at index n."""
-    if isinstance(term, Var):
-        return env[term.name]
-    table = getattr(tables, _TABLE[term.op])
-    if isinstance(term, Binary):
-        left = _eval_table(term.left, env, tables)
-        right = _eval_table(term.right, env, tables)
-        # z / x solves w*x = z: divisor indexes first
-        return table[right, left] if term.op == "/" else table[left, right]
-    return table[_eval_table(term.child, env, tables)]
-
-
 def _total(ident: Identity, tables) -> np.ndarray:
     """For each member of a stack of tables, whether no table the identity
     reads has -1 in that member's body, so that every value stays in 0..n-1
@@ -172,12 +158,15 @@ def _first(mask: np.ndarray) -> int:
 
 
 def _eval_stack(term: tl.Term, env: dict[str, np.ndarray], stack, rows: np.ndarray) -> np.ndarray:
-    """_eval_table over a chunk of a stack's groupoids at once, along a
-    leading member axis: rows holds each member's first row, (n+1) * index,
-    as intp, since x * (n+1) overflows a compact table's dtype.  Each table
-    is read flat, by row (rows + x) and column, so an index of -1 still
-    reads -1: it lands on a padding cell of the same member, of the one
-    before it, or, for member 0, of the last one."""
+    """Evaluate over all assignments of a block at once, for a chunk of a
+    stack's groupoids along a leading member axis; -1 marks an undefined
+    value.  rows holds each member's first row, (n+1) * index, as intp (a
+    one-groupoid OpTables passes np.intp(0)): a table holds the compact
+    dtype of _padded, so x * (n+1) overflows it, and a plain 0 would leave
+    the offsets in that dtype.  Each table is read flat, by row (rows + x)
+    and column, so an index of -1 still reads -1: it lands on a padding
+    cell of the same member, of the one before it, or, for member 0, of
+    the last one."""
     if isinstance(term, Var):
         return env[term.name]
     flat = getattr(stack, _TABLE[term.op]).reshape(-1)
@@ -264,16 +253,16 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     assignment makes either side undefined the whole check is NotApplicable:
     skipping such tuples would silently weaken the universal quantifier.
 
-    The tables are g's op_tables unless given.  A check of at most BLOCK
-    assignments is one block of 2-D table lookups, which beat flat ones on
-    tiny tables.  A larger one scans its groupoid as a stack of one (see
-    _scan), so memory grows with max(BLOCK // 8, n**(k-1)) assignments,
-    not with n**k, beside the (n+1)**2-cell operation tables the identity
-    reads; the cap bounds both.  A sweep passes a StackMember and still
-    calls once per groupoid: the first call of a stack scans the whole
-    stack, prefix first, deciding most members on the slab where the
-    leading variable is 0 (see _scan), and each call reads its member's
-    result.
+    The tables are g's op_tables unless given, read flat (see _eval_stack).
+    A check of at most BLOCK assignments is one block (through the chunked
+    scan, the queries benchmark ran 14% slower).  A larger one scans its
+    groupoid as a stack of one (see _scan), so memory grows with
+    max(BLOCK // 8, n**(k-1)) assignments, not with n**k, beside the
+    (n+1)**2-cell operation tables the identity reads; the cap bounds both.
+    A sweep passes a StackMember and still calls once per groupoid: the
+    first call of a stack scans the whole stack, prefix first, deciding
+    most members on the slab where the leading variable is 0 (see _scan),
+    and each call reads its member's result.
 
     Each evaluation is memoized in the tables' flags as indices, so a
     repeated check evaluates nothing; the outcome, with a counterexample
@@ -291,8 +280,8 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
             flags = _scan(ident, tables.stack, len(tables.stack.mul))
         elif n ** k <= BLOCK:
             env = dict(zip(ident.variables, _blocks(n, k, BLOCK)[0][1]))
-            lhs = _eval_table(ident.lhs, env, tables)
-            rhs = _eval_table(ident.rhs, env, tables)
+            lhs = _eval_stack(ident.lhs, env, tables, np.intp(0))
+            rhs = _eval_stack(ident.rhs, env, tables, np.intp(0))
             flags = (_first((lhs < 0) | (rhs < 0)), _first(lhs != rhs))
         else:
             (flags,) = _scan(ident, tables, 1)
@@ -541,10 +530,13 @@ def search_witnesses(entry: IdentityEntry, row: TableRow, n_values: list[int],
     hypothesis and structure whose groupoid satisfies the identity outright.
 
     Witnesses are confirmed by the exhaustive oracle only, never by the
-    condition column; an empty result is itself a finding.
+    condition column; an empty result is itself a finding.  A limit below 1
+    is a ValueError, raised before anything is scanned.
     """
     if entry.identity is None:
         raise ValueError(f"entry {entry.id!r} has no defining identity")
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     found: list[Witness] = []
     for n in sorted(_sweep_moduli(row, n_values)):
         for g in _groupoids(n):

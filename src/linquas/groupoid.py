@@ -8,13 +8,14 @@ table: the divisions by inverting its rows (_invert_rows), the local
 elements by solving one target per row (_solve_rows).  A single check reads
 one groupoid's OpTables through the op_tables LRU cache, and a cross-check
 sweep reads StackMembers of stacked_op_tables, which builds the tables of
-many groupoids of one modulus in one numpy pass per kind.  The sweep, and
-any single check of more than one block, evaluates its identity over a
-stack's contiguous tables read flat, where each table's -1 padding keeps
-an undefined value undefined (see engine._eval_stack); one groupoid's
-OpTables is read as a stack of one.  The sweep scans each stack prefix
-first: every member over the slab where the leading variable is 0, then
-only the members that slab left undecided over the rest (engine._scan).
+many groupoids of one modulus in one numpy pass per kind.  Every table is
+stored in the smallest signed type that holds -2n (see _padded).  Every
+check evaluates its identity over a stack's contiguous tables read flat,
+where each table's -1 padding keeps an undefined value undefined (see
+engine._eval_stack); one groupoid's OpTables is read as a stack of one.
+The sweep scans each stack prefix first: every member over the slab where
+the leading variable is 0, then only the members that slab left undecided
+over the rest (engine._scan).
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .modring import is_unit, solve_linear
 # assignments is one block, and a larger check or a sweep's stack is
 # evaluated in chunks of BLOCK // 8 (engine._scan).  A block's arrays
 # (2 MiB each at int64) stay in cache, which made them run faster than with
-# 2**20-cell blocks.  Operation tables larger than one block are stored
-# compact (see _padded).
+# 2**20-cell blocks.  Operation tables are stored compact (see _padded).
 BLOCK = 1 << 18
 
 
@@ -81,7 +81,8 @@ def is_quasigroup(g: LinearGroupoid) -> bool:
 
 
 def cayley_table(g: LinearGroupoid) -> np.ndarray:
-    """Read-only n x n array with entry [x, y] = x*y."""
+    """Read-only n x n array with entry [x, y] = x*y, in the tables' compact
+    dtype (int8 up to n = 64); widen it before arithmetic that can pass it."""
     return op_tables(g.triple()).mul[:g.n, :g.n]
 
 
@@ -154,7 +155,7 @@ def orthogonal(g1: LinearGroupoid, g2: LinearGroupoid) -> bool:
         raise ModulusMismatchError(f"moduli differ: {g1.n} != {g2.n}")
     t1 = cayley_table(g1)
     t2 = cayley_table(g2)
-    combined = t1.astype(np.int64) * g1.n + t2
+    combined = t1.astype(np.int64) * g1.n + t2  # t1 * n overflows the compact dtype
     return int(np.unique(combined).size) == g1.n * g1.n
 
 
@@ -245,14 +246,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _padded(n: int, *lead: int) -> np.ndarray:
-    """An (n+1) x (n+1) table of -1, or a stack of them shaped lead.  A table
-    of at most BLOCK cells is int64, numpy's index type, which lookups use
-    without a cast; a larger one takes the smallest signed type holding -2n,
-    and so the sums below 2n written while building mul, so that it stays in
-    cache (int16 up to n = 16384)."""
-    cells = (n + 1) ** 2
-    dtype = np.int64 if cells <= BLOCK else np.min_scalar_type(-2 * n)
-    return np.full((*lead, n + 1, n + 1), -1, dtype=dtype)
+    """An (n+1) x (n+1) table of -1, or a stack of them shaped lead, in the
+    smallest signed type holding -2n, and so the sums below 2n written while
+    building mul, so that it stays in cache (int8 up to n = 64, int16 up to
+    n = 16384).  Lookups index with intp offsets (see engine._eval_stack)."""
+    return np.full((*lead, n + 1, n + 1), -1, dtype=np.min_scalar_type(-2 * n))
 
 
 def _table_blocks(tables: int, n: int):
@@ -345,10 +343,10 @@ def stacked_op_tables(groupoids: list[LinearGroupoid]):
     share one modulus; each kind is scanned for a whole stack on first use.
 
     A division's scan holds its table and three temporaries of the stack's
-    size, where a local element's holds a few rows: at BLOCK cells (2 MiB
-    each at int64) a sweep that reads a division peaked about 7 MiB
-    higher than one that does not.  At BLOCK // 8 cells that gap is under
-    1 MiB, and every kind's scan of a stack stays one block."""
+    size, where a local element's holds a few rows: at BLOCK cells, on
+    int64 tables (2 MiB each), a sweep that reads a division peaked about
+    7 MiB higher than one that does not.  At BLOCK // 8 cells that gap is
+    under 1 MiB, and every kind's scan of a stack stays one block."""
     if not groupoids:
         return
     n = groupoids[0].n

@@ -42,7 +42,7 @@ def test_outputs_match_cli_pins(capsys):
         if (code, _sha256(out), _sha256(err)) != (
                 pin["exit"], pin["stdout_sha256"], pin["stderr_sha256"]):
             drifted.append(pin["argv"])
-    assert len(CLI_PINS) == 64
+    assert len(CLI_PINS) == 67
     assert drifted == []
 
 
@@ -408,7 +408,7 @@ def test_report_searches_evaluate_each_law_and_triple_once(monkeypatch):
     # `report --search-max 6` searches every `?` cell, and the rows of one
     # law revisit the same triples: 600 oracle calls over 480 distinct
     # (law, triple) pairs.  The oracle's memo evaluates each pair once, as
-    # one block of two sides (engine._eval_table).
+    # one block of two sides (engine._eval_stack).
     from test_engine import _top_level_evals
 
     op_tables.cache_clear()
@@ -416,7 +416,7 @@ def test_report_searches_evaluate_each_law_and_triple_once(monkeypatch):
     oracle = engine.holds_bruteforce
     monkeypatch.setattr(engine, "holds_bruteforce", lambda g, ident, cap: calls.append(
         (ident, g.triple())) or oracle(g, ident, cap))
-    evals = _top_level_evals(monkeypatch, "_eval_table")
+    evals = _top_level_evals(monkeypatch)
     for entry in catalog_entries():
         for row in entry.rows:
             if entry.identity is not None and row.example_status is ExampleStatus.QUESTION_MARK:

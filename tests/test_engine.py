@@ -372,6 +372,17 @@ def test_search_respects_structure_and_hypothesis():
     assert empty == []
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_search_rejects_a_limit_below_one_before_scanning(monkeypatch, limit):
+    # commutative row 0 holds at (2, 0, 0, 0), the first triple visited
+    calls = []
+    monkeypatch.setattr(engine, "holds_bruteforce", lambda *args, **kw: calls.append(args))
+    entry = get_entry("commutative")
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        search_witnesses(entry, entry.rows[0], [2, 3], limit=limit)
+    assert calls == []
+
+
 def test_universality_scan_small():
     assert universality_scan(["medial", "e_l"], list(range(2, 7))) == []
 
@@ -420,7 +431,7 @@ def test_verify_examples_checks_each_law_and_triple_once(monkeypatch):
     oracle = engine.holds_bruteforce
     monkeypatch.setattr(engine, "holds_bruteforce",
                         lambda g, ident, cap: calls.append((g, ident)) or oracle(g, ident, cap))
-    evals = _top_level_evals(monkeypatch, "_eval_table")
+    evals = _top_level_evals(monkeypatch)
     verify_examples()
     assert (len(calls), len(set(calls))) == (174, 113)
     assert len(evals) == 2 * 113
@@ -459,7 +470,7 @@ def test_blocks_match_scalar_reference_on_random_identities(monkeypatch,
                                                             one_value_per_block):
     # The verdict, the first counterexample and the first undefined
     # assignment must come out of the block scan, not out of one block, for
-    # int64 tables and, with groupoid.BLOCK = 0, for compact (int8) ones.
+    # int8 tables built whole and, with groupoid.BLOCK = 0, one row a block.
     from test_termlang import _random_term
 
     from linquas.termlang import Identity
@@ -489,14 +500,14 @@ def test_blocks_match_scalar_reference_on_random_identities(monkeypatch,
     for (g, ident), (verdict, _, _, _) in zip(cases, expected):
         assert holds_symbolic(g, ident).verdict is verdict, (g, ident)
     try:
-        for block, dtype in ((groupoid.BLOCK, np.int64), (0, np.int8)):
+        for block in (groupoid.BLOCK, 0):
             monkeypatch.setattr(groupoid, "BLOCK", block)
             op_tables.cache_clear()
             for (g, ident), (verdict, counterexample, na_reason, _) in zip(cases, expected):
                 out = holds_bruteforce(g, ident)
                 assert (out.verdict, out.counterexample, out.na_reason) == \
-                    (verdict, counterexample, na_reason), (g, ident, dtype)
-                assert op_tables(g.triple()).mul.dtype == dtype
+                    (verdict, counterexample, na_reason), (g, ident, block)
+                assert op_tables(g.triple()).mul.dtype == np.int8
     finally:
         op_tables.cache_clear()
 
@@ -600,13 +611,12 @@ def _scalar_first_failure(g, ident, assignments) -> dict[str, int] | None:
     return None
 
 
-def _top_level_evals(monkeypatch, name: str = "_eval_stack") -> list:
-    """Wrap engine._eval_stack, where every check of more than one block
-    evaluates (or engine._eval_table, where a one-block check does); the
-    list gets the arguments after the term of each call made from outside
-    it, that is one entry per side of the identity per chunk."""
+def _top_level_evals(monkeypatch) -> list:
+    """Wrap engine._eval_stack, where every check evaluates; the list gets
+    the arguments after the term of each call made from outside it, that
+    is one entry per side of the identity per block or chunk."""
     calls, depth = [], []
-    evaluate = getattr(engine, name)
+    evaluate = engine._eval_stack
 
     def counted(term, *args):
         if not depth:
@@ -617,7 +627,7 @@ def _top_level_evals(monkeypatch, name: str = "_eval_stack") -> list:
         finally:
             depth.pop()
 
-    monkeypatch.setattr(engine, name, counted)
+    monkeypatch.setattr(engine, "_eval_stack", counted)
     return calls
 
 
@@ -946,14 +956,13 @@ def test_a_repeated_check_evaluates_nothing(monkeypatch):
     # sweep's members: the second check of each reads its tables' memo and
     # returns an equal outcome, with a counterexample of its own.
     op_tables.cache_clear()
-    evals = _top_level_evals(monkeypatch, "_eval_table")
-    scans = _top_level_evals(monkeypatch, "_eval_stack")
+    scans = _top_level_evals(monkeypatch)
     law = get_entry("commutative").identity
     for g in (LinearGroupoid(6, 1, 2, 3), LinearGroupoid(520, 1, 2, 3)):
         first = holds_bruteforce(g, law)
-        done = len(evals) + len(scans)
+        done = len(scans)
         second = holds_bruteforce(g, law)
-        assert done and len(evals) + len(scans) == done
+        assert done and len(scans) == done
         assert second == first and second.counterexample is not first.counterexample
         first.counterexample.clear()
         assert holds_bruteforce(g, law) == second != first
@@ -998,7 +1007,7 @@ def test_the_memo_is_keyed_by_law(monkeypatch):
     # are made to hash alike, and reads the outcome fresh tables give.
     op_tables.cache_clear()
     g = LinearGroupoid(6, 1, 5, 1)
-    evals = _top_level_evals(monkeypatch, "_eval_table")
+    evals = _top_level_evals(monkeypatch)
     one, two = parse("x*(y*z) = (x*y)*z"), parse("x*(y*z) = (x*y)*z")
     assert one is not two and hash(one) == hash(two)
     assert holds_bruteforce(g, one) == holds_bruteforce(g, two)
@@ -1020,7 +1029,7 @@ def test_no_memo_survives_a_cache_clear(monkeypatch):
     assert law in op_tables(g.triple()).flags
     op_tables.cache_clear()
     assert not op_tables(g.triple()).flags
-    evals = _top_level_evals(monkeypatch, "_eval_table")
+    evals = _top_level_evals(monkeypatch)
     holds_bruteforce(g, law)
     assert len(evals) == 2
 

@@ -55,9 +55,9 @@ def test_cayley_table_examples():
 def test_cayley_build_matches_python_ints(monkeypatch):
     # _cayley reduces each sum below 2n by a compare-and-subtract in an
     # unsigned array, in blocks of at most BLOCK cells.  Every dtype _padded
-    # returns: int64 by default at n = 5, 64 and 65, and int16 at n = 600
-    # (blocks of 436 rows and 164); with BLOCK = 0, built one row a block,
-    # int8 at n = 5 and 64 (sums up to 126) and int16 at n = 65 and 600.
+    # returns, at every BLOCK: int8 at n = 5 and 64 (sums up to 126) and
+    # int16 at n = 65 and 600; by default n = 600 is built in blocks of 436
+    # rows and 164, and with BLOCK = 0 every table one row a block.
     # Single tables and a stack of mixed triples, with b = 0 and c = 0.
     rng = random.Random(16384)
     cases = []
@@ -81,7 +81,7 @@ def test_cayley_build_matches_python_ints(monkeypatch):
                     assert mul[:n, :n].tolist() == table, (block, n, triple)
                     assert (mul[n] == -1).all() and (mul[:, n] == -1).all()
             dtypes.append(stack.dtype)
-    assert dtypes == [np.int64, np.int64, np.int64, np.int16, np.int8, np.int8, np.int16, np.int16]
+    assert dtypes == [np.int8, np.int8, np.int16, np.int16] * 2
 
 
 def test_is_latin_square_examples():
@@ -253,9 +253,10 @@ def test_op_tables_match_scalar_operations():
             assert table.shape == (n + 1,)
             assert table[-1] == -1
         for table in (t.mul, t.ldiv, t.rdiv, t.e_rho, t.e_lam, t.rho, t.lam):
-            assert table.dtype == np.int64 and not table.flags.writeable
-    # Past BLOCK cells the tables are int16 and scanned in row blocks (82
-    # rows a block at n = 3162; transposed ones for rdiv, e_lam and lam);
+            assert table.dtype == np.int8 and not table.flags.writeable
+    # From n = 65 the tables are int16, and past BLOCK cells scanned in row
+    # blocks (82 rows a block at n = 3162; transposed ones for rdiv, e_lam
+    # and lam);
     # spot-check rows of quasigroups (every entry defined), of a groupoid
     # with non-unit b and c, and at the default cap of one with a non-unit
     # c and one with a non-unit b.
@@ -286,9 +287,8 @@ def test_op_tables_match_scalar_operations():
 def test_stacked_tables_equal_op_tables(monkeypatch, block):
     # Stacks hold at most BLOCK // 8 cells: the default BLOCK splits them
     # from n = 8 (404 groupoids a stack), BLOCK = 512 from n = 2 (7 a
-    # stack); BLOCK = 64 makes one-groupoid stacks, scans row blocks of one
-    # table (n = 9, in 7 rows and 2), and makes the tables compact (int8)
-    # from n = 8; BLOCK = 16 splits a table's rows from n = 5 on, down to
+    # stack); BLOCK = 64 makes one-groupoid stacks and scans row blocks of
+    # one table (n = 9, in 7 rows and 2); BLOCK = 16 splits a table's rows from n = 5 on, down to
     # one row a block at n = 9, direct and transposed
     monkeypatch.setattr(groupoid, "BLOCK", block)
     kinds = ("mul", "ldiv", "rdiv", "e_rho", "e_lam", "rho", "lam")
@@ -302,8 +302,7 @@ def test_stacked_tables_equal_op_tables(monkeypatch, block):
             want = op_tables.__wrapped__(g.triple())  # built under the same BLOCK
             for kind in kinds:
                 got = getattr(member.stack, kind)[member.index]
-                assert got.dtype == getattr(want, kind).dtype == (
-                    np.int64 if (n + 1) ** 2 <= block else np.int8)
+                assert got.dtype == getattr(want, kind).dtype == np.int8
                 assert not got.flags.writeable
                 assert np.array_equal(got, getattr(want, kind)), (g, kind)
     assert list(stacked_op_tables([])) == []

@@ -211,12 +211,18 @@ def test_expansion_agrees_with_direct_evaluation_pointwise():
 
 
 def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
-    # engine._eval_table over the full grid against evaluate at every
+    # engine._eval_stack over the full grid against evaluate at every
     # assignment: -1 exactly where evaluate is NotApplicable, equal elsewhere.
+    # Each term is read from its groupoid's own tables, as a one-block
+    # single check does (row offset np.intp(0)), and as its member of a stack
+    # of every groupoid drawn at that n, as a sweep does.  At n = 11 and 12
+    # the int8 tables' x * (n+1) passes 127, so offsets kept in the tables'
+    # dtype would overflow.
     from itertools import product
 
-    from linquas.engine import _eval_table
-    from linquas.groupoid import op_tables
+    from linquas.catalog import get_entry
+    from linquas.engine import Verdict, _eval_stack, holds_bruteforce
+    from linquas.groupoid import op_tables, stacked_op_tables
 
     def kinds(term):
         if isinstance(term, Var):
@@ -228,17 +234,24 @@ def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
     rng = random.Random(2718)
     seen: set = set()
     undefined = defined = 0
-    for n in range(2, 9):
-        for _ in range(12):
-            g = LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            term = _random_term(rng, rng.randint(1, 4))
+    for n in (*range(2, 9), 11, 12):
+        pairs = [(LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n)),
+                  _random_term(rng, rng.randint(1, 4))) for _ in range(12)]
+        stack = next(stacked_op_tables([g for g, _ in pairs])).stack
+        assert op_tables(pairs[0][0].triple()).mul.dtype == stack.mul.dtype == np.int8
+        rows = np.arange(len(pairs)).reshape(-1, 1) * (n + 1)
+        for at, (g, term) in enumerate(pairs):
             seen |= kinds(term)
             names = sorted({v for v in canonical_print(term) if v in "wxyz"})
             envs = list(product(range(n), repeat=len(names)))
             grid = {name: np.array([env[i] for env in envs])
                     for i, name in enumerate(names)}
-            got = _eval_table(term, grid, op_tables(g.triple()))
-            for env, value in zip(envs, got.tolist()):
+            single = _eval_stack(term, grid, op_tables(g.triple()), np.intp(0))
+            member = _eval_stack(term, {name: values[None] for name, values in grid.items()},
+                                 stack, rows)
+            member = np.broadcast_to(member, (len(pairs), len(envs)))[at]
+            assert single.tolist() == member.tolist(), (g, term)
+            for env, value in zip(envs, np.broadcast_to(single, len(envs)).tolist()):
                 want = evaluate(term, dict(zip(names, env)), g)
                 if isinstance(want, NotApplicable):
                     assert value == -1
@@ -248,3 +261,6 @@ def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
                     defined += 1
     assert seen == {Var, *BINARY, *UNARY}
     assert undefined > 1000 and defined > 1000
+    # a single check that x * (n+1) in int8 flipped from holds to fails
+    g = LinearGroupoid(11, 3, 5, 5)
+    assert holds_bruteforce(g, get_entry("cm_7").identity).verdict is Verdict.HOLDS
