@@ -160,10 +160,12 @@ def _first(mask: np.ndarray) -> int:
 def _eval_stack(term: tl.Term, env: dict[str, np.ndarray], stack, rows: np.ndarray) -> np.ndarray:
     """Evaluate over all assignments of a block at once, for a chunk of a
     stack's groupoids along a leading member axis; -1 marks an undefined
-    value.  rows holds each member's first row, (n+1) * index, as intp (a
-    one-groupoid OpTables passes np.intp(0)): a table holds the compact
-    dtype of _padded, so x * (n+1) overflows it, and a plain 0 would leave
-    the offsets in that dtype.  Each table is read flat, by row (rows + x)
+    value.  rows holds each member's first row, (n+1) * index, as an intp
+    array of the block's rank (a one-groupoid OpTables passes an array of
+    zeros): a table holds the compact dtype of _padded, so x * (n+1)
+    overflows it.  A Python int would leave the offsets in that dtype, and
+    so would an intp scalar or 0-d array under NumPy 1, which sizes them by
+    value.  Each table is read flat, by row (rows + x)
     and column, so an index of -1 still reads -1: it lands on a padding
     cell of the same member, of the one before it, or, for member 0, of
     the last one."""
@@ -280,8 +282,9 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
             flags = _scan(ident, tables.stack, len(tables.stack.mul))
         elif n ** k <= BLOCK:
             env = dict(zip(ident.variables, _blocks(n, k, BLOCK)[0][1]))
-            lhs = _eval_stack(ident.lhs, env, tables, np.intp(0))
-            rhs = _eval_stack(ident.rhs, env, tables, np.intp(0))
+            rows = np.zeros((1,) * (k + 1), np.intp)  # shaped as _scan's rows
+            lhs = _eval_stack(ident.lhs, env, tables, rows)
+            rhs = _eval_stack(ident.rhs, env, tables, rows)
             flags = (_first((lhs < 0) | (rhs < 0)), _first(lhs != rhs))
         else:
             (flags,) = _scan(ident, tables, 1)

@@ -214,10 +214,10 @@ def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
     # engine._eval_stack over the full grid against evaluate at every
     # assignment: -1 exactly where evaluate is NotApplicable, equal elsewhere.
     # Each term is read from its groupoid's own tables, as a one-block
-    # single check does (row offset np.intp(0)), and as its member of a stack
-    # of every groupoid drawn at that n, as a sweep does.  At n = 11 and 12
-    # the int8 tables' x * (n+1) passes 127, so offsets kept in the tables'
-    # dtype would overflow.
+    # single check does (an intp array of zero row offsets), and as its
+    # member of a stack of every groupoid drawn at that n, as a sweep does.
+    # At n = 11 and 12 the int8 tables' x * (n+1) passes 127, so offsets
+    # kept in the tables' dtype would overflow.
     from itertools import product
 
     from linquas.catalog import get_entry
@@ -246,7 +246,7 @@ def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
             envs = list(product(range(n), repeat=len(names)))
             grid = {name: np.array([env[i] for env in envs])
                     for i, name in enumerate(names)}
-            single = _eval_stack(term, grid, op_tables(g.triple()), np.intp(0))
+            single = _eval_stack(term, grid, op_tables(g.triple()), np.zeros(1, np.intp))
             member = _eval_stack(term, {name: values[None] for name, values in grid.items()},
                                  stack, rows)
             member = np.broadcast_to(member, (len(pairs), len(envs)))[at]
