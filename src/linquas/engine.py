@@ -12,21 +12,21 @@ a law's own rows (Identity.compiled), and classify walks every catalog law
 in one pass over rows that share one basis, built on its first call.
 
 The exhaustive checker reads every table flat, from one evaluator
-(_eval_stack), one groupoid's tables being a stack of one, and splits
-checks by size: a single check of at most BLOCK assignments is one block,
-and every larger check, and every sweep stack, is one chunked scan
-(_scan).  The scan asks per member whether the tables it reads are total
-(_total), and drops each member once a block decides it.  A single check
-reads its groupoid's tables through the groupoid.op_tables LRU cache.  A
-cross-check sweep admits each (law, n) task's triples with one mask per
-row (catalog.row_sweep_mask), reads their tables from
-groupoid.stacked_op_tables, built in stacks, and still makes one oracle
-call per admitted triple, which reads its result from its stack's scan.
-A stack whose members each fit one chunk is scanned prefix first: the slab
-where the leading variable is 0 for every member, then the rest of the
-assignments only for the members that slab left undecided.  Every
-evaluation is memoized on the tables it read (OpTables.flags), so a
-repeated check, as witness searches make, evaluates nothing.
+(_eval_stack), one groupoid's tables being a stack of one, and sizes its
+work by one rule, a chunk of BLOCK // 8 assignments: a single check that
+fits one chunk is one block, and every larger check, and every sweep
+stack, is one chunked scan (_scan).  The scan evaluates the slab where the
+leading variable is 0 first, for every member, and the rest only for the
+members that slab left undecided; it asks per member whether the tables it
+reads are total (_total), and drops each member once a block decides it.
+A single check reads its groupoid's tables through the groupoid.op_tables
+LRU cache.  A cross-check sweep admits each (law, n) task's triples with
+one mask per row (catalog.row_sweep_mask), builds their groupoids BLOCK //
+8 triples at a time, reads their tables from groupoid.stacked_op_tables,
+built in stacks, and still makes one oracle call per admitted triple,
+which reads its result from its stack's scan.  Every evaluation is
+memoized on the tables it read (OpTables.flags), so a repeated check, as
+witness searches make, evaluates nothing.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class CheckOutcome:
 # --- exhaustive checking ----------------------------------------------------
 
 
-@lru_cache(maxsize=128)  # 64 (n, k) pairs, each with BLOCK and BLOCK // 8 cells
+@lru_cache(maxsize=64)  # (n, k) pairs; every call passes BLOCK // 8 cells
 def _blocks(n: int, k: int, cells: int) -> tuple[tuple[int, tuple[np.ndarray, ...]], ...]:
     """The n**k assignments in lexicographic blocks of at most `cells` (at
     least one leading value each): (start, grid) pairs, where start is the
@@ -200,6 +200,12 @@ def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
     BLOCK cells ran slower and raised the crosscheck benchmark's peak
     memory by about 9 MB).
 
+    The slab, where the leading variable is 0, comes first: a first block
+    of several leading values is split into the slab and the rest.  The
+    slab is a lexicographic prefix, so an undefined assignment or a
+    counterexample in it is its member's first; most members of a sweep
+    are decided there, and only the rest are evaluated past it.
+
     After the first chunk has built the tables, the scan asks once which
     members read only tables with no -1 in their bodies (see _total).  On
     such a member no assignment can be undefined, so its undefined flags
@@ -207,19 +213,13 @@ def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
     counterexample.  Any other member reads both flags, and is decided by
     its first undefined assignment, since a later block could still hold
     one; it keeps its first counterexample.  A decided member drops out of
-    the later blocks.
-
-    When a whole member fits one chunk (a sweep's stack), its assignments
-    are scanned prefix first, as two blocks: the slab where the leading
-    variable is 0, for every member, then the other leading values for the
-    members the slab left undecided.  Most members of a sweep fail, or are
-    not applicable, inside that slab.  The result is memoized in the
-    tables' flags (see holds_bruteforce)."""
+    the later blocks.  The result is memoized in the tables' flags (see
+    holds_bruteforce)."""
     n, k = tables.n, len(ident.variables)
     blocks = _blocks(n, k, BLOCK // 8)
-    if len(blocks) == 1:
-        lead, *rest = blocks[0][1]
-        blocks = ((0, (lead[:, :1], *rest)), (1, (lead[:, 1:], *rest)))
+    (_, (lead, *rest)), *later = blocks
+    if lead.shape[1] > 1:  # the slab first
+        blocks = ((0, (lead[:, :1], *rest)), (1, (lead[:, 1:], *rest)), *later)
     undefined, failing = np.full(members, -1), np.full(members, -1)
     live, total = np.arange(members), None
     for start, grid in blocks:
@@ -256,15 +256,15 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     skipping such tuples would silently weaken the universal quantifier.
 
     The tables are g's op_tables unless given, read flat (see _eval_stack).
-    A check of at most BLOCK assignments is one block (through the chunked
-    scan, the queries benchmark ran 14% slower).  A larger one scans its
-    groupoid as a stack of one (see _scan), so memory grows with
-    max(BLOCK // 8, n**(k-1)) assignments, not with n**k, beside the
-    (n+1)**2-cell operation tables the identity reads; the cap bounds both.
-    A sweep passes a StackMember and still calls once per groupoid: the
-    first call of a stack scans the whole stack, prefix first, deciding
-    most members on the slab where the leading variable is 0 (see _scan),
-    and each call reads its member's result.
+    A check whose n**k assignments fit one chunk (BLOCK // 8) is one block
+    (even a lean chunked scan cost about 18 us more per check).  A
+    larger one scans its groupoid as a stack of one (see _scan), slab
+    first, so memory grows with max(BLOCK // 8, n**(k-1)) assignments, not
+    with n**k, beside the (n+1)**2-cell operation tables the identity
+    reads; the cap bounds both.  A sweep passes a StackMember and still
+    calls once per groupoid: the first call of a stack scans the whole
+    stack, deciding most members on the slab where the leading variable is
+    0, and each call reads its member's result.
 
     Each evaluation is memoized in the tables' flags as indices, so a
     repeated check evaluates nothing; the outcome, with a counterexample
@@ -280,8 +280,8 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     if flags is None:
         if member:
             flags = _scan(ident, tables.stack, len(tables.stack.mul))
-        elif n ** k <= BLOCK:
-            env = dict(zip(ident.variables, _blocks(n, k, BLOCK)[0][1]))
+        elif n ** k <= BLOCK // 8:
+            env = dict(zip(ident.variables, _blocks(n, k, BLOCK // 8)[0][1]))
             rows = np.zeros((1,) * (k + 1), np.intp)  # shaped as _scan's rows
             lhs = _eval_stack(ident.lhs, env, tables, rows)
             rhs = _eval_stack(ident.rhs, env, tables, rows)
@@ -406,6 +406,13 @@ class CrosscheckReport:
         }
 
 
+def _check_moduli(n_values: list[int]) -> None:
+    """Raise ValueError if a modulus repeats: its triples would be swept twice."""
+    if len(set(n_values)) < len(n_values):
+        repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+        raise ValueError(f"each modulus may be given once, repeated: {repeated}")
+
+
 def _sweep_moduli(row: TableRow, n_values: list[int]) -> list[int]:
     if row.modulus_kind is ModulusKind.PRIME_P:
         return [n for n in n_values if is_prime(n)]
@@ -425,30 +432,33 @@ def _crosscheck_task(args: tuple) -> list[list]:
 
     Each triple that any of the rows admits (row_sweep_mask) gets one oracle
     call, and every admitting row tallies that verdict: (checked, NA,
-    mismatches) per row.  The admitted triples' tables are built in stacks
-    (stacked_op_tables), and the identity is evaluated once per chunk of a
-    stack (see holds_bruteforce).
+    mismatches) per row.  The admitted triples are taken BLOCK // 8 at a
+    time, so that a task's groupoids, admit rows and stacks
+    (stacked_op_tables) do not grow with its n**3 triples; the identity is
+    evaluated once per chunk of a stack (see holds_bruteforce).
     """
     entry_id, rows, n, cap = args
     ident = get_entry(entry_id).identity
     tallies = [[0, 0, []] for _ in rows]
     masks = np.array([row_sweep_mask(row, n) for row in rows])
     admitted = np.flatnonzero(masks.any(axis=0))
-    groupoids = [LinearGroupoid(n, *triple) for triple in
-                 zip(*(axis.tolist() for axis in np.unravel_index(admitted, (n, n, n))))]
-    admits = masks[:, admitted].T.tolist()
-    for g, tables, admitting in zip(groupoids, stacked_op_tables(groupoids), admits):
-        outcome = holds_bruteforce(g, ident, cap, tables=tables)
-        for row, tally, admitted_here in zip(rows, tallies, admitting):
-            if not admitted_here:
-                continue
-            if outcome.verdict is Verdict.NOT_APPLICABLE:
-                tally[1] += 1
-                continue
-            tally[0] += 1
-            cond = row.condition.holds(g)
-            if cond != (outcome.verdict is Verdict.HOLDS):
-                tally[2].append(Mismatch(*g.triple(), cond, outcome.verdict.value))
+    for first in range(0, len(admitted), BLOCK // 8):
+        part = admitted[first:first + BLOCK // 8]
+        groupoids = [LinearGroupoid(n, *triple) for triple in
+                     zip(*(axis.tolist() for axis in np.unravel_index(part, (n, n, n))))]
+        admits = masks[:, part].T.tolist()
+        for g, tables, admitting in zip(groupoids, stacked_op_tables(groupoids), admits):
+            outcome = holds_bruteforce(g, ident, cap, tables=tables)
+            for row, tally, admitted_here in zip(rows, tallies, admitting):
+                if not admitted_here:
+                    continue
+                if outcome.verdict is Verdict.NOT_APPLICABLE:
+                    tally[1] += 1
+                    continue
+                tally[0] += 1
+                cond = row.condition.holds(g)
+                if cond != (outcome.verdict is Verdict.HOLDS):
+                    tally[2].append(Mismatch(*g.triple(), cond, outcome.verdict.value))
     return tallies
 
 
@@ -465,7 +475,9 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
                     n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
     """Reports for the selected rows of each entry, in selection order, from
     one pool task per (law, n): the selected rows of one law share each
-    triple's oracle verdict.  Every task is held to the cap before any runs."""
+    triple's oracle verdict.  Every task is held to the cap before any runs,
+    and a repeated modulus is a ValueError, raised before any task is planned."""
+    _check_moduli(n_values)
     reports: list[CrosscheckReport] = []
     tasks: list[tuple] = []
     owners: list[list[CrosscheckReport]] = []
@@ -534,12 +546,13 @@ def search_witnesses(entry: IdentityEntry, row: TableRow, n_values: list[int],
 
     Witnesses are confirmed by the exhaustive oracle only, never by the
     condition column; an empty result is itself a finding.  A limit below 1
-    is a ValueError, raised before anything is scanned.
+    and a repeated modulus are ValueErrors, raised before anything is scanned.
     """
     if entry.identity is None:
         raise ValueError(f"entry {entry.id!r} has no defining identity")
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    _check_moduli(n_values)
     found: list[Witness] = []
     for n in sorted(_sweep_moduli(row, n_values)):
         for g in _groupoids(n):

@@ -383,6 +383,25 @@ def test_search_rejects_a_limit_below_one_before_scanning(monkeypatch, limit):
     assert calls == []
 
 
+def test_crosscheck_rejects_a_repeated_modulus_before_any_task(monkeypatch):
+    # [3, 3] would sweep the 27 triples of n = 3 twice (checked 54)
+    tasks = []
+    monkeypatch.setattr(engine, "_run_tasks", lambda func, planned, workers: tasks.append(planned))
+    for n_values in ([3, 3], [2, 3, 4, 3]):
+        with pytest.raises(ValueError, match=r"repeated: \[3\]"):
+            crosscheck_all(n_values, ["commutative"])
+    assert tasks == []
+
+
+def test_search_rejects_a_repeated_modulus_before_scanning(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "holds_bruteforce", lambda *args, **kw: calls.append(args))
+    entry = get_entry("commutative")
+    with pytest.raises(ValueError, match=r"repeated: \[2, 3\]"):
+        search_witnesses(entry, entry.rows[0], [3, 2, 3, 2], limit=5)
+    assert calls == []
+
+
 def test_universality_scan_small():
     assert universality_scan(["medial", "e_l"], list(range(2, 7))) == []
 
@@ -424,8 +443,12 @@ def test_verify_examples_is_deterministic():
 
 def test_verify_examples_checks_each_law_and_triple_once(monkeypatch):
     # every example calls the oracle, and examples that share a law and a
-    # triple share its memo: each of the 113 pairs is evaluated once, as
-    # one block of two sides
+    # triple share its memo: each of the 113 pairs is evaluated once.  108
+    # of them fit one chunk (n**k <= BLOCK // 8) and are one block of two
+    # sides.  The other five, l_bol, lc4, r_bol, rc1 and rc4 at n = 63
+    # (63**3 = 250,047 assignments, one block while single checks were
+    # sized by BLOCK), hold and so scan all nine of their blocks: the slab
+    # x = 0, then x = 1..7, then seven more of up to eight leading values.
     op_tables.cache_clear()
     calls = []
     oracle = engine.holds_bruteforce
@@ -434,7 +457,7 @@ def test_verify_examples_checks_each_law_and_triple_once(monkeypatch):
     evals = _top_level_evals(monkeypatch)
     verify_examples()
     assert (len(calls), len(set(calls))) == (174, 113)
-    assert len(evals) == 2 * 113
+    assert len(evals) == 2 * 108 + 2 * 9 * 5 == 306
 
 
 @pytest.fixture
@@ -789,8 +812,8 @@ def test_sweep_members_that_read_undefined_cells_scan_on_past_their_slab(monkeyp
 
 def test_sweep_outcomes_equal_single_checks(monkeypatch, oracle_up_to_6):
     # Every catalog law on every triple of n = 2..7, checked as a sweep
-    # checks it (one scan of a stack) and as a single check (one block of
-    # 2-D lookups, which never reaches the stack scan): the verdict, the
+    # checks it (one scan of a stack) and as a single check (one block,
+    # which never reaches the stack scan): the verdict, the
     # first counterexample and the NA reason must agree.  engine.BLOCK =
     # 8 * 7**4 makes chunks of 2,401 cells: every member still fits one
     # chunk, but at n = 7 the slab pass and the full pass split into several
@@ -831,6 +854,49 @@ def test_large_sweep_members_stop_at_their_first_failing_block(monkeypatch):
     blocks = [out.counterexample["x"] + 1 if out.counterexample else 5 for out in got]
     assert {1, 2, 5} <= set(blocks)
     assert len(calls) == 2 * sum(blocks)
+
+
+def test_scans_past_one_chunk_evaluate_the_slab_first(monkeypatch):
+    # engine.BLOCK = 8 * 24 makes chunks of 24 cells, so a member of n**k
+    # > 24 assignments spans several, and the first of its blocks holds
+    # 24 // n**(k-1) leading values: four at (n, k) = (5, 2), two at (3, 3).
+    # The scan splits the slab x = 0 off that block, for a sweep's stack
+    # and for a single check alike: the first block evaluated has a leading
+    # extent of 1, and every outcome equals the scalar reference's.
+    from test_termlang import _random_term
+
+    from linquas.termlang import Identity
+
+    rng = random.Random(14142)
+    idents = [entry.identity for entry in catalog_entries()
+              if entry.identity is not None and len(entry.identity.variables) in (2, 3)]
+    while len(idents) < 100:
+        ident = Identity(_random_term(rng, rng.randint(1, 3)), _random_term(rng, rng.randint(1, 3)))
+        if len(ident.variables) in (2, 3):
+            idents.append(ident)
+    monkeypatch.setattr(engine, "BLOCK", 8 * 24)
+    op_tables.cache_clear()
+    calls = _top_level_evals(monkeypatch)
+    seen = {verdict: 0 for verdict in Verdict}
+    for ident in idents:
+        lead, k = ident.variables[0], len(ident.variables)
+        n = {2: 5, 3: 3}[k]
+        assert engine._blocks(n, k, 24)[0][1][0].shape[1] > 1
+        groupoids = [LinearGroupoid(n, *abc) for abc in rng.sample(list(np.ndindex(n, n, n)), 12)]
+        expected = [_reference(g, ident)[:3] for g in groupoids]
+        calls.clear()
+        swept = [holds_bruteforce(g, ident, tables=m)
+                 for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+        assert calls[0][0][lead].shape[1] == 1, ident
+        assert [(o.verdict, o.counterexample, o.na_reason) for o in swept] == expected, ident
+        for g, (verdict, counterexample, na_reason) in zip(groupoids[:3], expected):
+            calls.clear()
+            out = holds_bruteforce(g, ident)
+            assert calls[0][0][lead].shape[1] == 1, (g, ident)
+            assert (out.verdict, out.counterexample, out.na_reason) == \
+                (verdict, counterexample, na_reason), (g, ident)
+            seen[verdict] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_blocks_share_one_grid():
@@ -951,8 +1017,40 @@ def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
     assert len(refs) > 8 and max(alive) == 1
 
 
+def test_sweeps_keep_one_slice_of_groupoids_alive_at_a_time(monkeypatch):
+    # engine.BLOCK = 8 * 50: a (law, n) task builds its LinearGroupoids, and
+    # their admit rows and stack members, 50 admitted triples at a time, so
+    # no oracle call sees more than 50 of the task's 216 alive.
+    import gc
+    import weakref
+
+    refs, alive = [], []
+    oracle = engine.holds_bruteforce
+
+    def built(*args):
+        g = LinearGroupoid(*args)
+        refs.append(weakref.ref(g))
+        return g
+
+    def counted(g, ident, cap, tables=None):
+        alive.append(sum(ref() is not None for ref in refs))
+        return oracle(g, ident, cap, tables=tables)
+
+    expected = [r.to_dict() for r in crosscheck_all([6], ["commutative", "medial"])]
+    monkeypatch.setattr(engine, "LinearGroupoid", built)
+    monkeypatch.setattr(engine, "holds_bruteforce", counted)
+    monkeypatch.setattr(engine, "BLOCK", 8 * 50)
+    gc.disable()
+    try:
+        got = [r.to_dict() for r in crosscheck_all([6], ["commutative", "medial"])]
+    finally:
+        gc.enable()
+    assert got == expected
+    assert len(refs) == len(alive) == 2 * 6**3 and max(alive) == 50
+
+
 def test_a_repeated_check_evaluates_nothing(monkeypatch):
-    # A one-block check, a check of several blocks (520**2 > BLOCK) and a
+    # A one-block check, a check of several blocks (520**2 > BLOCK // 8) and a
     # sweep's members: the second check of each reads its tables' memo and
     # returns an equal outcome, with a counterexample of its own.
     op_tables.cache_clear()
@@ -1053,7 +1151,7 @@ def test_oracle_verdicts_follow_the_product_of_coprime_moduli(monkeypatch, small
     # oracle against itself, with no symbolic algebra.  The sweep's stacked
     # evaluation checks every case; single checks, on a random sample of
     # each case's triples, check them again with a small block
-    # (engine.BLOCK = 64, groupoid.BLOCK = 0): one block up to 64
+    # (engine.BLOCK = 64, groupoid.BLOCK = 0): one block up to 8
     # assignments, else a leading value a block, on int8 tables.
     worst = [Verdict.HOLDS, Verdict.FAILS, Verdict.NOT_APPLICABLE].index
     rng = random.Random(1212)
