@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groupoid import LinearGroupoid, is_quasigroup
-from .modring import is_unit, poly_value
+from .modring import is_unit
 from .termlang import Identity, identity_text, parse
 
 
@@ -76,14 +76,16 @@ _VARPOW = re.compile(r"([abc])(\d*)")
 class Poly:
     """Integer polynomial in (a, b, c), asserted congruent to 0 mod n.
 
-    Terms are (coefficient, exp_a, exp_b, exp_c).
+    Terms are (coefficient, exp_a, exp_b, exp_c), no exponent negative.
     """
 
     text: str
     terms: tuple[tuple[int, int, int, int], ...]
 
     def evaluate(self, n: int, a: int, b: int, c: int) -> int:
-        return poly_value(self.terms, n, a, b, c)
+        """The value mod n at the reduced triple, or elementwise on arrays of
+        residues (int64; the catalog's terms are of degree 2 at most)."""
+        return sum(k * a ** ea * b ** eb * c ** ec for k, ea, eb, ec in self.terms) % n
 
 
 def poly(text: str) -> Poly:
@@ -111,15 +113,20 @@ def poly(text: str) -> Poly:
 class ConditionPredicate:
     """Conjunction of polynomial congruences plus optional coprimality atoms.
 
-    The empty conjunction means "always true".
+    The empty conjunction means "always true".  Like HypAtom.holds, .holds
+    takes the reduced triple, or arrays of residues to test elementwise.
     """
 
     congruences: tuple[Poly, ...] = ()
     unit_atoms: tuple[str, ...] = ()
 
-    def holds(self, g: LinearGroupoid) -> bool:
-        return (all(p.evaluate(g.n, g.a, g.b, g.c) == 0 for p in self.congruences)
-                and all(is_unit(g.b if v == "b" else g.c, g.n) for v in self.unit_atoms))
+    def holds(self, n: int, a: int, b: int, c: int) -> bool:
+        result = True
+        for p in self.congruences:
+            result = result & (p.evaluate(n, a, b, c) == 0)
+        for v in self.unit_atoms:
+            result = result & is_unit(b if v == "b" else c, n)
+        return result
 
     @property
     def text(self) -> str:

@@ -24,14 +24,16 @@ LRU cache.  A cross-check sweep admits each (law, n) task's triples with
 one mask per row (catalog.row_sweep_mask), builds their groupoids BLOCK //
 8 triples at a time, reads their tables from groupoid.stacked_op_tables,
 built in stacks, and still makes one oracle call per admitted triple,
-which reads its result from its stack's scan.  Every evaluation is
-memoized on the tables it read (OpTables.flags), so a repeated check, as
-witness searches make, evaluates nothing.
+which reads its result from its stack's scan; rows are tallied from the
+verdicts as arrays.  Every evaluation is memoized on the tables it read
+(OpTables.flags), so a repeated check, as witness searches make,
+evaluates nothing.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import multiprocessing
 import os
@@ -163,12 +165,11 @@ def _eval_stack(term: tl.Term, env: dict[str, np.ndarray], stack, rows: np.ndarr
     value.  rows holds each member's first row, (n+1) * index, as an intp
     array of the block's rank (a one-groupoid OpTables passes an array of
     zeros): a table holds the compact dtype of _padded, so x * (n+1)
-    overflows it.  A Python int would leave the offsets in that dtype, and
-    so would an intp scalar or 0-d array under NumPy 1, which sizes them by
-    value.  Each table is read flat, by row (rows + x)
-    and column, so an index of -1 still reads -1: it lands on a padding
-    cell of the same member, of the one before it, or, for member 0, of
-    the last one."""
+    overflows it, and a Python int offset would leave the sum in that
+    dtype, as NumPy 2 keeps an array's dtype against a Python int.  Each
+    table is read flat, by row (rows + x) and column, so an index of -1
+    still reads -1: it lands on a padding cell of the same member, of the
+    one before it, or, for member 0, of the last one."""
     if isinstance(term, Var):
         return env[term.name]
     flat = getattr(stack, _TABLE[term.op]).reshape(-1)
@@ -419,46 +420,36 @@ def _sweep_moduli(row: TableRow, n_values: list[int]) -> list[int]:
     return list(n_values)
 
 
-def _groupoids(n: int):
-    """Every groupoid of modulus n, lexicographic in (a, b, c)."""
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                yield LinearGroupoid(n, a, b, c)
-
-
 def _crosscheck_task(args: tuple) -> list[list]:
     """Worker task: the given rows of one law at one modulus.
 
-    Each triple that any of the rows admits (row_sweep_mask) gets one oracle
-    call, and every admitting row tallies that verdict: (checked, NA,
-    mismatches) per row.  The admitted triples are taken BLOCK // 8 at a
-    time, so that a task's groupoids, admit rows and stacks
-    (stacked_op_tables) do not grow with its n**3 triples; the identity is
-    evaluated once per chunk of a stack (see holds_bruteforce).
+    Over the triples that any row admits (row_sweep_mask), each row's
+    condition is evaluated once, and its int64 temporaries freed, before
+    the oracle's verdicts fill two bool arrays, na and holds, BLOCK // 8
+    triples at a time (see holds_bruteforce), so that the groupoids and
+    stacks do not grow with n**3.  Each row is tallied from those arrays:
+    (checked, NA, mismatches), the mismatches in lexicographic order.
     """
     entry_id, rows, n, cap = args
     ident = get_entry(entry_id).identity
-    tallies = [[0, 0, []] for _ in rows]
     masks = np.array([row_sweep_mask(row, n) for row in rows])
     admitted = np.flatnonzero(masks.any(axis=0))
+    conds = [row.condition.holds(n, *np.unravel_index(admitted, (n, n, n))) for row in rows]
+    na, holds = np.zeros(len(admitted), bool), np.zeros(len(admitted), bool)
     for first in range(0, len(admitted), BLOCK // 8):
-        part = admitted[first:first + BLOCK // 8]
-        groupoids = [LinearGroupoid(n, *triple) for triple in
-                     zip(*(axis.tolist() for axis in np.unravel_index(part, (n, n, n))))]
-        admits = masks[:, part].T.tolist()
-        for g, tables, admitting in zip(groupoids, stacked_op_tables(groupoids), admits):
-            outcome = holds_bruteforce(g, ident, cap, tables=tables)
-            for row, tally, admitted_here in zip(rows, tallies, admitting):
-                if not admitted_here:
-                    continue
-                if outcome.verdict is Verdict.NOT_APPLICABLE:
-                    tally[1] += 1
-                    continue
-                tally[0] += 1
-                cond = row.condition.holds(g)
-                if cond != (outcome.verdict is Verdict.HOLDS):
-                    tally[2].append(Mismatch(*g.triple(), cond, outcome.verdict.value))
+        part = np.unravel_index(admitted[first:first + BLOCK // 8], (n, n, n))
+        groupoids = [LinearGroupoid(n, *t) for t in zip(*(axis.tolist() for axis in part))]
+        for at, g, tables in zip(itertools.count(first), groupoids, stacked_op_tables(groupoids)):
+            verdict = holds_bruteforce(g, ident, cap, tables=tables).verdict
+            na[at], holds[at] = verdict is Verdict.NOT_APPLICABLE, verdict is Verdict.HOLDS
+    tallies = []
+    for admit, cond in zip(masks[:, admitted], conds):
+        checked = admit & ~na
+        wrong = checked & (cond != holds)
+        a, b, c = (axis.tolist() for axis in np.unravel_index(admitted[wrong], (n, n, n)))
+        mismatches = [Mismatch(n, *t, not held, (Verdict.HOLDS if held else Verdict.FAILS).value)
+                      for *t, held in zip(a, b, c, holds[wrong].tolist())]
+        tallies.append([int(checked.sum()), int((admit & na).sum()), mismatches])
     return tallies
 
 
@@ -555,7 +546,7 @@ def search_witnesses(entry: IdentityEntry, row: TableRow, n_values: list[int],
     _check_moduli(n_values)
     found: list[Witness] = []
     for n in sorted(_sweep_moduli(row, n_values)):
-        for g in _groupoids(n):
+        for g in (LinearGroupoid(n, *abc) for abc in itertools.product(range(n), repeat=3)):
             if not row_sweep_admits(row, g):
                 continue
             if holds_bruteforce(g, entry.identity, cap).verdict is Verdict.HOLDS:
@@ -640,7 +631,7 @@ def check_example(source: str, entry: IdentityEntry, kind: StructureKind,
         failed = [atom.value for atom in row.hypothesis if not atom.holds(*g.triple())]
         if failed:
             problems.append(f"hypothesis fails: {', '.join(failed)}")
-        if not row.condition.holds(g):
+        if not row.condition.holds(*g.triple()):
             problems.append(f"stated condition fails: {row.condition.text}")
     if outcome.verdict is Verdict.FAILS:
         problems.append(f"identity fails, first counterexample {outcome.counterexample}")

@@ -3,6 +3,8 @@ import json
 import re
 from collections import Counter
 
+import numpy as np
+
 from linquas.catalog import (ExampleStatus, HypAtom, ModulusKind,
                              StructureKind, catalog_entries, export_json,
                              get_entry, poly, row_sweep_admits, row_sweep_mask,
@@ -80,8 +82,7 @@ def test_abel_grassman_entry_matches_source_row():
     assert identity_text(entry.identity) == "(x*(y*z)) = (z*(y*x))"
     assert entry.rows[0].example == (6, 2, 4, 2)
     assert entry.rows[1].example == (9, 2, 4, 2)
-    g = LinearGroupoid(6, 2, 4, 2)
-    assert entry.rows[0].condition.holds(g)
+    assert entry.rows[0].condition.holds(6, 2, 4, 2)
 
 
 def test_medial_row_condition_is_empty():
@@ -90,7 +91,7 @@ def test_medial_row_condition_is_empty():
     for row in entry.rows:
         assert row.condition.congruences == ()
         assert row.condition.text == "always"
-        assert row.condition.holds(LinearGroupoid(12, 7, 4, 9))
+        assert row.condition.holds(12, 7, 4, 9)
 
 
 def test_hypothesis_atom_examples():
@@ -146,11 +147,29 @@ def test_rows_use_every_hypothesis_atom():
 
 def test_condition_examples():
     stein = get_entry("stein_third").rows[2]
-    assert stein.condition.holds(LinearGroupoid(5, 3, 2, 4))
+    assert stein.condition.holds(5, 3, 2, 4)
     cip = get_entry("r_cip_1").rows[0]
-    assert cip.condition.holds(LinearGroupoid(11, 2, 3, 4))
+    assert cip.condition.holds(11, 2, 3, 4)
     external_medial = poly("b2-c2")
     assert external_medial.evaluate(9, 2, 8, 1) == 0
+
+
+def test_conditions_hold_elementwise_as_each_triple_reads_them():
+    # the sweep evaluates a row's condition once over a task's residue
+    # arrays; every distinct condition must agree there, triple by triple,
+    # with its congruences read through poly_value and its units through
+    # is_unit, and must give a plain bool on the reduced triple
+    conditions = {row.condition for entry in catalog_entries() for row in entry.rows}
+    for n in range(2, 13):
+        grid = np.ix_(*[np.arange(n)] * 3)
+        for condition in conditions:
+            got = np.broadcast_to(condition.holds(n, *grid), (n, n, n))
+            for a, b, c in itertools.product(range(n), repeat=3):
+                want = (all(poly_value(p.terms, n, a, b, c) == 0 for p in condition.congruences)
+                        and all(is_unit(b if v == "b" else c, n) for v in condition.unit_atoms))
+                scalar = condition.holds(n, a, b, c)
+                assert type(scalar) is bool and scalar == want == got[a, b, c], \
+                    (condition.text, n, a, b, c)
 
 
 def test_poly_parser():
