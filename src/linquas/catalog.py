@@ -17,11 +17,11 @@ import enum
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .groupoid import LinearGroupoid, is_quasigroup
+from .groupoid import LinearGroupoid
 from .modring import is_unit
 from .termlang import Identity, identity_text, parse
 
@@ -147,6 +147,15 @@ class TableRow:
     condition: ConditionPredicate
     example: tuple[int, int, int, int] | None
     example_status: ExampleStatus
+
+    @cached_property
+    def sweep_atoms(self) -> tuple[HypAtom, ...]:
+        """The atoms a triple must satisfy to belong in this row's sweep:
+        its hypothesis, after b_unit and c_unit for a quasigroup row (every
+        linear polynomial gives a groupoid)."""
+        if self.structure_kind is StructureKind.QUASIGROUP:
+            return (HypAtom.B_UNIT, HypAtom.C_UNIT, *self.hypothesis)
+        return self.hypothesis
 
     def label(self) -> str:
         kind = "G" if self.structure_kind is StructureKind.GROUPOID else "Q"
@@ -660,24 +669,22 @@ def table_numbers_covered() -> set[int]:
 
 
 def row_sweep_admits(row: TableRow, g: LinearGroupoid) -> bool:
-    """Whether a triple belongs in the sweep for this row: hypothesis plus,
-    for quasigroup rows, a quasigroup (every linear polynomial gives a
-    groupoid)."""
-    triple = g.triple()
-    return ((row.structure_kind is not StructureKind.QUASIGROUP or is_quasigroup(g))
-            and all(atom.holds(*triple) for atom in row.hypothesis))
+    """Whether the groupoid's triple belongs in the sweep for this row (see
+    TableRow.sweep_atoms): a plain loop, half the time of all() over a
+    generator, as search_witnesses calls it on every triple it visits."""
+    n, a, b, c = g.triple()
+    for atom in row.sweep_atoms:
+        if not atom.holds(n, a, b, c):
+            return False
+    return True
 
 
 def row_sweep_mask(row: TableRow, n: int) -> np.ndarray:
     """row_sweep_admits for every triple of modulus n at once: a flat mask
-    over (a, b, c) in lexicographic order, from the same atom tests (a
-    quasigroup row adds b_unit and c_unit)."""
+    over (a, b, c) in lexicographic order, from the same atoms."""
     a, b, c = np.ix_(*[np.arange(n)] * 3)
-    atoms = row.hypothesis
-    if row.structure_kind is StructureKind.QUASIGROUP:
-        atoms = (HypAtom.B_UNIT, HypAtom.C_UNIT, *atoms)
     mask = np.ones((n, n, n), dtype=bool)
-    for atom in atoms:
+    for atom in row.sweep_atoms:
         mask &= atom.holds(n, a, b, c)
     return mask.ravel()
 

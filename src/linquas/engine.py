@@ -11,23 +11,23 @@ from rows compiled over a basis of distinct monomials: holds_symbolic reads
 a law's own rows (Identity.compiled), and classify walks every catalog law
 in one pass over rows that share one basis, built on its first call.
 
-The exhaustive checker reads every table flat, from one evaluator
-(_eval_stack), one groupoid's tables being a stack of one, and sizes its
-work by one rule, a chunk of BLOCK // 8 assignments: a single check that
-fits one chunk is one block, and every larger check, and every sweep
-stack, is one chunked scan (_scan).  The scan evaluates the slab where the
-leading variable is 0 first, for every member, and the rest only for the
-members that slab left undecided; it asks per member whether the tables it
-reads are total (_total), and drops each member once a block decides it.
-A single check reads its groupoid's tables through the groupoid.op_tables
-LRU cache.  A cross-check sweep admits each (law, n) task's triples with
-one mask per row (catalog.row_sweep_mask), builds their groupoids BLOCK //
-8 triples at a time, reads their tables from groupoid.stacked_op_tables,
-built in stacks, and still makes one oracle call per admitted triple,
-which reads its result from its stack's scan; rows are tallied from the
-verdicts as arrays.  Every evaluation is memoized on the tables it read
-(OpTables.flags), so a repeated check, as witness searches make,
-evaluates nothing.
+The exhaustive checker reads every check as a member of a stack of
+tables, a (stack, index) StackMember, flat, from one evaluator
+(_eval_stack), and sizes its work by one rule, a chunk of BLOCK // 8
+assignments: a stack of one groupoid whose n**k assignments fit one chunk
+is one block, and every other stack is one chunked scan (_scan).  The
+scan evaluates the slab where the leading variable is 0 first, for every
+member, and the rest only for the members that slab left undecided; it
+asks per member whether the tables it reads are total (_total), and drops
+each member once a block decides it.  A single check reads (op_tables(g),
+0), a stack of one through the groupoid.op_tables LRU cache.  A
+cross-check sweep admits each (law, n) task's triples with one mask per
+row (catalog.row_sweep_mask), builds their stacks from the admitted
+residue arrays (groupoid.stacked_op_tables), and still makes one oracle
+call per admitted triple, which reads its result from its stack's scan;
+rows are tallied from the verdicts as arrays.  Every evaluation is
+memoized on the stack it read (OpTables.flags), so a repeated check, as
+witness searches make, evaluates nothing.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from . import termlang as tl
 from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
                       TableRow, catalog_entries, get_entry, row_sweep_admits,
                       row_sweep_mask)
-from .groupoid import (BLOCK, LinearGroupoid, StackMember, is_quasigroup, op_tables,
-                       stacked_op_tables)
+from .groupoid import BLOCK, LinearGroupoid, is_quasigroup, op_tables, stacked_op_tables
 from .modring import is_prime
 from .termlang import Binary, Identity, NotApplicable, Var
 
@@ -121,12 +120,11 @@ _TABLE = {"*": "mul", "\\": "ldiv", "/": "rdiv", "rho": "rho", "lam": "lam",
 def _total(ident: Identity, tables) -> np.ndarray:
     """For each member of a stack of tables, whether no table the identity
     reads has -1 in that member's body, so that every value stays in 0..n-1
-    and no assignment of that member can be undefined: a bool array over
-    the stack, 0-d for one groupoid's OpTables.  The body is the trailing
-    [:n, :n] of a binary operation's table and the trailing [:n] of a unary
-    one's.  Once a chunk is evaluated those tables are built, so this
-    builds none; it reads cells, not coefficients, so it holds for any
-    OpTables, not only linear ones."""
+    and no assignment of that member can be undefined: one bool per member.
+    The body is the trailing [:n, :n] of a binary operation's table and the
+    trailing [:n] of a unary one's.  Once a chunk is evaluated those tables
+    are built, so this builds none; it reads cells, not coefficients, so it
+    holds for any OpTables, not only linear ones."""
     axes, terms = {}, [ident.lhs, ident.rhs]
     while terms:
         term = terms.pop()
@@ -136,10 +134,10 @@ def _total(ident: Identity, tables) -> np.ndarray:
         elif not isinstance(term, Var):
             axes[term.op] = (-1,)
             terms.append(term.child)
-    total = np.True_
+    total = np.ones(len(tables.mul), bool)
     for op, axis in axes.items():
         cells = getattr(tables, _TABLE[op])[(..., *[slice(tables.n)] * len(axis))]
-        total = total & (cells.min(axis=axis) >= 0)
+        total &= cells.min(axis=axis) >= 0
     return total
 
 
@@ -163,13 +161,13 @@ def _eval_stack(term: tl.Term, env: dict[str, np.ndarray], stack, rows: np.ndarr
     """Evaluate over all assignments of a block at once, for a chunk of a
     stack's groupoids along a leading member axis; -1 marks an undefined
     value.  rows holds each member's first row, (n+1) * index, as an intp
-    array of the block's rank (a one-groupoid OpTables passes an array of
-    zeros): a table holds the compact dtype of _padded, so x * (n+1)
-    overflows it, and a Python int offset would leave the sum in that
-    dtype, as NumPy 2 keeps an array's dtype against a Python int.  Each
-    table is read flat, by row (rows + x) and column, so an index of -1
-    still reads -1: it lands on a padding cell of the same member, of the
-    one before it, or, for member 0, of the last one."""
+    array of the block's rank (a stack of one reads an array of zeros): a
+    table holds the compact dtype of _padded, so x * (n+1) overflows it,
+    and a Python int offset would leave the sum in that dtype, as NumPy 2
+    keeps an array's dtype against a Python int.  Each table is read flat,
+    by row (rows + x) and column, so an index of -1 still reads -1: it
+    lands on a padding cell of the same member, of the one before it, or,
+    for member 0, of the last one."""
     if isinstance(term, Var):
         return env[term.name]
     flat = getattr(stack, _TABLE[term.op]).reshape(-1)
@@ -191,15 +189,14 @@ def _firsts(mask: np.ndarray, shape: tuple[int, ...], offset: int) -> np.ndarray
     return np.where(flags.any(axis=1), flags.argmax(axis=1) + offset, -1)
 
 
-def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
-    """For each of the `members` groupoids of a stack of tables, the indices
-    of its first undefined and of its first failing assignment
-    (lexicographic), or -1; one groupoid's OpTables is a stack of one.  The
-    identity is evaluated block by block (see _blocks), in lexicographic
-    order, over the members still undecided, packed into chunks of at most
-    BLOCK // 8 assignments, the size of the stacks' own tables (chunks of
-    BLOCK cells ran slower and raised the crosscheck benchmark's peak
-    memory by about 9 MB).
+def _scan(ident: Identity, stack) -> tuple[tuple[int, int], ...]:
+    """For each member of a stack of tables, the indices of its first
+    undefined and of its first failing assignment (lexicographic), or -1,
+    as a tuple of pairs.  The identity is evaluated block by block (see
+    _blocks), in lexicographic order, over the members still undecided,
+    packed into chunks of at most BLOCK // 8 assignments, the size of the
+    stacks' own tables (chunks of BLOCK cells ran slower and raised the
+    crosscheck benchmark's peak memory by about 9 MB).
 
     The slab, where the leading variable is 0, comes first: a first block
     of several leading values is split into the slab and the rest.  The
@@ -214,9 +211,9 @@ def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
     counterexample.  Any other member reads both flags, and is decided by
     its first undefined assignment, since a later block could still hold
     one; it keeps its first counterexample.  A decided member drops out of
-    the later blocks.  The result is memoized in the tables' flags (see
+    the later blocks.  The result is memoized in the stack's flags (see
     holds_bruteforce)."""
-    n, k = tables.n, len(ident.variables)
+    n, k, members = stack.n, len(ident.variables), len(stack.mul)
     blocks = _blocks(n, k, BLOCK // 8)
     (_, (lead, *rest)), *later = blocks
     if lead.shape[1] > 1:  # the slab first
@@ -231,10 +228,10 @@ def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
         for first in range(0, len(live), step):
             at = live[first:first + step]
             rows = at.reshape(-1, *[1] * k) * (n + 1)
-            lhs = _eval_stack(ident.lhs, env, tables, rows)
-            rhs = _eval_stack(ident.rhs, env, tables, rows)
+            lhs = _eval_stack(ident.lhs, env, stack, rows)
+            rhs = _eval_stack(ident.rhs, env, stack, rows)
             if total is None:  # the tables read are built now
-                total = np.broadcast_to(_total(ident, tables), members)
+                total = _total(ident, stack)
             shape = (len(at), *block)
             if total[at].all():  # a live member on total tables has no counterexample yet
                 failing[at] = _firsts(lhs != rhs, shape, offset)
@@ -245,7 +242,7 @@ def _scan(ident: Identity, tables, members: int) -> list[tuple[int, int]]:
         live = live[np.where(total[live], failing[live], undefined[live]) < 0]
         if not live.size:
             break
-    return list(zip(undefined.tolist(), failing.tolist()))
+    return tuple(zip(undefined.tolist(), failing.tolist()))
 
 
 def holds_bruteforce(g: LinearGroupoid, ident: Identity,
@@ -256,41 +253,37 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     assignment makes either side undefined the whole check is NotApplicable:
     skipping such tuples would silently weaken the universal quantifier.
 
-    The tables are g's op_tables unless given, read flat (see _eval_stack).
-    A check whose n**k assignments fit one chunk (BLOCK // 8) is one block
-    (even a lean chunked scan cost about 18 us more per check).  A
-    larger one scans its groupoid as a stack of one (see _scan), slab
-    first, so memory grows with max(BLOCK // 8, n**(k-1)) assignments, not
-    with n**k, beside the (n+1)**2-cell operation tables the identity
-    reads; the cap bounds both.  A sweep passes a StackMember and still
-    calls once per groupoid: the first call of a stack scans the whole
-    stack, deciding most members on the slab where the leading variable is
-    0, and each call reads its member's result.
+    The tables are a (stack, index) StackMember, g's (op_tables(g), 0)
+    unless given, read flat (see _eval_stack).  A stack of one whose n**k
+    assignments fit one chunk (BLOCK // 8) is one block (even a lean
+    chunked scan cost about 18 us more per check).  Every other stack is
+    scanned (see _scan), slab first, so memory grows with max(BLOCK // 8,
+    n**(k-1)) assignments per member, not with n**k, beside the
+    (n+1)**2-cell operation tables the identity reads; the cap bounds
+    both.  A sweep passes each groupoid's member of a larger stack and
+    still calls once per groupoid: the first call of a stack scans the
+    whole stack, deciding most members on the slab where the leading
+    variable is 0, and each call reads its member's result.
 
-    Each evaluation is memoized in the tables' flags as indices, so a
-    repeated check evaluates nothing; the outcome, with a counterexample
-    dict of its own, is built on every call, after the cap.
+    Each evaluation is memoized in the stack's flags as indices, one pair
+    per member, so a repeated check evaluates nothing; the outcome, with a
+    counterexample dict of its own, is built on every call, after the cap.
     """
     n, k = g.n, len(ident.variables)
     _check_cap(n, k, cap)
-    if tables is None:
-        tables = op_tables(g.triple())
-    member = isinstance(tables, StackMember)
-    memo = (tables.stack if member else tables).flags
-    flags = memo.get(ident)
+    stack, index = tables or (op_tables(g.triple()), 0)
+    flags = stack.flags.get(ident)
     if flags is None:
-        if member:
-            flags = _scan(ident, tables.stack, len(tables.stack.mul))
-        elif n ** k <= BLOCK // 8:
+        if len(stack.mul) == 1 and n ** k <= BLOCK // 8:
             env = dict(zip(ident.variables, _blocks(n, k, BLOCK // 8)[0][1]))
             rows = np.zeros((1,) * (k + 1), np.intp)  # shaped as _scan's rows
-            lhs = _eval_stack(ident.lhs, env, tables, rows)
-            rhs = _eval_stack(ident.rhs, env, tables, rows)
-            flags = (_first((lhs < 0) | (rhs < 0)), _first(lhs != rhs))
+            lhs = _eval_stack(ident.lhs, env, stack, rows)
+            rhs = _eval_stack(ident.rhs, env, stack, rows)
+            flags = ((_first((lhs < 0) | (rhs < 0)), _first(lhs != rhs)),)
         else:
-            (flags,) = _scan(ident, tables, 1)
-        memo[ident] = flags
-    undefined, failing = flags[tables.index] if member else flags
+            flags = _scan(ident, stack)
+        stack.flags[ident] = flags
+    undefined, failing = flags[index]
     if undefined >= 0:
         return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
                             na_reason=_na_reason(ident, _assignment(ident, n, undefined), g))
@@ -426,9 +419,10 @@ def _crosscheck_task(args: tuple) -> list[list]:
     Over the triples that any row admits (row_sweep_mask), each row's
     condition is evaluated once, and its int64 temporaries freed, before
     the oracle's verdicts fill two bool arrays, na and holds, BLOCK // 8
-    triples at a time (see holds_bruteforce), so that the groupoids and
-    stacks do not grow with n**3.  Each row is tallied from those arrays:
-    (checked, NA, mismatches), the mismatches in lexicographic order.
+    triples at a time (see holds_bruteforce), so that the residue arrays
+    and stacks do not grow with n**3; each groupoid is made at its oracle
+    call.  Each row is tallied from those arrays: (checked, NA,
+    mismatches), the mismatches in lexicographic order.
     """
     entry_id, rows, n, cap = args
     ident = get_entry(entry_id).identity
@@ -438,9 +432,9 @@ def _crosscheck_task(args: tuple) -> list[list]:
     na, holds = np.zeros(len(admitted), bool), np.zeros(len(admitted), bool)
     for first in range(0, len(admitted), BLOCK // 8):
         part = np.unravel_index(admitted[first:first + BLOCK // 8], (n, n, n))
-        groupoids = [LinearGroupoid(n, *t) for t in zip(*(axis.tolist() for axis in part))]
-        for at, g, tables in zip(itertools.count(first), groupoids, stacked_op_tables(groupoids)):
-            verdict = holds_bruteforce(g, ident, cap, tables=tables).verdict
+        triples = zip(*(axis.tolist() for axis in part))
+        for at, t, tables in zip(itertools.count(first), triples, stacked_op_tables(n, *part)):
+            verdict = holds_bruteforce(LinearGroupoid(n, *t), ident, cap, tables=tables).verdict
             na[at], holds[at] = verdict is Verdict.NOT_APPLICABLE, verdict is Verdict.HOLDS
     tallies = []
     for admit, cond in zip(masks[:, admitted], conds):

@@ -5,17 +5,18 @@ inverses, left/right division, and orthogonality of pairs of tables.
 
 The exhaustive checker reads operation tables scanned from the Cayley
 table: the divisions by inverting its rows (_invert_rows), the local
-elements by solving one target per row (_solve_rows).  A single check reads
-one groupoid's OpTables through the op_tables LRU cache, and a cross-check
-sweep reads StackMembers of stacked_op_tables, which builds the tables of
-many groupoids of one modulus in one numpy pass per kind.  Every table is
-stored in the smallest signed type that holds -2n (see _padded).  Every
-check evaluates its identity over a stack's contiguous tables read flat,
-where each table's -1 padding keeps an undefined value undefined (see
-engine._eval_stack); one groupoid's OpTables is read as a stack of one.
-Every scan (engine._scan) goes slab first: every member over the slab
-where the leading variable is 0, then only the members it left undecided
-over the rest.
+elements by solving one target per row (_solve_rows).  Every OpTables is a
+stack of groupoids of one modulus along a leading member axis, and every
+check reads a (stack, index) StackMember of one: a single check reads
+(op_tables(triple), 0), a cached stack of one, and a cross-check sweep the
+members of stacked_op_tables, built from residue arrays in one numpy pass
+per kind; both build mul by one _cayley call.  Every table is stored in
+the smallest signed type that holds -2n (see _padded).  Every check
+evaluates its identity over a stack's contiguous tables read flat, where
+each table's -1 padding keeps an undefined value undefined (see
+engine._eval_stack).  Every scan (engine._scan) goes slab first: every
+member over the slab where the leading variable is 0, then only the
+members it left undecided over the rest.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def is_quasigroup(g: LinearGroupoid) -> bool:
 def cayley_table(g: LinearGroupoid) -> np.ndarray:
     """Read-only n x n array with entry [x, y] = x*y, in the tables' compact
     dtype (int8 up to n = 64); widen it before arithmetic that can pass it."""
-    return op_tables(g.triple()).mul[:g.n, :g.n]
+    return op_tables(g.triple()).mul[0, :g.n, :g.n]
 
 
 def is_latin_square(table: np.ndarray) -> bool:
@@ -172,8 +173,9 @@ def orthogonal_det(g1: LinearGroupoid, g2: LinearGroupoid) -> bool:
 
 
 class OpTables:
-    """Operation tables for one groupoid, or for a stack of groupoids of one
-    modulus along a leading axis; -1 marks an undefined entry.  Each table
+    """Operation tables for a stack of groupoids of one modulus, one member
+    per groupoid along a leading axis (one groupoid's tables are a stack of
+    one); -1 marks an undefined entry.  Each table axis behind the member
     axis has one more slot, at index n, holding -1, so index -1 reads -1.
 
     Only mul is given; the others are scanned from it on first access, for
@@ -184,57 +186,58 @@ class OpTables:
     rdiv.  All are read-only and share mul's dtype.
 
     flags is the exhaustive checker's memo (engine.holds_bruteforce): each
-    identity checked maps to its first undefined and first failing
-    assignment's index, or -1, as a pair, or for a stack a list of each
-    member's pair.  It dies with the tables (op_tables' LRU, a sweep's stack).
+    identity checked maps to a tuple of each member's pair, the indices of
+    its first undefined and first failing assignment, or -1.  It dies with
+    the tables (op_tables' LRU, a sweep's stack).
     """
 
     def __init__(self, mul: np.ndarray) -> None:
         mul.setflags(write=False)
         self.n = mul.shape[-1] - 1
-        self.mul = mul  # mul[..., x, y] = x*y
+        self.mul = mul  # mul[t, x, y] = x*y in member t
         self.flags: dict = {}
 
     @cached_property
     def ldiv(self) -> np.ndarray:
-        """ldiv[..., x, z] = unique w with x*w = z, else -1."""
-        return _invert_rows(self.mul[..., :-1, :-1])
+        """ldiv[t, x, z] = unique w with x*w = z, else -1."""
+        return _invert_rows(self.mul[:, :-1, :-1])
 
     @cached_property
     def rdiv(self) -> np.ndarray:
-        """rdiv[..., x, z] = unique w with w*x = z, else -1."""
-        return _invert_rows(self.mul[..., :-1, :-1].swapaxes(-1, -2))
+        """rdiv[t, x, z] = unique w with w*x = z, else -1."""
+        return _invert_rows(self.mul[:, :-1, :-1].swapaxes(1, 2))
 
     @cached_property
     def e_rho(self) -> np.ndarray:
-        """e_rho[..., x] = unique e with x*e = x, else -1."""
-        return _solve_rows(self.mul[..., :-1, :-1], self._own())
+        """e_rho[t, x] = unique e with x*e = x, else -1."""
+        return _solve_rows(self.mul[:, :-1, :-1], self._own())
 
     @cached_property
     def e_lam(self) -> np.ndarray:
-        """e_lam[..., x] = unique e with e*x = x, else -1."""
-        return _solve_rows(self.mul[..., :-1, :-1].swapaxes(-1, -2), self._own())
+        """e_lam[t, x] = unique e with e*x = x, else -1."""
+        return _solve_rows(self.mul[:, :-1, :-1].swapaxes(1, 2), self._own())
 
     @cached_property
     def rho(self) -> np.ndarray:
-        """rho[..., x] = unique s with x*s = e_rho(x), else -1."""
-        return _solve_rows(self.mul[..., :-1, :-1], self.e_rho)
+        """rho[t, x] = unique s with x*s = e_rho(x), else -1."""
+        return _solve_rows(self.mul[:, :-1, :-1], self.e_rho)
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """lam[..., x] = unique s with s*x = e_lam(x), else -1."""
-        return _solve_rows(self.mul[..., :-1, :-1].swapaxes(-1, -2), self.e_lam)
+        """lam[t, x] = unique s with s*x = e_lam(x), else -1."""
+        return _solve_rows(self.mul[:, :-1, :-1].swapaxes(1, 2), self.e_lam)
 
     def _own(self) -> np.ndarray:
-        """own[x] = x for every table, in mul's dtype so that a scan
+        """own[t, x] = x for every member, in mul's dtype so that a scan
         compares without a cast."""
-        return np.arange(self.n, dtype=self.mul.dtype)
+        return np.arange(self.n, dtype=self.mul.dtype)[None].repeat(len(self.mul), 0)
 
 
 class StackMember(NamedTuple):
-    """Groupoid `index` of a stacked OpTables.  The sweep's oracle reads its
-    verdict from one scan of the whole stack, memoized in the stack's flags,
-    and its tables as getattr(stack, kind)[index]."""
+    """Groupoid `index` of a stacked OpTables, the handle of every check: a
+    single check reads (op_tables(triple), 0).  The oracle reads its
+    verdict from one scan of the whole stack, memoized in the stack's
+    flags, and its tables as getattr(stack, kind)[index]."""
 
     stack: OpTables
     index: int
@@ -245,12 +248,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _padded(n: int, *lead: int) -> np.ndarray:
-    """An (n+1) x (n+1) table of -1, or a stack of them shaped lead, in the
-    smallest signed type holding -2n, and so the sums below 2n written while
+def _padded(members: int, n: int) -> np.ndarray:
+    """A stack of `members` (n+1) x (n+1) tables of -1, in the smallest
+    signed type holding -2n, and so the sums below 2n written while
     building mul, so that it stays in cache (int8 up to n = 64, int16 up to
     n = 16384).  Lookups index with intp offsets (see engine._eval_stack)."""
-    return np.full((*lead, n + 1, n + 1), -1, dtype=np.min_scalar_type(-2 * n))
+    return np.full((members, n + 1, n + 1), -1, dtype=np.min_scalar_type(-2 * n))
 
 
 def _table_blocks(tables: int, n: int):
@@ -265,17 +268,15 @@ def _table_blocks(tables: int, n: int):
 
 
 def _invert_rows(t: np.ndarray) -> np.ndarray:
-    """inv[..., x, v] = the unique w with t[..., x, w] = v, or -1, for one
-    n x n table or a stack of them; padded to n + 1 on the last two axes.
-    Inverts blocks of at most BLOCK cells at a time (see _table_blocks)."""
+    """inv[i, x, v] = the unique w with t[i, x, w] = v, or -1, for a stack
+    of n x n tables; padded to n + 1 on the last two axes.  Inverts blocks
+    of at most BLOCK cells at a time (see _table_blocks)."""
     n = t.shape[-1]
-    inv = _padded(n, *t.shape[:-2])
-    # views, of one table or of a 3-D stack; inv itself is returned, so that
-    # a cached table holds no second array object
-    stack, body = t.reshape(-1, n, n), inv.reshape(-1, n + 1, n + 1)[:, :n, :n]
+    inv = _padded(len(t), n)
+    body = inv[:, :n, :n]  # a view: a cached table holds no second array object
     cols = np.arange(n, dtype=np.int64)
-    for at_block in _table_blocks(len(stack), n):
-        part = stack[at_block]
+    for at_block in _table_blocks(len(t), n):
+        part = t[at_block]
         rows = part.reshape(-1, n)
         at = np.arange(len(rows))[:, None]
         counts = np.bincount((at * n + rows).ravel(), minlength=rows.size)
@@ -288,41 +289,39 @@ def _invert_rows(t: np.ndarray) -> np.ndarray:
 
 
 def _solve_rows(t: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """out[..., x] = the unique w with t[..., x, w] = target[..., x], or -1,
-    for one n x n table or a stack of them; padded to n + 1 on the last
-    axis.  A 1-D target serves every table of a stack, and a -1 target
-    matches no cell.  Scans the same rows of every table at once, in blocks
-    of at most BLOCK cells, or of one row of each table if that is more: a
-    stack of stacked_op_tables is one block, a larger table is split by rows."""
+    """out[i, x] = the unique w with t[i, x, w] = target[i, x], or -1, for a
+    stack of n x n tables; padded to n + 1 on the last axis.  A -1 target
+    matches no cell.  Scans blocks of at most BLOCK cells (see
+    _table_blocks): a stack of stacked_op_tables is one block, a larger
+    table is split by rows."""
     n = t.shape[-1]
-    out = np.empty((*t.shape[:-2], n + 1), t.dtype)
-    out[..., n] = -1
-    goal = target[..., :n, None]
-    step = max(1, BLOCK * n // t.size)
-    for start in range(0, n, step):
-        rows = slice(start, min(n, start + step))
-        hit = t[..., rows, :] == goal[..., rows, :]
+    out = np.empty((len(t), n + 1), t.dtype)
+    out[:, n] = -1
+    goal = target[:, :n, None]
+    for at_block in _table_blocks(len(t), n):
+        hit = t[at_block] == goal[at_block]
         w = hit.argmax(axis=-1)
         w[np.add.reduce(hit, -1) != 1] = -1
-        out[..., rows] = w
+        out[at_block] = w
     return _read_only(out)
 
 
 def _cayley(n: int, a, b, c) -> np.ndarray:
-    """The padded Cayley table of (n, a, b, c) for int coefficients, or the
-    stack of them for (m, 1) arrays of coefficients, in blocks of at most
-    BLOCK cells (see _table_blocks).  Each cell is the sum s of a row
-    term (a + b*x) % n and a column term (c*y) % n; both are below n, so
-    s < 2n fits the table's dtype.  A block sums them in an unsigned array
-    of that width and reduces s with no division: there s - n wraps past s
-    when s < n, so min(s, s - n) is s mod n.  The block is then copied into
-    the padded array, which ran faster on a stack's small tables than
-    summing into their short padded rows."""
-    mul = _padded(n, *np.shape(a)[:-1])
-    stack = mul.reshape(-1, n + 1, n + 1).view(f"u{mul.itemsize}")
+    """The stack of padded Cayley tables of (n, a, b, c) for equal-length
+    arrays of coefficients, in blocks of at most BLOCK cells (see
+    _table_blocks).  Each cell is the sum s of a row term (a + b*x) % n and
+    a column term (c*y) % n; both are below n, so s < 2n fits the table's
+    dtype.  A block sums them in an unsigned array of that width and
+    reduces s with no division: there s - n wraps past s when s < n, so
+    min(s, s - n) is s mod n.  The block is then copied into the padded
+    array, which ran faster on a stack's small tables than summing into
+    their short padded rows."""
+    mul = _padded(len(a), n)
+    stack = mul.view(f"u{mul.itemsize}")
+    a, b, c = np.array((a, b, c), np.int64).reshape(3, -1, 1, 1)
     i = np.arange(n, dtype=np.int64)
-    rows = ((a + b * i) % n).astype(stack.dtype).reshape(-1, n, 1)
-    cols = ((c * i) % n).astype(stack.dtype).reshape(-1, 1, n)
+    rows = ((a + b * i[:, None]) % n).astype(stack.dtype)
+    cols = ((c * i) % n).astype(stack.dtype)
     for members, part in _table_blocks(len(stack), n):
         s = rows[members, part] + cols[members]
         stack[members, part, :n] = np.minimum(s, s - n, out=s)
@@ -331,31 +330,28 @@ def _cayley(n: int, a, b, c) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def op_tables(triple: tuple[int, int, int, int]) -> OpTables:
-    """Lookup tables for the groupoid (n, a, b, c); the Cayley table is
-    written straight into mul, the others are scanned from it.  Single
-    checks read these through the cache; sweeps read stacked_op_tables."""
-    return OpTables(_cayley(*LinearGroupoid(*triple).triple()))
+    """Lookup tables for the groupoid (n, a, b, c), a stack of one: the
+    Cayley table is written straight into mul, the others are scanned from
+    it.  Single checks read these through the cache; sweeps read
+    stacked_op_tables."""
+    n, a, b, c = LinearGroupoid(*triple).triple()
+    return OpTables(_cayley(n, [a], [b], [c]))
 
 
-def stacked_op_tables(groupoids: list[LinearGroupoid]):
-    """Each groupoid's tables, in order, as StackMembers of stacks of at most
-    BLOCK // 8 mul cells (one groupoid a stack past that).  The groupoids
-    share one modulus; each kind is scanned for a whole stack on first use.
+def stacked_op_tables(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """The tables of the groupoids (n, a[i], b[i], c[i]), from arrays of
+    residues, in order, as StackMembers of stacks of at most BLOCK // 8 mul
+    cells (one groupoid a stack past that).  Each kind is scanned for a
+    whole stack on first use.
 
     A division's scan holds its table and three temporaries of the stack's
     size, where a local element's holds a few rows: at BLOCK cells, on
     int64 tables (2 MiB each), a sweep that reads a division peaked about
     7 MiB higher than one that does not.  At BLOCK // 8 cells that gap is
     under 1 MiB, and every kind's scan of a stack stays one block."""
-    if not groupoids:
-        return
-    n = groupoids[0].n
-    if any(g.n != n for g in groupoids):
-        raise ModulusMismatchError("the stacked groupoids' moduli differ")
     size = max(1, BLOCK // 8 // (n + 1) ** 2)
-    for first in range(0, len(groupoids), size):
-        chunk = groupoids[first:first + size]
-        a, b, c = np.array([(g.a, g.b, g.c) for g in chunk], dtype=np.int64).T[..., None]
-        stack = OpTables(_cayley(n, a, b, c))
-        for index in range(len(chunk)):
+    for first in range(0, len(a), size):
+        part = slice(first, first + size)
+        stack = OpTables(_cayley(n, a[part], b[part], c[part]))
+        for index in range(len(stack.mul)):
             yield StackMember(stack, index)

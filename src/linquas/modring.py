@@ -7,7 +7,8 @@ import math
 
 def is_unit(v: int, n: int) -> bool:
     """True iff v is a unit mod n; elementwise (a bool array) for a numpy
-    array of residues, as catalog.row_sweep_mask passes."""
+    array of residues, as catalog.row_sweep_mask and
+    ConditionPredicate.holds pass."""
     if isinstance(v, int):
         return math.gcd(v % n, n) == 1
     import numpy as np  # only arrays reach here, so numpy is loaded already

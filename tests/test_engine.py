@@ -11,9 +11,10 @@ from linquas.engine import (CapExceeded, CheckOutcome, Method, Verdict, crossche
                             crosscheck_all, holds_bruteforce, holds_symbolic,
                             search_witnesses, universality_scan,
                             verify_examples)
-from linquas.groupoid import LinearGroupoid, OpTables, op_tables, stacked_op_tables
+from linquas.groupoid import LinearGroupoid, OpTables, StackMember, op_tables, stacked_op_tables
 from linquas.modring import is_unit, poly_value
 from linquas.termlang import parse
+from test_groupoid import stacked
 
 
 def test_bruteforce_examples():
@@ -570,7 +571,7 @@ def test_stacked_members_match_scalar_reference_on_random_identities(monkeypatch
     for block in (groupoid.BLOCK, 0):
         monkeypatch.setattr(groupoid, "BLOCK", block)
         for ident, groupoids, expected in cases:
-            members = stacked_op_tables(groupoids)
+            members = stacked(groupoids)
             got = [holds_bruteforce(g, ident, tables=m) for g, m in zip(groupoids, members)]
             assert [(o.verdict, o.counterexample, o.na_reason) for o in got] == expected, ident
 
@@ -615,7 +616,7 @@ def test_bruteforce_scans_for_undefined_values_past_a_failing_block(monkeypatch,
     # nowhere, so use a groupoid whose last row is constant: x\y is defined
     # for x < 3 (x = 0 already fails the law) and undefined for x = 3.
     table = np.array([[1, 0, 3, 2], [0, 1, 2, 3], [2, 3, 0, 1], [0, 0, 0, 0]])
-    tables = OpTables(np.pad(table, (0, 1), constant_values=-1))
+    tables = OpTables(np.pad(table, (0, 1), constant_values=-1)[None])
     monkeypatch.setattr(engine, "op_tables", lambda triple: tables)
     g = LinearGroupoid(4, 0, 1, 1)
     assert holds_bruteforce(g, parse("x*y = y")).counterexample == {"x": 0, "y": 0}
@@ -675,7 +676,7 @@ def test_bruteforce_stops_at_the_first_failing_block_of_a_quasigroup(monkeypatch
 def _last_row_constant(monkeypatch) -> OpTables:
     # x\y and y/x are undefined for x = 3 only; mul is total
     table = np.array([[1, 0, 3, 2], [0, 1, 2, 3], [2, 3, 0, 1], [0, 0, 0, 0]])
-    tables = OpTables(np.pad(table, (0, 1), constant_values=-1))
+    tables = OpTables(np.pad(table, (0, 1), constant_values=-1)[None])
     monkeypatch.setattr(engine, "op_tables", lambda triple: tables)
     return tables
 
@@ -688,7 +689,7 @@ def test_bruteforce_stops_early_when_only_unread_tables_are_undefined(monkeypatc
     assert (out.verdict, out.counterexample) == (Verdict.FAILS, {"x": 0, "y": 0})
     assert len(calls) == 2  # block x = 0 only, of four
     assert set(vars(tables)) == {"n", "mul", "flags"}
-    assert tables.ldiv[:4, :4].min() == tables.rdiv[:4, :4].min() == -1
+    assert tables.ldiv[0, :4, :4].min() == tables.rdiv[0, :4, :4].min() == -1
 
 
 def test_bruteforce_scans_on_when_a_read_unary_table_is_undefined(monkeypatch,
@@ -699,7 +700,7 @@ def test_bruteforce_scans_on_when_a_read_unary_table_is_undefined(monkeypatch,
     tables = _last_row_constant(monkeypatch)
     calls = _top_level_evals(monkeypatch)
     out = holds_bruteforce(LinearGroupoid(4, 0, 1, 1), parse("er(x) = x"))
-    assert tables.e_rho[:4].tolist() == [1, 1, 0, -1]
+    assert tables.e_rho[0, :4].tolist() == [1, 1, 0, -1]
     assert (out.verdict, out.na_reason) == (Verdict.NOT_APPLICABLE, "undefined subterm")
     assert len(calls) == 8
 
@@ -715,7 +716,7 @@ def test_bruteforce_keeps_the_first_counterexample_on_tables_that_are_not_total(
     calls = _top_level_evals(monkeypatch)
     law = parse("x*x = x*er(y*y)")
     out = holds_bruteforce(LinearGroupoid(4, 0, 1, 1), law)
-    assert not engine._total(law, tables)
+    assert engine._total(law, tables).tolist() == [False]
     assert (out.verdict, out.counterexample) == (Verdict.FAILS, {"x": 0, "y": 0})
     assert len(calls) == 8
 
@@ -768,7 +769,7 @@ def test_sweep_stacks_follow_the_na_rule(monkeypatch):
         firsts.clear()
         totals.clear()
         got = [holds_bruteforce(g, ident, tables=m)
-               for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+               for g, m in zip(groupoids, stacked(groupoids))]
         assert got == single
         assert (len(totals), len(firsts)) == (1, calls)
     assert got[-1].verdict is Verdict.NOT_APPLICABLE
@@ -790,7 +791,7 @@ def test_sweep_members_decided_in_their_first_slab_are_not_scanned_further(monke
     assert [o.counterexample["x"] for o in single if o.counterexample] == [0, 1]
     calls = _top_level_evals(monkeypatch)
     got = [holds_bruteforce(g, ident, tables=m)
-           for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+           for g, m in zip(groupoids, stacked(groupoids))]
     assert got == single
     evaluated = [0] * len(groupoids)
     for env, _, rows in calls:
@@ -806,8 +807,8 @@ def test_sweep_members_that_read_undefined_cells_scan_on_past_their_slab(monkeyp
     # the slab x = 0, but reads a table that is not total, so its scan goes
     # on to its first undefined assignment, (3, 0); the second, a
     # quasigroup, first fails at (1, 0), past the slab.
-    mul = np.stack([_last_row_constant(monkeypatch).mul, op_tables((4, 0, 1, 1)).mul])
-    assert engine._scan(parse("x\\y = y"), OpTables(mul), 2) == [(12, 0), (-1, 4)]
+    mul = np.concatenate([_last_row_constant(monkeypatch).mul, op_tables((4, 0, 1, 1)).mul])
+    assert engine._scan(parse("x\\y = y"), OpTables(mul)) == ((12, 0), (-1, 4))
 
 
 def test_sweep_outcomes_equal_single_checks(monkeypatch, oracle_up_to_6):
@@ -831,7 +832,7 @@ def test_sweep_outcomes_equal_single_checks(monkeypatch, oracle_up_to_6):
         monkeypatch.setattr(engine, "BLOCK", block)
         for entry, groupoids in cases:
             got = [holds_bruteforce(g, entry.identity, tables=m)
-                   for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+                   for g, m in zip(groupoids, stacked(groupoids))]
             assert got == single[entry.id, groupoids[0].n], (entry.id, groupoids[0].n, block)
 
 
@@ -849,7 +850,7 @@ def test_large_sweep_members_stop_at_their_first_failing_block(monkeypatch):
     single = [holds_bruteforce(g, ident) for g in groupoids]
     calls = _top_level_evals(monkeypatch)
     got = [holds_bruteforce(g, ident, tables=m)
-           for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+           for g, m in zip(groupoids, stacked(groupoids))]
     assert got == single
     blocks = [out.counterexample["x"] + 1 if out.counterexample else 5 for out in got]
     assert {1, 2, 5} <= set(blocks)
@@ -886,7 +887,7 @@ def test_scans_past_one_chunk_evaluate_the_slab_first(monkeypatch):
         expected = [_reference(g, ident)[:3] for g in groupoids]
         calls.clear()
         swept = [holds_bruteforce(g, ident, tables=m)
-                 for g, m in zip(groupoids, stacked_op_tables(groupoids))]
+                 for g, m in zip(groupoids, stacked(groupoids))]
         assert calls[0][0][lead].shape[1] == 1, ident
         assert [(o.verdict, o.counterexample, o.na_reason) for o in swept] == expected, ident
         for g, (verdict, counterexample, na_reason) in zip(groupoids[:3], expected):
@@ -913,11 +914,11 @@ def test_blocks_share_one_grid():
 def test_total_reads_every_member_of_a_stack():
     # c = 0 leaves ldiv and e_rho undefined, in the last of four members
     groupoids = [LinearGroupoid(3, a, 1, 1) for a in range(3)] + [LinearGroupoid(3, 0, 1, 0)]
-    stack = next(stacked_op_tables(groupoids)).stack
+    stack = next(stacked(groupoids)).stack
     for law in ("x\\y = y", "er(x) = x"):
         assert engine._total(parse(law), stack).tolist() == [True, True, True, False], law
         assert engine._total(parse(law), OpTables(stack.mul[:3])).all(), law
-        assert not engine._total(parse(law), OpTables(stack.mul[3]))
+        assert engine._total(parse(law), OpTables(stack.mul[3:])).tolist() == [False]
 
 
 def test_bruteforce_memory_is_bounded_at_the_cap():
@@ -971,8 +972,8 @@ def test_sweeps_build_tables_on_first_use(monkeypatch):
     # flags holds the law's evaluation over the stack (engine.holds_bruteforce)
     stacks = []
 
-    def recorded(groupoids):
-        for member in stacked_op_tables(groupoids):
+    def recorded(*args):
+        for member in stacked_op_tables(*args):
             stacks.append(member.stack)
             yield member
 
@@ -997,8 +998,8 @@ def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
     refs, alive = [], []
     oracle = engine.holds_bruteforce
 
-    def recorded(groupoids):
-        for member in stacked_op_tables(groupoids):
+    def recorded(*args):
+        for member in stacked_op_tables(*args):
             if not refs or refs[-1]() is not member.stack:
                 refs.append(weakref.ref(member.stack))
             yield member
@@ -1018,9 +1019,10 @@ def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
 
 
 def test_sweeps_keep_one_slice_of_groupoids_alive_at_a_time(monkeypatch):
-    # engine.BLOCK = 8 * 50: a (law, n) task builds its LinearGroupoids, and
-    # their admit rows and stack members, 50 admitted triples at a time, so
-    # no oracle call sees more than 50 of the task's 216 alive.
+    # engine.BLOCK = 8 * 50: a (law, n) task builds its residue arrays and
+    # stack members 50 admitted triples at a time, and each LinearGroupoid
+    # only at its own oracle call, so no oracle call sees another of the
+    # task's 216 alive.
     import gc
     import weakref
 
@@ -1046,7 +1048,7 @@ def test_sweeps_keep_one_slice_of_groupoids_alive_at_a_time(monkeypatch):
     finally:
         gc.enable()
     assert got == expected
-    assert len(refs) == len(alive) == 2 * 6**3 and max(alive) == 50
+    assert len(refs) == len(alive) == 2 * 6**3 and max(alive) == 1
 
 
 def test_a_repeated_check_evaluates_nothing(monkeypatch):
@@ -1065,7 +1067,7 @@ def test_a_repeated_check_evaluates_nothing(monkeypatch):
         first.counterexample.clear()
         assert holds_bruteforce(g, law) == second != first
     groupoids = [LinearGroupoid(5, a, 1, 2) for a in range(5)] + [LinearGroupoid(5, 0, 3, 3)]
-    members = list(stacked_op_tables(groupoids))
+    members = list(stacked(groupoids))
     first = [holds_bruteforce(g, law, tables=m) for g, m in zip(groupoids, members)]
     done = len(scans)
     assert first[0].verdict is Verdict.FAILS and first[-1].verdict is Verdict.HOLDS
@@ -1080,7 +1082,7 @@ def test_a_memoized_check_is_still_held_to_the_cap():
     assert law in op_tables(g.triple()).flags
     with pytest.raises(CapExceeded):
         holds_bruteforce(g, law, cap=10**5)
-    member = next(stacked_op_tables([g]))
+    member = next(stacked([g]))
     holds_bruteforce(g, law, tables=member)
     with pytest.raises(CapExceeded):
         holds_bruteforce(g, law, cap=10**5, tables=member)
@@ -1095,7 +1097,8 @@ def test_hand_built_tables_read_no_other_tables_memo(monkeypatch):
     tables = _last_row_constant(monkeypatch)
     assert not tables.flags
     assert holds_bruteforce(g, law).counterexample == {"x": 0, "y": 0}
-    assert holds_bruteforce(g, law, tables=op_tables(g.triple())).counterexample == {"x": 1, "y": 0}
+    own = StackMember(op_tables(g.triple()), 0)
+    assert holds_bruteforce(g, law, tables=own).counterexample == {"x": 1, "y": 0}
     assert list(tables.flags) == list(op_tables(g.triple()).flags) == [law]
 
 
@@ -1116,8 +1119,9 @@ def test_the_memo_is_keyed_by_law(monkeypatch):
                                       if entry.identity is not None})
     memoized = [holds_bruteforce(g, law) for law in laws]
     assert len(op_tables(g.triple()).flags) == 1 + len(set(laws))
-    assert memoized == [holds_bruteforce(g, law, tables=op_tables.__wrapped__(g.triple()))
-                        for law in laws]
+    assert memoized == [
+        holds_bruteforce(g, law, tables=StackMember(op_tables.__wrapped__(g.triple()), 0))
+        for law in laws]
     assert [out.verdict for out in memoized[:2]] == [Verdict.FAILS, Verdict.HOLDS]
 
 
@@ -1132,11 +1136,11 @@ def test_no_memo_survives_a_cache_clear(monkeypatch):
     assert len(evals) == 2
 
 
-def _verdicts(ident, n, triples, stacked) -> dict:
+def _verdicts(ident, n, triples, sweep) -> dict:
     """The oracle's verdict on each (a, b, c) at modulus n, checked as a
     sweep checks it (on stacked tables) or as a single check."""
     groupoids = [LinearGroupoid(n, *triple) for triple in triples]
-    members = stacked_op_tables(groupoids) if stacked else [None] * len(groupoids)
+    members = stacked(groupoids) if sweep else [None] * len(groupoids)
     return {g.triple()[1:]: holds_bruteforce(g, ident, tables=member).verdict
             for g, member in zip(groupoids, members)}
 

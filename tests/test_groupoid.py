@@ -18,6 +18,13 @@ def _all_triples(n):
     return itertools.product(range(n), repeat=3)
 
 
+def stacked(groupoids):
+    """stacked_op_tables over the residue arrays of groupoids of one modulus."""
+    (n,) = {g.n for g in groupoids}
+    a, b, c = np.array([g.triple()[1:] for g in groupoids]).T
+    return stacked_op_tables(n, a, b, c)
+
+
 def test_apply_examples():
     assert apply(LinearGroupoid(6, 2, 4, 2), 2, 3) == 4
     for n in (3, 5, 8):
@@ -71,11 +78,10 @@ def test_cayley_build_matches_python_ints(monkeypatch):
     for block in (groupoid.BLOCK, 0):
         monkeypatch.setattr(groupoid, "BLOCK", block)
         for n, triples, want in cases:
-            a, b, c = np.array(triples, dtype=np.int64).T[..., None]
-            stack = groupoid._cayley(n, a, b, c)
+            stack = groupoid._cayley(n, *np.array(triples).T)
             assert stack.shape == (len(triples), n + 1, n + 1)
             for triple, table, member in zip(triples, want, stack):
-                single = groupoid._cayley(n, *triple)
+                (single,) = groupoid._cayley(n, *np.array([triple]).T)
                 for mul in (single, member):
                     assert mul.dtype == stack.dtype
                     assert mul[:n, :n].tolist() == table, (block, n, triple)
@@ -233,25 +239,25 @@ def test_op_tables_match_scalar_operations():
         n = g.n
         for x in range(n):
             erho = local_right_identity(g, x)
-            assert t.e_rho[x] == (erho.value if erho.defined else -1)
+            assert t.e_rho[0, x] == (erho.value if erho.defined else -1)
             rho = right_inverse(g, x)
-            assert t.rho[x] == (rho.value if rho.defined else -1)
+            assert t.rho[0, x] == (rho.value if rho.defined else -1)
             lam = left_inverse(g, x)
-            assert t.lam[x] == (lam.value if lam.defined else -1)
+            assert t.lam[0, x] == (lam.value if lam.defined else -1)
             for y in range(n):
-                assert t.mul[x, y] == apply(g, x, y)
+                assert t.mul[0, x, y] == apply(g, x, y)
                 ld = left_divide(g, x, y)
-                assert t.ldiv[x, y] == (ld.value if ld.defined else -1)
+                assert t.ldiv[0, x, y] == (ld.value if ld.defined else -1)
                 rd = right_divide(g, y, x)
-                assert t.rdiv[x, y] == (rd.value if rd.defined else -1)
+                assert t.rdiv[0, x, y] == (rd.value if rd.defined else -1)
         assert isinstance(t.mul, np.ndarray)
         # The -1 sentinel slot: an undefined operand indexes it and reads -1.
         for table in (t.mul, t.ldiv, t.rdiv):
-            assert table.shape == (n + 1, n + 1)
-            assert (table[-1, :] == -1).all() and (table[:, -1] == -1).all()
+            assert table.shape == (1, n + 1, n + 1)
+            assert (table[0, -1, :] == -1).all() and (table[0, :, -1] == -1).all()
         for table in (t.e_rho, t.e_lam, t.rho, t.lam):
-            assert table.shape == (n + 1,)
-            assert table[-1] == -1
+            assert table.shape == (1, n + 1)
+            assert table[0, -1] == -1
         for table in (t.mul, t.ldiv, t.rdiv, t.e_rho, t.e_lam, t.rho, t.lam):
             assert table.dtype == np.int8 and not table.flags.writeable
     # From n = 65 the tables are int16, and past BLOCK cells scanned in row
@@ -269,18 +275,18 @@ def test_op_tables_match_scalar_operations():
             for kind, element in (("e_rho", local_right_identity), ("rho", right_inverse),
                                   ("e_lam", local_left_identity), ("lam", left_inverse)):
                 v = element(g, x)
-                assert getattr(t, kind)[x] == (v.value if v.defined else -1), (triple, kind, x)
-            assert t.mul[x, :n].tolist() == [apply(g, x, y) for y in range(n)]
-            assert t.ldiv[x, :n].tolist() == [
+                assert getattr(t, kind)[0, x] == (v.value if v.defined else -1), (triple, kind, x)
+            assert t.mul[0, x, :n].tolist() == [apply(g, x, y) for y in range(n)]
+            assert t.ldiv[0, x, :n].tolist() == [
                 v.value if v.defined else -1 for v in (left_divide(g, x, y) for y in range(n))]
-            assert t.rdiv[x, :n].tolist() == [
+            assert t.rdiv[0, x, :n].tolist() == [
                 v.value if v.defined else -1 for v in (right_divide(g, y, x) for y in range(n))]
         for table in (t.mul, t.ldiv, t.rdiv):
-            assert table.dtype == np.int16 and table.shape == (n + 1, n + 1)
-            assert (table[-1, :] == -1).all() and (table[:, -1] == -1).all()
+            assert table.dtype == np.int16 and table.shape == (1, n + 1, n + 1)
+            assert (table[0, -1, :] == -1).all() and (table[0, :, -1] == -1).all()
         for table in (t.e_rho, t.e_lam, t.rho, t.lam):
-            assert table.dtype == np.int16 and table.shape == (n + 1,)
-            assert table[-1] == -1 and not table.flags.writeable
+            assert table.dtype == np.int16 and table.shape == (1, n + 1)
+            assert table[0, -1] == -1 and not table.flags.writeable
 
 
 @pytest.mark.parametrize("block", [groupoid.BLOCK, 512, 64, 16])
@@ -294,7 +300,7 @@ def test_stacked_tables_equal_op_tables(monkeypatch, block):
     kinds = ("mul", "ldiv", "rdiv", "e_rho", "e_lam", "rho", "lam")
     for n in range(2, 10):
         groupoids = [LinearGroupoid(n, *t) for t in _all_triples(n)]
-        members = list(stacked_op_tables(groupoids))
+        members = list(stacked(groupoids))
         assert len(members) == len(groupoids)
         size = max(1, block // 8 // (n + 1) ** 2)
         assert len({id(m.stack) for m in members}) == -(-len(groupoids) // size)
@@ -304,7 +310,32 @@ def test_stacked_tables_equal_op_tables(monkeypatch, block):
                 got = getattr(member.stack, kind)[member.index]
                 assert got.dtype == getattr(want, kind).dtype == np.int8
                 assert not got.flags.writeable
-                assert np.array_equal(got, getattr(want, kind)), (g, kind)
-    assert list(stacked_op_tables([])) == []
-    with pytest.raises(ModulusMismatchError):
-        list(stacked_op_tables([LinearGroupoid(5, 1, 2, 3), LinearGroupoid(6, 1, 2, 3)]))
+                assert np.array_equal(got, getattr(want, kind)[0]), (g, kind)
+
+
+def test_every_table_has_one_member_per_groupoid(monkeypatch):
+    # op_tables builds a stack of one, stacked_op_tables a stack of its
+    # groupoids; cayley_table reads member 0 as a read-only n x n view.
+    # With groupoid.BLOCK = 3 * n, _solve_rows splits one table into row
+    # blocks of three, reading rows for e_rho and rho and columns for e_lam
+    # and lam, and still matches the scalar local elements.
+    kinds = ("mul", "ldiv", "rdiv", "e_rho", "e_lam", "rho", "lam")
+    groupoids = [LinearGroupoid(7, *t) for t in _all_triples(7)]
+    single = op_tables.__wrapped__(groupoids[-1].triple())
+    (stack,) = {member.stack for member in stacked(groupoids)}
+    for tables, members in ((single, 1), (stack, len(groupoids))):
+        for kind in kinds:
+            assert len(getattr(tables, kind)) == members, kind
+    table = cayley_table(groupoids[-1])
+    assert table.shape == (7, 7) and not table.flags.writeable
+    assert np.shares_memory(table, op_tables(groupoids[-1].triple()).mul)
+    monkeypatch.setattr(groupoid, "BLOCK", 3 * 7)
+    assert [rows for _, rows in groupoid._table_blocks(1, 7)] == [
+        slice(0, 3), slice(3, 6), slice(6, 7)]
+    scalar = (("e_rho", local_right_identity), ("rho", right_inverse),
+              ("e_lam", local_left_identity), ("lam", left_inverse))
+    for g in groupoids:
+        t = op_tables.__wrapped__(g.triple())
+        for kind, element in scalar:
+            want = [v.value if v.defined else -1 for v in (element(g, x) for x in range(7))]
+            assert getattr(t, kind)[0, :7].tolist() == want, (g, kind)

@@ -222,7 +222,8 @@ def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
 
     from linquas.catalog import get_entry
     from linquas.engine import Verdict, _eval_stack, holds_bruteforce
-    from linquas.groupoid import op_tables, stacked_op_tables
+    from linquas.groupoid import op_tables
+    from test_groupoid import stacked
 
     def kinds(term):
         if isinstance(term, Var):
@@ -237,7 +238,7 @@ def test_table_evaluation_matches_scalar_evaluate_on_random_terms():
     for n in (*range(2, 9), 11, 12):
         pairs = [(LinearGroupoid(n, rng.randrange(n), rng.randrange(n), rng.randrange(n)),
                   _random_term(rng, rng.randint(1, 4))) for _ in range(12)]
-        stack = next(stacked_op_tables([g for g, _ in pairs])).stack
+        stack = next(stacked([g for g, _ in pairs])).stack
         assert op_tables(pairs[0][0].triple()).mul.dtype == stack.mul.dtype == np.int8
         rows = np.arange(len(pairs)).reshape(-1, 1) * (n + 1)
         for at, (g, term) in enumerate(pairs):
