@@ -27,7 +27,10 @@ residue arrays (groupoid.stacked_op_tables), and still makes one oracle
 call per admitted triple, which reads its result from its stack's scan;
 rows are tallied from the verdicts as arrays.  Every evaluation is
 memoized on the stack it read (OpTables.flags), so a repeated check, as
-witness searches make, evaluates nothing.
+witness searches make, evaluates nothing.  An outcome's cause, its
+counterexample dict or NA reason, is built on first read (CheckOutcome),
+so the sweep, witness searches and classify, which read only verdicts,
+build none.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -77,12 +81,63 @@ class Method(enum.Enum):
     SYMBOLIC = "symbolic"
 
 
-@dataclass(frozen=True)
 class CheckOutcome:
-    verdict: Verdict
-    method: Method
-    counterexample: dict[str, int] | None = None
-    na_reason: str | None = None
+    """A check's verdict, the method that made it, and its cause: the first
+    counterexample of a fails, or the reason a not_applicable check is
+    undefined.
+
+    A brute-force outcome holds its cause pending, as (identity, groupoid,
+    assignment index), and builds it on first read, once, with _assignment
+    and _na_reason: a sweep, a witness search and classify read only the
+    verdict.  A pending cause holds no tables.  The four attributes are
+    read-only, and an outcome compares, hashes and prints by them, its
+    cause built first, as a frozen dataclass of them would: hash() raises
+    TypeError on a counterexample dict."""
+
+    __slots__ = ("_verdict", "_method", "_counterexample", "_na_reason", "_cause")
+
+    def __init__(self, verdict: Verdict, method: Method,
+                 counterexample: dict[str, int] | None = None, na_reason: str | None = None):
+        self._verdict, self._method = verdict, method
+        self._counterexample, self._na_reason, self._cause = counterexample, na_reason, None
+
+    @classmethod
+    def _pending(cls, verdict: Verdict, ident: Identity, g: LinearGroupoid,
+                 index: int) -> CheckOutcome:
+        """A brute-force fails or not_applicable outcome whose cause is the
+        identity's index-th assignment (see _assignment) on g."""
+        outcome = cls(verdict, Method.BRUTE_FORCE)
+        outcome._cause = (ident, g, index)
+        return outcome
+
+    def _fields(self) -> tuple:
+        """(verdict, method, counterexample, na_reason), a pending cause built first."""
+        if self._cause is not None:
+            ident, g, index = self._cause
+            env = _assignment(ident, g.n, index)
+            if self._verdict is Verdict.FAILS:
+                self._counterexample = env
+            else:
+                self._na_reason = _na_reason(ident, env, g)
+            self._cause = None
+        return self._verdict, self._method, self._counterexample, self._na_reason
+
+    verdict = property(attrgetter("_verdict"))
+    method = property(attrgetter("_method"))
+    counterexample = property(lambda self: self._fields()[2])
+    na_reason = property(lambda self: self._fields()[3])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return ("CheckOutcome(verdict={!r}, method={!r}, counterexample={!r}, "
+                "na_reason={!r})".format(*self._fields()))
 
     def to_dict(self) -> dict:
         out: dict = {"verdict": self.verdict.value, "method": self.method.value}
@@ -266,8 +321,10 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     variable is 0, and each call reads its member's result.
 
     Each evaluation is memoized in the stack's flags as indices, one pair
-    per member, so a repeated check evaluates nothing; the outcome, with a
-    counterexample dict of its own, is built on every call, after the cap.
+    per member, so a repeated check evaluates nothing; each call, after the
+    cap, returns an outcome of its own that holds the deciding index, and
+    its counterexample dict or NA reason is built on first read (see
+    CheckOutcome).
     """
     n, k = g.n, len(ident.variables)
     _check_cap(n, k, cap)
@@ -285,11 +342,9 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
         stack.flags[ident] = flags
     undefined, failing = flags[index]
     if undefined >= 0:
-        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
-                            na_reason=_na_reason(ident, _assignment(ident, n, undefined), g))
+        return CheckOutcome._pending(Verdict.NOT_APPLICABLE, ident, g, undefined)
     if failing >= 0:
-        return CheckOutcome(Verdict.FAILS, Method.BRUTE_FORCE,
-                            counterexample=_assignment(ident, n, failing))
+        return CheckOutcome._pending(Verdict.FAILS, ident, g, failing)
     return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
 
 
@@ -338,16 +393,15 @@ def classify(g: LinearGroupoid, cap: int = DEFAULT_CAP) -> list[tuple[str, Check
     not_applicable verdict is reported as the exhaustive checker's, without
     its n**k scan: every derived table of a linear groupoid is total or
     undefined throughout, so the first undefined assignment is the all-zero
-    one.  Nothing scans, so cap is unused; the signature keeps it because
-    perfbench/onepass.py still passes it.
+    one, assignment index 0, whose reason is built on first read (see
+    CheckOutcome).  Nothing scans, so cap is unused; the signature keeps it
+    because perfbench/onepass.py still passes it.
     """
     laws, compiled = _catalog_laws()
     results = []
     for (entry_id, ident), residue in zip(laws, tl.evaluate_compiled(compiled, g)):
         if isinstance(residue, NotApplicable):
-            zeros = dict.fromkeys(ident.variables, 0)
-            outcome = CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
-                                   na_reason=_na_reason(ident, zeros, g))
+            outcome = CheckOutcome._pending(Verdict.NOT_APPLICABLE, ident, g, 0)
         else:
             outcome = _FAILS if residue else _HOLDS
         results.append((entry_id, outcome))

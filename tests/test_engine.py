@@ -1,11 +1,12 @@
 import json
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from linquas import engine, groupoid
+from linquas import engine, groupoid, termlang
 from linquas.catalog import catalog_entries, get_entry
 from linquas.engine import (CapExceeded, CheckOutcome, Method, Verdict, crosscheck,
                             crosscheck_all, holds_bruteforce, holds_symbolic,
@@ -1199,3 +1200,115 @@ def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
     assert reports(2) == one
     monkeypatch.setattr(groupoid, "BLOCK", 0)  # one-groupoid stacks of int8 tables
     assert reports(1) == one
+
+
+def _cause_builds(monkeypatch) -> Counter:
+    """Count the calls that build a cause: engine._assignment (a
+    counterexample dict, or the assignment an NA reason is read at),
+    engine._na_reason, and the scalar termlang.evaluate it calls."""
+    calls = Counter()
+    for owner, name in ((engine, "_assignment"), (engine, "_na_reason"), (termlang, "evaluate")):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _eager(g, ident, undefined, failing) -> CheckOutcome:
+    """The brute-force outcome with its cause built at once, from the
+    indices of the first undefined and the first failing assignment."""
+    if undefined >= 0:
+        env = engine._assignment(ident, g.n, undefined)
+        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                            na_reason=engine._na_reason(ident, env, g))
+    if failing >= 0:
+        return CheckOutcome(Verdict.FAILS, Method.BRUTE_FORCE,
+                            counterexample=engine._assignment(ident, g.n, failing))
+    return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
+
+
+def test_no_cause_is_built_until_read(monkeypatch):
+    # A sweep, a witness search and classify read only verdicts: over every
+    # law at n = 2..6 none of them builds a counterexample dict or an NA
+    # reason.  Once read, each outcome equals the one built at once from
+    # the same indices; classify's NA laws read the all-zero assignment.
+    op_tables.cache_clear()
+    oracle, checked = engine.holds_bruteforce, []
+
+    def recorded(g, ident, cap, tables=None):
+        outcome = oracle(g, ident, cap, tables=tables)
+        stack, index = tables or (op_tables(g.triple()), 0)
+        checked.append((g, ident, stack.flags[ident][index], outcome))
+        return outcome
+
+    monkeypatch.setattr(engine, "holds_bruteforce", recorded)
+    calls = _cause_builds(monkeypatch)
+    n_values = list(range(2, 7))
+    crosscheck_all(n_values, workers=1)
+    for entry in catalog_entries():
+        if entry.identity is not None and entry.rows:
+            search_witnesses(entry, entry.rows[0], n_values, limit=3)
+    groupoids = [LinearGroupoid(n, *abc) for n in n_values for abc in np.ndindex(n, n, n)]
+    classified = [(g, engine.classify(g)) for g in groupoids]
+    assert not calls and len(checked) > 15_000
+    laws = dict(engine._catalog_laws()[0])
+    got = [outcome.to_dict() for *_, outcome in checked]
+    got += [outcome.to_dict() for _, outcomes in classified for _, outcome in outcomes]
+    assert calls["_na_reason"] > 5_000 and calls["_assignment"] > 10_000, calls
+    expected = [_eager(g, ident, *flags).to_dict() for g, ident, flags, _ in checked]
+    expected += [(_eager(g, laws[entry_id], 0, -1) if outcome.verdict is Verdict.NOT_APPLICABLE
+                  else outcome).to_dict()
+                 for g, outcomes in classified for entry_id, outcome in outcomes]
+    assert got == expected
+
+
+def test_a_pending_cause_reads_as_a_built_one(monkeypatch):
+    # An outcome whose cause is built on first read compares, hashes and
+    # prints as one built with its cause, and as the frozen dataclass of
+    # the four fields that CheckOutcome was; it builds its cause once.
+    from dataclasses import field, make_dataclass
+
+    frozen = make_dataclass("CheckOutcome", [
+        ("verdict", Verdict), ("method", Method),
+        ("counterexample", dict, field(default=None)), ("na_reason", str, field(default=None))],
+        frozen=True)
+    op_tables.cache_clear()
+    calls = _cause_builds(monkeypatch)
+    brute = Method.BRUTE_FORCE
+    fails = [holds_bruteforce(LinearGroupoid(6, 1, 4, 5), get_entry("commutative").identity)
+             for _ in range(4)]
+    g = LinearGroupoid(6, 2, 4, 2)
+    na = [holds_bruteforce(g, get_entry("r_cip_1").identity) for _ in range(4)]
+    holds = holds_bruteforce(g, get_entry("abel_grassman").identity)
+    assert not calls
+    cases = [(fails, {"counterexample": {"x": 0, "y": 1}}),
+             (na, {"na_reason": "right inverse undefined (NonUnique) on (6, 2, 4, 2)"})]
+    for (eq, text, as_dict, hashed), cause in cases:
+        verdict = eq.verdict
+        built = CheckOutcome(verdict, brute, **cause)
+        assert eq == built and built == eq
+        assert repr(text) == repr(built) == repr(frozen(verdict, brute, **cause))
+        assert as_dict.to_dict() == built.to_dict()
+        if "counterexample" in cause:
+            with pytest.raises(TypeError):
+                hash(hashed)
+        else:
+            assert hash(hashed) == hash(built) == hash(frozen(verdict, brute, **cause))
+    assert repr(holds) == repr(frozen(Verdict.HOLDS, brute))
+    assert hash(holds) == hash(frozen(Verdict.HOLDS, brute))
+    # each of the eight pending outcomes built its cause once, on its first read
+    assert (calls["_assignment"], calls["_na_reason"]) == (8, 4)
+    assert fails[0].counterexample is fails[0].counterexample
+    assert na[0].na_reason is na[0].na_reason
+    assert (calls["_assignment"], calls["_na_reason"]) == (8, 4)
+    # causes that differ: another counterexample, another reason, another verdict
+    other = holds_bruteforce(LinearGroupoid(6, 0, 1, 2), get_entry("idempotent").identity)
+    assert other != CheckOutcome(Verdict.FAILS, brute, counterexample={"x": 0})
+    assert other == CheckOutcome(Verdict.FAILS, brute, counterexample={"x": 1})
+    assert na[0] != CheckOutcome(Verdict.NOT_APPLICABLE, brute, na_reason="undefined subterm")
+    assert fails[0] != na[0] != holds != CheckOutcome(Verdict.HOLDS, Method.SYMBOLIC)
+    with pytest.raises(AttributeError):
+        fails[0].verdict = Verdict.HOLDS
+    with pytest.raises(AttributeError):
+        na[0].na_reason = None

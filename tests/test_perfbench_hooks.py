@@ -159,3 +159,26 @@ def test_benchmark_passes_run_on_current_engine(monkeypatch):
     for (_, g), verdicts in zip(calls[3:], results[3:]):
         assert all(outcome.verdict is engine.holds_bruteforce(g, get_entry(law).identity).verdict
                    for law, outcome in verdicts)
+
+
+def test_oracle_stats_read_causes_built_on_first_read(monkeypatch):
+    # tracer.oracle_stats reads each fails outcome's counterexample
+    # (useful_assignments) after the pass: the sweep's outcomes, whose
+    # causes are built only then, must give the useful share and verdict
+    # counts that outcomes built whole by single checks give.
+    tracer = _perfbench_module(monkeypatch, "tracer")
+    for owner, attr, _ in tracer.SPANNED + tracer.COUNTED:
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    t = tracer.Tracer()
+    t.install()
+    engine.crosscheck_all([2, 3, 4], cap=10**7, workers=1)
+    t.uninstall()
+    whole = []
+    for ident, triple, _ in t.oracle_calls:
+        out = engine.holds_bruteforce(LinearGroupoid(*triple), ident)
+        whole.append((ident, triple, engine.CheckOutcome(out.verdict, out.method,
+                                                         out.counterexample, out.na_reason)))
+    traced, reference = tracer.oracle_stats(t.oracle_calls), tracer.oracle_stats(whole)
+    assert 0 < traced["useful_share"] == reference["useful_share"] < 1
+    assert traced["verdicts"] == reference["verdicts"]
+    assert min(traced["verdicts"].values()) > 500
