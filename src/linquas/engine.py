@@ -29,8 +29,7 @@ rows are tallied from the verdicts as arrays.  Every evaluation is
 memoized on the stack it read (OpTables.flags), so a repeated check, as
 witness searches make, evaluates nothing.  An outcome's cause, its
 counterexample dict or NA reason, is built on first read (CheckOutcome),
-so the sweep, witness searches and classify, which read only verdicts,
-build none.
+so the sweep and witness searches, which read only verdicts, build none.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ class CheckOutcome:
     counterexample of a fails, or the reason a not_applicable check is
     undefined.
 
-    A brute-force outcome holds its cause pending, as (identity, groupoid,
-    assignment index), and builds it on first read, once, with _assignment
-    and _na_reason: a sweep, a witness search and classify read only the
+    An outcome of holds_bruteforce holds its cause pending, as (identity,
+    groupoid, assignment index), and builds it on first read, once, with
+    _assignment and _na_reason: a sweep and a witness search read only the
     verdict.  A pending cause holds no tables.  The four attributes are
     read-only, and an outcome compares, hashes and prints by them, its
     cause built first, as a frozen dataclass of them would: hash() raises
@@ -393,15 +392,18 @@ def classify(g: LinearGroupoid, cap: int = DEFAULT_CAP) -> list[tuple[str, Check
     not_applicable verdict is reported as the exhaustive checker's, without
     its n**k scan: every derived table of a linear groupoid is total or
     undefined throughout, so the first undefined assignment is the all-zero
-    one, assignment index 0, whose reason is built on first read (see
-    CheckOutcome).  Nothing scans, so cap is unused; the signature keeps it
-    because perfbench/onepass.py still passes it.
+    one.  Its reason is built here, not on first read as holds_bruteforce's
+    are: classify's caller, `linquas classify`, prints every reason.
+    Nothing scans, so cap is unused; the signature keeps it because
+    perfbench/onepass.py still passes it.
     """
     laws, compiled = _catalog_laws()
     results = []
     for (entry_id, ident), residue in zip(laws, tl.evaluate_compiled(compiled, g)):
         if isinstance(residue, NotApplicable):
-            outcome = CheckOutcome._pending(Verdict.NOT_APPLICABLE, ident, g, 0)
+            zeros = dict.fromkeys(ident.variables, 0)
+            outcome = CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                                   na_reason=_na_reason(ident, zeros, g))
         else:
             outcome = _FAILS if residue else _HOLDS
         results.append((entry_id, outcome))
