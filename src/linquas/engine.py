@@ -27,9 +27,10 @@ residue arrays (groupoid.stacked_op_tables), and still makes one oracle
 call per admitted triple, which reads its result from its stack's scan;
 rows are tallied from the verdicts as arrays.  Every evaluation is
 memoized on the stack it read (OpTables.flags), so a repeated check, as
-witness searches make, evaluates nothing.  An outcome's cause, its
-counterexample dict or NA reason, is built on first read (CheckOutcome),
-so the sweep and witness searches, which read only verdicts, build none.
+witness searches make, evaluates nothing.  A fails outcome's
+counterexample dict is built on first read (CheckOutcome), so the sweep
+and witness searches, which read only verdicts, build none; an NA reason
+is built with its outcome.
 """
 
 from __future__ import annotations
@@ -85,13 +86,13 @@ class CheckOutcome:
     counterexample of a fails, or the reason a not_applicable check is
     undefined.
 
-    An outcome of holds_bruteforce holds its cause pending, as (identity,
-    groupoid, assignment index), and builds it on first read, once, with
-    _assignment and _na_reason: a sweep and a witness search read only the
-    verdict.  A pending cause holds no tables.  The four attributes are
-    read-only, and an outcome compares, hashes and prints by them, its
-    cause built first, as a frozen dataclass of them would: hash() raises
-    TypeError on a counterexample dict."""
+    A fails outcome of holds_bruteforce holds its counterexample pending,
+    as (identity, n, assignment index), and builds the dict on first read,
+    once, with _assignment: a sweep and a witness search read only the
+    verdict.  The four attributes are read-only, and an outcome compares,
+    hashes and prints by them, its counterexample built first, as a frozen
+    dataclass of them would: hash() raises TypeError on a counterexample
+    dict."""
 
     __slots__ = ("_verdict", "_method", "_counterexample", "_na_reason", "_cause")
 
@@ -101,30 +102,24 @@ class CheckOutcome:
         self._counterexample, self._na_reason, self._cause = counterexample, na_reason, None
 
     @classmethod
-    def _pending(cls, verdict: Verdict, ident: Identity, g: LinearGroupoid,
-                 index: int) -> CheckOutcome:
-        """A brute-force fails or not_applicable outcome whose cause is the
-        identity's index-th assignment (see _assignment) on g."""
-        outcome = cls(verdict, Method.BRUTE_FORCE)
-        outcome._cause = (ident, g, index)
+    def _fails_at(cls, ident: Identity, n: int, index: int) -> CheckOutcome:
+        """A brute-force fails outcome whose counterexample is the
+        identity's index-th assignment on Z_n (see _assignment)."""
+        outcome = cls(Verdict.FAILS, Method.BRUTE_FORCE)
+        outcome._cause = (ident, n, index)
         return outcome
 
     def _fields(self) -> tuple:
-        """(verdict, method, counterexample, na_reason), a pending cause built first."""
+        """(verdict, method, counterexample, na_reason), a pending
+        counterexample built first."""
         if self._cause is not None:
-            ident, g, index = self._cause
-            env = _assignment(ident, g.n, index)
-            if self._verdict is Verdict.FAILS:
-                self._counterexample = env
-            else:
-                self._na_reason = _na_reason(ident, env, g)
-            self._cause = None
+            self._counterexample, self._cause = _assignment(*self._cause), None
         return self._verdict, self._method, self._counterexample, self._na_reason
 
     verdict = property(attrgetter("_verdict"))
     method = property(attrgetter("_method"))
     counterexample = property(lambda self: self._fields()[2])
-    na_reason = property(lambda self: self._fields()[3])
+    na_reason = property(attrgetter("_na_reason"))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -321,8 +316,9 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
 
     Each evaluation is memoized in the stack's flags as indices, one pair
     per member, so a repeated check evaluates nothing; each call, after the
-    cap, returns an outcome of its own that holds the deciding index, and
-    its counterexample dict or NA reason is built on first read (see
+    cap, returns an outcome of its own.  A not_applicable outcome's reason
+    is built on every call; a fails outcome holds its deciding index, and
+    its counterexample dict, the caller's own, is built on first read (see
     CheckOutcome).
     """
     n, k = g.n, len(ident.variables)
@@ -341,9 +337,10 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
         stack.flags[ident] = flags
     undefined, failing = flags[index]
     if undefined >= 0:
-        return CheckOutcome._pending(Verdict.NOT_APPLICABLE, ident, g, undefined)
+        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                            na_reason=_na_reason(ident, _assignment(ident, n, undefined), g))
     if failing >= 0:
-        return CheckOutcome._pending(Verdict.FAILS, ident, g, failing)
+        return CheckOutcome._fails_at(ident, n, failing)
     return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
 
 
@@ -392,9 +389,7 @@ def classify(g: LinearGroupoid, cap: int = DEFAULT_CAP) -> list[tuple[str, Check
     not_applicable verdict is reported as the exhaustive checker's, without
     its n**k scan: every derived table of a linear groupoid is total or
     undefined throughout, so the first undefined assignment is the all-zero
-    one.  Its reason is built here, not on first read as holds_bruteforce's
-    are: classify's caller, `linquas classify`, prints every reason.
-    Nothing scans, so cap is unused; the signature keeps it because
+    one.  Nothing scans, so cap is unused; the signature keeps it because
     perfbench/onepass.py still passes it.
     """
     laws, compiled = _catalog_laws()

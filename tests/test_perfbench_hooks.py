@@ -161,11 +161,11 @@ def test_benchmark_passes_run_on_current_engine(monkeypatch):
                    for law, outcome in verdicts)
 
 
-def test_oracle_stats_read_causes_built_on_first_read(monkeypatch):
+def test_oracle_stats_read_counterexamples_built_on_first_read(monkeypatch):
     # tracer.oracle_stats reads each fails outcome's counterexample
     # (useful_assignments) after the pass: the sweep's outcomes, whose
-    # causes are built only then, must give the useful share and verdict
-    # counts that outcomes built whole by single checks give.
+    # counterexamples are built only then, must give the useful share and
+    # verdict counts that outcomes built whole by single checks give.
     tracer = _perfbench_module(monkeypatch, "tracer")
     for owner, attr, _ in tracer.SPANNED + tracer.COUNTED:
         monkeypatch.setattr(owner, attr, getattr(owner, attr))
