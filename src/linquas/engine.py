@@ -22,15 +22,17 @@ asks per member whether the tables it reads are total (_total), and drops
 each member once a block decides it.  A single check reads (op_tables(g),
 0), a stack of one through the groupoid.op_tables LRU cache.  A
 cross-check sweep admits each (law, n) task's triples with one mask per
-row (catalog.row_sweep_mask), builds their stacks from the admitted
-residue arrays (groupoid.stacked_op_tables), and still makes one oracle
-call per admitted triple, which reads its result from its stack's scan;
-rows are tallied from the verdicts as arrays.  Every evaluation is
-memoized on the stack it read (OpTables.flags), so a repeated check, as
-witness searches make, evaluates nothing.  A fails outcome's
-counterexample dict is built on first read (CheckOutcome), so the sweep
-and witness searches, which read only verdicts, build none; an NA reason
-is built with its outcome.
+row (catalog.row_sweep_mask) and groups them into isomorphism classes
+(groupoid.affine_class).  It checks one groupoid per class, the first
+admitted: their stacks are built from residue arrays
+(groupoid.stacked_op_tables), and each makes one oracle call, which reads
+its result from its stack's scan.  Each class's verdict goes to all its
+admitted triples, and rows are tallied from the verdicts as arrays.  Every
+evaluation is memoized on the stack it read (OpTables.flags), so a
+repeated check, as witness searches make, evaluates nothing.  A fails
+outcome's counterexample dict is built on first read (CheckOutcome), so
+the sweep and witness searches, which read only verdicts, build none; an
+NA reason is built with its outcome.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from . import termlang as tl
 from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
                       TableRow, catalog_entries, get_entry, row_sweep_admits,
                       row_sweep_mask)
-from .groupoid import BLOCK, LinearGroupoid, is_quasigroup, op_tables, stacked_op_tables
+from .groupoid import (BLOCK, LinearGroupoid, affine_class, is_quasigroup, op_tables,
+                       stacked_op_tables)
 from .modring import is_prime
 from .termlang import Binary, Identity, NotApplicable, Var
 
@@ -309,10 +312,10 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     scanned (see _scan), slab first, so memory grows with max(BLOCK // 8,
     n**(k-1)) assignments per member, not with n**k, beside the
     (n+1)**2-cell operation tables the identity reads; the cap bounds
-    both.  A sweep passes each groupoid's member of a larger stack and
-    still calls once per groupoid: the first call of a stack scans the
-    whole stack, deciding most members on the slab where the leading
-    variable is 0, and each call reads its member's result.
+    both.  A sweep calls once per isomorphism class, passing its first
+    admitted groupoid's member of a larger stack: the first call of a
+    stack scans the whole stack, deciding most members on the slab where
+    the leading variable is 0, and each call reads its member's result.
 
     Each evaluation is memoized in the stack's flags as indices, one pair
     per member, so a repeated check evaluates nothing; each call, after the
@@ -468,25 +471,38 @@ def _crosscheck_task(args: tuple) -> list[list]:
     """Worker task: the given rows of one law at one modulus.
 
     Over the triples that any row admits (row_sweep_mask), each row's
-    condition is evaluated once, and its int64 temporaries freed, before
-    the oracle's verdicts fill two bool arrays, na and holds, BLOCK // 8
-    triples at a time (see holds_bruteforce), so that the residue arrays
-    and stacks do not grow with n**3; each groupoid is made at its oracle
-    call.  Each row is tallied from those arrays: (checked, NA,
-    mismatches), the mismatches in lexicographic order.
+    condition is evaluated once, as is each triple's isomorphism class key
+    (groupoid.affine_class), and their int64 temporaries freed.  The oracle
+    then checks one groupoid per class, its first admitted triple, in
+    lexicographic order, BLOCK // 8 at a time (see holds_bruteforce), so
+    that the residue arrays and stacks do not grow with n**3; each groupoid
+    is made at its oracle call.  Its verdict goes to its key's slot of two
+    bool arrays, na and holds, one slot per key, as a row mask has one per
+    triple; read back by key, they give every admitted triple its class's
+    verdict, and each row is tallied from them: (checked, NA, mismatches),
+    the mismatches in lexicographic order.
     """
     entry_id, rows, n, cap = args
     ident = get_entry(entry_id).identity
     masks = np.array([row_sweep_mask(row, n) for row in rows])
     admitted = np.flatnonzero(masks.any(axis=0))
-    conds = [row.condition.holds(n, *np.unravel_index(admitted, (n, n, n))) for row in rows]
-    na, holds = np.zeros(len(admitted), bool), np.zeros(len(admitted), bool)
-    for first in range(0, len(admitted), BLOCK // 8):
-        part = np.unravel_index(admitted[first:first + BLOCK // 8], (n, n, n))
+    a, b, c = np.unravel_index(admitted, (n, n, n))
+    conds = [row.condition.holds(n, a, b, c) for row in rows]
+    slots = n * n * (n + 1)  # every key is below it
+    # the smallest type that holds the keys halves them and np.unique's
+    # sorted copy at n = 60
+    keys = affine_class(n, a, b, c).astype(np.min_scalar_type(slots))
+    del a, b, c
+    first = np.sort(np.unique(keys, return_index=True)[1])  # each class's first triple
+    na, holds = np.zeros(slots, bool), np.zeros(slots, bool)
+    for start in range(0, len(first), BLOCK // 8):
+        at_first = first[start:start + BLOCK // 8]
+        part = np.unravel_index(admitted[at_first], (n, n, n))
         triples = zip(*(axis.tolist() for axis in part))
-        for at, t, tables in zip(itertools.count(first), triples, stacked_op_tables(n, *part)):
+        for at, t, tables in zip(keys[at_first].tolist(), triples, stacked_op_tables(n, *part)):
             verdict = holds_bruteforce(LinearGroupoid(n, *t), ident, cap, tables=tables).verdict
             na[at], holds[at] = verdict is Verdict.NOT_APPLICABLE, verdict is Verdict.HOLDS
+    na, holds = na[keys], holds[keys]
     tallies = []
     for admit, cond in zip(masks[:, admitted], conds):
         checked = admit & ~na

@@ -1013,7 +1013,7 @@ def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
     monkeypatch.setattr(engine, "holds_bruteforce", counted)
     gc.disable()
     try:
-        crosscheck_all([5, 12], ["medial", "r_aaip", "l_saip", "cm_7"])
+        crosscheck_all([5, 12, 16], ["medial", "r_aaip", "l_saip", "cm_7"])
     finally:
         gc.enable()
     assert len(refs) > 8 and max(alive) == 1
@@ -1021,9 +1021,12 @@ def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
 
 def test_sweeps_keep_one_slice_of_groupoids_alive_at_a_time(monkeypatch):
     # engine.BLOCK = 8 * 50: a (law, n) task builds its residue arrays and
-    # stack members 50 admitted triples at a time, and each LinearGroupoid
-    # only at its own oracle call, so no oracle call sees another of the
-    # task's 216 alive.
+    # stack members 50 class representatives at a time, and each
+    # LinearGroupoid only at its own oracle call, so no oracle call sees
+    # another of the task's 72 alive.  Both laws admit all 216 triples, and
+    # each (b, c) has one class per divisor of gcd(b+c-1, 6) (see
+    # groupoid.affine_class): 6 * (4 + 1 + 2 + 2 + 2 + 1) = 72 classes, two
+    # slices.
     import gc
     import weakref
 
@@ -1049,7 +1052,7 @@ def test_sweeps_keep_one_slice_of_groupoids_alive_at_a_time(monkeypatch):
     finally:
         gc.enable()
     assert got == expected
-    assert len(refs) == len(alive) == 2 * 6**3 and max(alive) == 1
+    assert len(refs) == len(alive) == 2 * 72 and max(alive) == 1
 
 
 def test_a_repeated_check_evaluates_nothing(monkeypatch):
@@ -1202,6 +1205,25 @@ def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
     assert reports(1) == one
 
 
+def test_class_sweep_keeps_every_verdict(oracle_up_to_6):
+    # The sweep checks one groupoid per isomorphism class and gives its
+    # verdict to the class.  Against a row that admits every triple and
+    # claims the law, each (law, n) task's mismatches must be exactly the
+    # triples on which a single check fails, in order, and its NA count
+    # that of single checks.
+    laws = [e for e in catalog_entries() if e.identity is not None]
+    for n in range(2, 7):
+        reports = engine.crosscheck_rows([(entry, [engine._UNIVERSAL]) for entry in laws], [n],
+                                         engine.DEFAULT_CAP, 1)
+        for entry, report in zip(laws, reports):
+            verdicts = [oracle_up_to_6[entry.id, (n, *t)].verdict for t in np.ndindex(n, n, n)]
+            fails = [t for t, v in zip(np.ndindex(n, n, n), verdicts) if v is Verdict.FAILS]
+            assert [m.to_list() for m in report.mismatches] == \
+                [[n, *t, True, "fails"] for t in fails], (entry.id, n)
+            assert report.na_excluded == verdicts.count(Verdict.NOT_APPLICABLE), (entry.id, n)
+            assert report.checked == n**3 - report.na_excluded
+
+
 def _cause_builds(monkeypatch) -> Counter:
     """Count the calls that build a cause: engine._assignment (a
     counterexample dict, or the assignment an NA reason is read at),
@@ -1230,7 +1252,7 @@ def _eager(g, ident, undefined, failing) -> CheckOutcome:
 
 def test_no_counterexample_is_built_until_read(monkeypatch):
     # A sweep and a witness search read only verdicts: over every law at
-    # n = 2..6 neither builds a counterexample dict.  Each NA reason is built
+    # n = 2..9 neither builds a counterexample dict.  Each NA reason is built
     # at once, from its one assignment.  Once read, each outcome equals the
     # one built at once from the same indices.
     op_tables.cache_clear()
@@ -1244,7 +1266,7 @@ def test_no_counterexample_is_built_until_read(monkeypatch):
 
     monkeypatch.setattr(engine, "holds_bruteforce", recorded)
     calls = _cause_builds(monkeypatch)
-    n_values = list(range(2, 7))
+    n_values = list(range(2, 10))
     crosscheck_all(n_values, workers=1)
     for entry in catalog_entries():
         if entry.identity is not None and entry.rows:

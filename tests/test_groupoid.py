@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linquas import groupoid
-from linquas.groupoid import (LinearGroupoid, ModulusMismatchError, apply,
+from linquas.groupoid import (LinearGroupoid, ModulusMismatchError, affine_class, apply,
                               cayley_table, is_latin_square, is_quasigroup,
                               left_divide, left_inverse, local_left_identity,
                               local_right_identity, op_tables, orthogonal,
@@ -339,3 +339,40 @@ def test_every_table_has_one_member_per_groupoid(monkeypatch):
         for kind, element in scalar:
             want = [v.value if v.defined else -1 for v in (element(g, x) for x in range(7))]
             assert getattr(t, kind)[0, :7].tolist() == want, (g, kind)
+
+
+def test_affine_classes_are_the_orbits_of_a():
+    # x -> u*x + t, u a unit, maps (n, a, b, c) onto (n, u*a - (b+c-1)*t, b,
+    # c).  For every (n, b, c) with n <= 12 the orbit of each a under those
+    # maps, enumerated, is exactly the set of a' that share its key, on ints
+    # and elementwise, and a key names its (b, c).
+    for n in range(2, 13):
+        units = np.array([u for u in range(n) if gcd(u, n) == 1])
+        shifts = np.arange(n)
+        every = np.indices((n, n, n)).reshape(3, -1)
+        keys = affine_class(n, *every).tolist()
+        assert len(set(zip(keys, *every[1:].tolist()))) == len(set(keys))
+        for b, c in itertools.product(range(n), repeat=2):
+            keys = affine_class(n, np.arange(n), b, c)
+            for a in range(n):
+                orbit = np.unique((units[:, None] * a - (b + c - 1) * shifts) % n)
+                assert affine_class(n, a, b, c) == keys[a]
+                assert orbit.tolist() == np.flatnonzero(keys == keys[a]).tolist(), (n, a, b, c)
+
+
+def test_relabelling_carries_mul_onto_the_image_triple():
+    # For every triple, unit u and shift t at n <= 12, the image triple
+    # (n, u*a - (b+c-1)*t, b, c) multiplies the relabelled elements as the
+    # triple multiplies its own: mul'[u*x + t, u*y + t] = u*mul[x, y] + t,
+    # both read from op_tables.  So x -> u*x + t is an isomorphism.
+    op_tables.cache_clear()
+    for n in range(2, 13):
+        a, b, c = np.indices((n, n, n)).reshape(3, -1)
+        triples = zip(a.tolist(), b.tolist(), c.tolist())
+        mul = np.array([op_tables((n, *t)).mul[0, :n, :n] for t in triples], np.int64)
+        for u in (u for u in range(n) if gcd(u, n) == 1):
+            for t in range(n):
+                image = ((u * a - (b + c - 1) * t) % n * n + b) * n + c
+                moved = (u * np.arange(n) + t) % n
+                assert (mul[image][:, moved[:, None], moved] == (u * mul + t) % n).all(), (n, u, t)
+    op_tables.cache_clear()

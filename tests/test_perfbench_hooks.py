@@ -7,6 +7,7 @@ import re
 import sys
 from collections import Counter
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 from linquas import engine
@@ -56,10 +57,13 @@ def test_tracer_installs_and_uninstalls_on_current_modules(monkeypatch):
     assert tracer.oracle_stats(t.oracle_calls)["node_evals"] > 0
 
 
-def test_traced_crosscheck_calls_the_oracle_once_per_admitted_triple(monkeypatch):
+def test_traced_crosscheck_calls_the_oracle_once_per_class(monkeypatch):
     # perfbench/tracer.py reads the per-layer oracle counts from the
     # holds_bruteforce calls it wraps; a sweep that batched them away would
-    # leave a traced crosscheck run nothing to count
+    # leave a traced crosscheck run nothing to count.  The sweep checks one
+    # groupoid per isomorphism class: x -> u*x + t, u a unit, maps (n, a, b,
+    # c) onto (n, u*a - (b+c-1)*t, b, c), so it calls the oracle on the first
+    # admitted triple of each orbit of a, enumerated here, in order.
     tracer = _perfbench_module(monkeypatch, "tracer")
     for owner, attr, _ in tracer.SPANNED + tracer.COUNTED:
         monkeypatch.setattr(owner, attr, getattr(owner, attr))
@@ -68,20 +72,24 @@ def test_traced_crosscheck_calls_the_oracle_once_per_admitted_triple(monkeypatch
     t.install()
     engine.crosscheck_all(n_values, cap=10**7, workers=1)
     t.uninstall()
-    admitted = []
+    firsts = []
     for entry in catalog_entries():
         if entry.identity is None:
             continue
         for n in n_values:
             rows = [row for row in entry.rows
                     if row.modulus_kind is not ModulusKind.PRIME_P or is_prime(n)]
+            units = [u for u in range(n) if gcd(u, n) == 1]
+            seen = set()
             for a, b, c in product(range(n), repeat=3):
                 g = LinearGroupoid(n, a, b, c)
-                if any(row_sweep_admits(row, g) for row in rows):
-                    admitted.append((entry.identity, g))
+                orbit = frozenset((u * a - (b + c - 1) * s) % n for u in units for s in range(n))
+                if (b, c, orbit) not in seen and any(row_sweep_admits(row, g) for row in rows):
+                    seen.add((b, c, orbit))
+                    firsts.append((entry.identity, g))
     assert [(ident, triple) for ident, triple, _ in t.oracle_calls] == \
-        [(ident, g.triple()) for ident, g in admitted]
-    direct = Counter(engine.holds_bruteforce(g, ident).verdict.value for ident, g in admitted)
+        [(ident, g.triple()) for ident, g in firsts]
+    direct = Counter(engine.holds_bruteforce(g, ident).verdict.value for ident, g in firsts)
     assert tracer.oracle_stats(t.oracle_calls)["verdicts"] == \
         {v: direct[v] for v in ("holds", "fails", "not_applicable")}
 
@@ -171,7 +179,7 @@ def test_oracle_stats_read_counterexamples_built_on_first_read(monkeypatch):
         monkeypatch.setattr(owner, attr, getattr(owner, attr))
     t = tracer.Tracer()
     t.install()
-    engine.crosscheck_all([2, 3, 4], cap=10**7, workers=1)
+    engine.crosscheck_all(list(range(2, 7)), cap=10**7, workers=1)
     t.uninstall()
     whole = []
     for ident, triple, _ in t.oracle_calls:
