@@ -27,12 +27,15 @@ row (catalog.row_sweep_mask) and groups them into isomorphism classes
 admitted: their stacks are built from residue arrays
 (groupoid.stacked_op_tables), and each makes one oracle call, which reads
 its result from its stack's scan.  Each class's verdict goes to all its
-admitted triples, and rows are tallied from the verdicts as arrays.  Every
-evaluation is memoized on the stack it read (OpTables.flags), so a
-repeated check, as witness searches make, evaluates nothing.  A fails
-outcome's counterexample dict is built on first read (CheckOutcome), so
-the sweep and witness searches, which read only verdicts, build none; an
-NA reason is built with its outcome.
+admitted triples, and rows are tallied from the verdicts as arrays.  The
+sweep's (law, n) tasks run in this process unless their planned work
+(n**(k+2) each) passes POOL_WORK; a larger sweep forks a pool of at most
+one process per POOL_WORK, per task and per usable CPU, and never more
+than `workers`.  Every evaluation is memoized on the stack it read
+(OpTables.flags), so a repeated check, as witness searches make,
+evaluates nothing.  A fails outcome's counterexample dict is built on
+first read (CheckOutcome), so the sweep and witness searches, which read
+only verdicts, build none; an NA reason is built with its outcome.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -59,6 +61,17 @@ from .modring import is_prime
 from .termlang import Binary, Identity, NotApplicable, Var
 
 DEFAULT_CAP = 10**7
+
+# Planned work per pool process of a cross-check sweep, in (b, c) pairs
+# times assignments: n**(k+2) per (law, n) task.  On 2 CPUs (medians of 5,
+# one process against a pool of 2) universality sweeps of 3.1e6 ran in
+# 0.081 s against 0.118 s and of 5.7e6 in 0.096 s against 0.075 s, so the
+# pool starts to pay at about 5e6.  Each worker also adds a copy-on-write
+# image of this process (about 28 MB on the crosscheck benchmark), so the
+# bound sits above that: the benchmark's sweep, 3.3e6 (0.062 s against
+# 0.134 s), runs in one process, and universality over n = 2..15, 4.2e7
+# (0.57 s against 0.29 s), forks.
+POOL_WORK = 10**7
 
 
 class CapExceeded(RuntimeError):
@@ -515,9 +528,14 @@ def _crosscheck_task(args: tuple) -> list[list]:
 
 
 def _run_tasks(func, tasks: list[tuple], workers: int) -> list:
-    """func over the tasks in order, in at most one process per task and per usable CPU."""
+    """func over the tasks in order, in at most `workers` processes, one per
+    task and per usable CPU.  One process runs them here, without forking;
+    multiprocessing is imported only when a pool starts, which keeps it out
+    of a cold start of the CLI."""
     if workers <= 1 or len(tasks) <= 1:
         return [func(task) for task in tasks]
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, len(tasks), len(os.sched_getaffinity(0)))) as pool:
         return pool.map(func, tasks, chunksize=1)
@@ -528,24 +546,33 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
     """Reports for the selected rows of each entry, in selection order, from
     one pool task per (law, n): the selected rows of one law share each
     triple's oracle verdict.  Every task is held to the cap before any runs,
-    and a repeated modulus is a ValueError, raised before any task is planned."""
+    and a repeated modulus is a ValueError, raised before any task is planned.
+
+    The pool is sized by planned work, n**(k+2) per task (n**2 (b, c) pairs
+    times n**k assignments), read from (n, k) alone before any task runs: at
+    most `workers` processes, and one per POOL_WORK of the plan's total, so
+    a sweep below POOL_WORK runs in this process and forks nothing."""
     _check_moduli(n_values)
     reports: list[CrosscheckReport] = []
     tasks: list[tuple] = []
     owners: list[list[CrosscheckReport]] = []
+    work = 0
     for entry, rows in selected:
         if entry.identity is None:
             raise ValueError(f"entry {entry.id!r} has no defining identity")
         law = [(row, CrosscheckReport(entry.id, row.table_number, row.variant, row.label(),
                                       _sweep_moduli(row, n_values))) for row in rows]
         reports.extend(report for _, report in law)
+        k = len(entry.identity.variables)
         for n in n_values:
             swept = [(row, report) for row, report in law if n in report.n_values]
             if swept:
-                _check_cap(n, len(entry.identity.variables), cap)
+                _check_cap(n, k, cap)
                 tasks.append((entry.id, [row for row, _ in swept], n, cap))
                 owners.append([report for _, report in swept])
-    for owned, tallies in zip(owners, _run_tasks(_crosscheck_task, tasks, workers)):
+                work += n ** (k + 2)
+    processes = min(workers, math.ceil(work / POOL_WORK))
+    for owned, tallies in zip(owners, _run_tasks(_crosscheck_task, tasks, processes)):
         for report, (checked, na, mismatches) in zip(owned, tallies):
             report.checked += checked
             report.na_excluded += na

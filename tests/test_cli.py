@@ -334,7 +334,8 @@ def test_crosscheck_repeated_entry_is_swept_once(capsys):
         assert code == 0 and twice == once
 
 
-def test_crosscheck_output_independent_of_workers(capsys):
+def test_crosscheck_output_independent_of_workers(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "POOL_WORK", 1)  # the 2-worker run forks
     args = ["crosscheck", "--entries", "unipotent,medial", "--n", "2..6",
             "--format", "json"]
     _, one, _ = _run(capsys, *args, "--workers", "1")

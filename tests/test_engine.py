@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -301,8 +302,9 @@ def test_crosscheck_requires_identity():
             universality_scan(["slim"], [2, 3], workers=workers)
 
 
-def test_crosscheck_all_deterministic_across_workers():
+def test_crosscheck_all_deterministic_across_workers(monkeypatch):
     # stein_third and r_wip mix Z_n and Z_p rows, hypotheses and mismatches
+    monkeypatch.setattr(engine, "POOL_WORK", 1)  # the 2-worker sweeps fork
     ids = ["unipotent", "commutative", "abel_grassman", "stein_third", "r_wip"]
     n_values = list(range(2, 7))
     one = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=1)]
@@ -318,7 +320,9 @@ def test_crosscheck_all_deterministic_across_workers():
     assert per_row == one
 
 
-def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
+def _fake_pool(monkeypatch, cpus: int = 64) -> list[int]:
+    """Make every pool a fake one that runs its tasks in this process, with
+    `cpus` usable CPUs; the returned list records each pool's process count."""
     started = []
 
     class Pool:
@@ -334,9 +338,14 @@ def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
         def map(self, func, tasks, chunksize):
             return [func(task) for task in tasks]
 
-    monkeypatch.setattr(engine.multiprocessing, "get_context",
-                        lambda method: SimpleNamespace(Pool=Pool))
-    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return started
+
+
+def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
+    started = _fake_pool(monkeypatch)
+    monkeypatch.setattr(engine, "POOL_WORK", 1)  # a process per unit of planned work
     ids, n_values = ["medial"], [2, 3]  # one task per (law, n): two tasks
     wide = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=64)]
     assert started == [2]
@@ -348,6 +357,54 @@ def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
     started.clear()
     assert engine._run_tasks(abs, list(range(-667, 0)), 1000) == list(range(667, 0, -1))
     assert started == [2]
+
+
+# The laws of the crosscheck benchmark's first seed, and the laws the
+# acceptance suite scans for universality.
+_BENCHMARK_LAWS = ["r_aip", "right_f", "cm_7", "left_alternative", "cyclic_associativity", "l_wip"]
+_UNIVERSAL_LAWS = ["medial", "specialized_medial", "e_l", "e_r", "left_f", "right_f"]
+
+
+def _whole_laws(ids):
+    return lambda n_values, workers: crosscheck_all(n_values, ids, workers=workers)
+
+
+def _universality(n_values, workers):
+    return universality_scan(_UNIVERSAL_LAWS, n_values, workers=workers)
+
+
+@pytest.mark.parametrize("sweep, n_values, workers, cpus, processes", [
+    (_whole_laws(_BENCHMARK_LAWS), range(2, 13), 2, 64, 1),  # 3.3e6 planned: no pool
+    (_whole_laws(None), range(2, 13), 4, 64, 4),  # the acceptance sweep, 7.5e7
+    (_universality, range(2, 16), 4, 64, 4),  # the acceptance scan, 4.2e7
+    (_universality, range(2, 16), 64, 64, 5),  # one process per POOL_WORK
+    (_universality, range(2, 25), 64, 3, 3),  # one per usable CPU
+    (_whole_laws(["medial"]), [40, 41], 64, 64, 2),  # one per task
+], ids=["benchmark", "acceptance-sweep", "acceptance-scan", "by-work", "by-cpus", "by-tasks"])
+def test_pool_is_sized_by_planned_work(monkeypatch, sweep, n_values, workers, cpus, processes):
+    # A pool of min(workers, tasks, usable CPUs, ceil(W / POOL_WORK))
+    # processes, where W sums n**(k+2) over the planned (law, n) tasks; one
+    # process starts no pool.  The tasks tally nothing: only the plan counts.
+    started = _fake_pool(monkeypatch, cpus)
+    planned = []
+    monkeypatch.setattr(engine, "_crosscheck_task",
+                        lambda task: planned.append(task) or [[0, 0, []] for _ in task[1]])
+    sweep(list(n_values), workers)
+    work = sum(n ** (len(get_entry(law).identity.variables) + 2) for law, _, n, _ in planned)
+    assert min(workers, len(planned), cpus, -(-work // engine.POOL_WORK)) == processes
+    assert started == ([processes] if processes > 1 else [])
+
+
+def test_a_rejected_plan_starts_no_pool(monkeypatch):
+    started = _fake_pool(monkeypatch)
+    monkeypatch.setattr(engine, "POOL_WORK", 1)  # any plan that ran would fork
+    planned = []
+    monkeypatch.setattr(engine, "_crosscheck_task", lambda task: planned.append(task))
+    with pytest.raises(CapExceeded):  # 6**4 assignments, planned last
+        crosscheck_all(list(range(2, 7)), ["medial"], cap=1000, workers=2)
+    with pytest.raises(ValueError, match="repeated"):
+        crosscheck_all([2, 3, 2], ["medial"], workers=2)
+    assert (started, planned) == ([], [])
 
 
 def test_search_witnesses_examples():
@@ -408,7 +465,8 @@ def test_universality_scan_small():
     assert universality_scan(["medial", "e_l"], list(range(2, 7))) == []
 
 
-def test_universality_scan_lists_every_failing_triple():
+def test_universality_scan_lists_every_failing_triple(monkeypatch):
+    monkeypatch.setattr(engine, "POOL_WORK", 1)  # the 2-worker scan forks
     ids = ["associative", "commutative", "r_aip", "stein_third"]
     n_values = list(range(2, 9))
     expected = [(i, n, a, b, c) for i in ids for n in n_values
@@ -1200,6 +1258,7 @@ def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
 
     one = reports(1)
     assert any(r["na_excluded"] for r in one)
+    monkeypatch.setattr(engine, "POOL_WORK", 1)  # the 2-worker sweep forks
     assert reports(2) == one
     monkeypatch.setattr(groupoid, "BLOCK", 0)  # one-groupoid stacks of int8 tables
     assert reports(1) == one
