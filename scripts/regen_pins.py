@@ -86,8 +86,8 @@ def regen_example_findings() -> dict:
     }
 
 
-def regen_crosscheck_pins(workers: int) -> dict:
-    reports = engine.crosscheck_all(CROSSCHECK_RANGE, workers=workers)
+def regen_crosscheck_pins() -> dict:
+    reports = engine.crosscheck_all(CROSSCHECK_RANGE)
     rows = []
     for report in reports:
         mismatches = [m.to_list() for m in report.mismatches]
@@ -147,11 +147,10 @@ def regen_cli_pins() -> dict:
 
 
 def main() -> int:
-    workers = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     outputs = {
         "example_findings.json": regen_example_findings(),
-        "crosscheck_pins.json": regen_crosscheck_pins(workers),
+        "crosscheck_pins.json": regen_crosscheck_pins(),
         "witness_pins.json": regen_witness_pins(),
         "cli_pins.json": regen_cli_pins(),
     }

@@ -20,22 +20,26 @@ scan evaluates the slab where the leading variable is 0 first, for every
 member, and the rest only for the members that slab left undecided; it
 asks per member whether the tables it reads are total (_total), and drops
 each member once a block decides it.  A single check reads (op_tables(g),
-0), a stack of one through the groupoid.op_tables LRU cache.  A
-cross-check sweep admits each (law, n) task's triples with one mask per
-row (catalog.row_sweep_mask) and groups them into isomorphism classes
-(groupoid.affine_class).  It checks one groupoid per class, the first
-admitted: their stacks are built from residue arrays
-(groupoid.stacked_op_tables), and each makes one oracle call, which reads
-its result from its stack's scan.  Each class's verdict goes to all its
-admitted triples, and rows are tallied from the verdicts as arrays.  The
-sweep's (law, n) tasks run in this process unless their planned work
-(n**(k+2) each) passes POOL_WORK; a larger sweep forks a pool of at most
-one process per POOL_WORK, per task and per usable CPU, and never more
-than `workers`.  Every evaluation is memoized on the stack it read
-(OpTables.flags), so a repeated check, as witness searches make,
-evaluates nothing.  A fails outcome's counterexample dict is built on
-first read (CheckOutcome), so the sweep and witness searches, which read
-only verdicts, build none; an NA reason is built with its outcome.
+0), a stack of one through the groupoid.op_tables LRU cache.
+
+A cross-check sweep runs in this process.  Each (law, n) task admits its
+triples with one mask per row (catalog.row_sweep_mask) and reads their
+verdicts from the law's verdict cube at n, na and holds over all n**3
+triples (_verdict_cube), memoized for the law's later tasks.  At a prime
+power the cube groups the triples into isomorphism classes
+(groupoid.affine_class) and checks one groupoid per class, the first:
+their stacks are built from residue arrays (groupoid.stacked_op_tables),
+and each makes one oracle call, which reads its result from its stack's
+scan.  At any other n, Z_n is a product of rings of coprime orders, and
+the cube is composed from the cubes of two coprime factors with no oracle
+call: the groupoid is the direct product of its reductions, so its verdict
+is the worse of theirs.  Rows are tallied from the verdicts as arrays.
+
+Every evaluation is memoized on the stack it read (OpTables.flags), so a
+repeated check, as witness searches make, evaluates nothing.  A fails
+outcome's counterexample dict is built on first read (CheckOutcome), so
+the sweep and witness searches, which read only verdicts, build none; an
+NA reason is built with its outcome.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
@@ -61,17 +64,6 @@ from .modring import is_prime
 from .termlang import Binary, Identity, NotApplicable, Var
 
 DEFAULT_CAP = 10**7
-
-# Planned work per pool process of a cross-check sweep, in (b, c) pairs
-# times assignments: n**(k+2) per (law, n) task.  On 2 CPUs (medians of 5,
-# one process against a pool of 2) universality sweeps of 3.1e6 ran in
-# 0.081 s against 0.118 s and of 5.7e6 in 0.096 s against 0.075 s, so the
-# pool starts to pay at about 5e6.  Each worker also adds a copy-on-write
-# image of this process (about 28 MB on the crosscheck benchmark), so the
-# bound sits above that: the benchmark's sweep, 3.3e6 (0.062 s against
-# 0.134 s), runs in one process, and universality over n = 2..15, 4.2e7
-# (0.57 s against 0.29 s), forks.
-POOL_WORK = 10**7
 
 
 class CapExceeded(RuntimeError):
@@ -325,10 +317,11 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     scanned (see _scan), slab first, so memory grows with max(BLOCK // 8,
     n**(k-1)) assignments per member, not with n**k, beside the
     (n+1)**2-cell operation tables the identity reads; the cap bounds
-    both.  A sweep calls once per isomorphism class, passing its first
-    admitted groupoid's member of a larger stack: the first call of a
-    stack scans the whole stack, deciding most members on the slab where
-    the leading variable is 0, and each call reads its member's result.
+    both.  A sweep calls once per isomorphism class at a prime power,
+    passing its first groupoid's member of a larger stack: the first call
+    of a stack scans the whole stack, deciding most members on the slab
+    where the leading variable is 0, and each call reads its member's
+    result.
 
     Each evaluation is memoized in the stack's flags as indices, one pair
     per member, so a repeated check evaluates nothing; each call, after the
@@ -480,103 +473,106 @@ def _sweep_moduli(row: TableRow, n_values: list[int]) -> list[int]:
     return list(n_values)
 
 
-def _crosscheck_task(args: tuple) -> list[list]:
-    """Worker task: the given rows of one law at one modulus.
+def _verdict_cube(ident: Identity, n: int, cap: int, cubes: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's verdicts on every triple of modulus n, as bool arrays
+    na and holds shaped (n, n, n) over (a, b, c), memoized in cubes by n.
 
-    Over the triples that any row admits (row_sweep_mask), each row's
-    condition is evaluated once, as is each triple's isomorphism class key
-    (groupoid.affine_class), and their int64 temporaries freed.  The oracle
-    then checks one groupoid per class, its first admitted triple, in
-    lexicographic order, BLOCK // 8 at a time (see holds_bruteforce), so
-    that the residue arrays and stacks do not grow with n**3; each groupoid
-    is made at its oracle call.  Its verdict goes to its key's slot of two
-    bool arrays, na and holds, one slot per key, as a row mask has one per
-    triple; read back by key, they give every admitted triple its class's
-    verdict, and each row is tallied from them: (checked, NA, mismatches),
-    the mismatches in lexicographic order.
-    """
-    entry_id, rows, n, cap = args
-    ident = get_entry(entry_id).identity
-    masks = np.array([row_sweep_mask(row, n) for row in rows])
-    admitted = np.flatnonzero(masks.any(axis=0))
-    a, b, c = np.unravel_index(admitted, (n, n, n))
-    conds = [row.condition.holds(n, a, b, c) for row in rows]
+    At a prime power the oracle checks the first triple of each isomorphism
+    class (groupoid.affine_class), in lexicographic order, BLOCK // 8 at a
+    time (see holds_bruteforce), so that the residue arrays and stacks do
+    not grow with n**3; each groupoid is made at its oracle call.  Its
+    verdict goes to its class key's slot of na and holds, which, read back
+    by key, give every triple its class's verdict.  At any other n, with q
+    the largest power of its smallest prime, Z_n is Z_q x Z_(n//q), so the
+    groupoid is the direct product of its reductions mod q and mod n // q,
+    divisions and local elements taken componentwise: its verdict is the
+    worse factor's (holds < fails < not_applicable), read from the factors'
+    cubes through index maps, with no oracle call."""
+    if n in cubes:
+        return cubes[n]
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    q = math.gcd(n, p ** n)  # the largest power of p that divides n
+    if q < n:
+        (na_q, holds_q), (na_r, holds_r) = (_verdict_cube(ident, m, cap, cubes)
+                                            for m in (q, n // q))
+        at_q, at_r = (np.ix_(*[np.arange(n) % m] * 3) for m in (q, n // q))
+        na = na_q[at_q] | na_r[at_r]
+        cubes[n] = na, holds_q[at_q] & holds_r[at_r] & ~na
+        return cubes[n]
     slots = n * n * (n + 1)  # every key is below it
     # the smallest type that holds the keys halves them and np.unique's
     # sorted copy at n = 60
-    keys = affine_class(n, a, b, c).astype(np.min_scalar_type(slots))
-    del a, b, c
+    keys = affine_class(n, *np.ix_(*[np.arange(n)] * 3)).astype(np.min_scalar_type(slots)).ravel()
     first = np.sort(np.unique(keys, return_index=True)[1])  # each class's first triple
     na, holds = np.zeros(slots, bool), np.zeros(slots, bool)
     for start in range(0, len(first), BLOCK // 8):
         at_first = first[start:start + BLOCK // 8]
-        part = np.unravel_index(admitted[at_first], (n, n, n))
+        part = np.unravel_index(at_first, (n, n, n))
         triples = zip(*(axis.tolist() for axis in part))
         for at, t, tables in zip(keys[at_first].tolist(), triples, stacked_op_tables(n, *part)):
             verdict = holds_bruteforce(LinearGroupoid(n, *t), ident, cap, tables=tables).verdict
             na[at], holds[at] = verdict is Verdict.NOT_APPLICABLE, verdict is Verdict.HOLDS
-    na, holds = na[keys], holds[keys]
-    tallies = []
-    for admit, cond in zip(masks[:, admitted], conds):
+    cubes[n] = na[keys].reshape(n, n, n), holds[keys].reshape(n, n, n)
+    return cubes[n]
+
+
+def _crosscheck_task(ident: Identity, swept: list[tuple[TableRow, CrosscheckReport]], n: int,
+                     cap: int, cubes: dict) -> None:
+    """Tally the swept rows of one law at one modulus into their reports,
+    from the law's verdict cube at n (see _verdict_cube, which memoizes in
+    cubes).
+
+    Over the triples that any row admits (row_sweep_mask), each row's
+    condition is evaluated once, and its int64 temporaries freed.  Each row
+    adds its checked and NA counts at those triples, and its mismatches in
+    lexicographic order.
+    """
+    masks = np.array([row_sweep_mask(row, n) for row, _ in swept])
+    admitted = np.flatnonzero(masks.any(axis=0))
+    a, b, c = np.unravel_index(admitted, (n, n, n))
+    conds = [row.condition.holds(n, a, b, c) for row, _ in swept]
+    del a, b, c
+    na, holds = (cube.ravel()[admitted] for cube in _verdict_cube(ident, n, cap, cubes))
+    for (_, report), admit, cond in zip(swept, masks[:, admitted], conds):
         checked = admit & ~na
         wrong = checked & (cond != holds)
         a, b, c = (axis.tolist() for axis in np.unravel_index(admitted[wrong], (n, n, n)))
-        mismatches = [Mismatch(n, *t, not held, (Verdict.HOLDS if held else Verdict.FAILS).value)
-                      for *t, held in zip(a, b, c, holds[wrong].tolist())]
-        tallies.append([int(checked.sum()), int((admit & na).sum()), mismatches])
-    return tallies
-
-
-def _run_tasks(func, tasks: list[tuple], workers: int) -> list:
-    """func over the tasks in order, in at most `workers` processes, one per
-    task and per usable CPU.  One process runs them here, without forking;
-    multiprocessing is imported only when a pool starts, which keeps it out
-    of a cold start of the CLI."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(tasks), len(os.sched_getaffinity(0)))) as pool:
-        return pool.map(func, tasks, chunksize=1)
+        report.checked += int(checked.sum())
+        report.na_excluded += int((admit & na).sum())
+        report.mismatches.extend(
+            Mismatch(n, *t, not held, (Verdict.HOLDS if held else Verdict.FAILS).value)
+            for *t, held in zip(a, b, c, holds[wrong].tolist()))
 
 
 def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
                     n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
     """Reports for the selected rows of each entry, in selection order, from
-    one pool task per (law, n): the selected rows of one law share each
-    triple's oracle verdict.  Every task is held to the cap before any runs,
-    and a repeated modulus is a ValueError, raised before any task is planned.
-
-    The pool is sized by planned work, n**(k+2) per task (n**2 (b, c) pairs
-    times n**k assignments), read from (n, k) alone before any task runs: at
-    most `workers` processes, and one per POOL_WORK of the plan's total, so
-    a sweep below POOL_WORK runs in this process and forks nothing."""
+    one task per (law, n), all in this process: the selected rows of one law
+    share its verdict cube at n (see _verdict_cube), and the cubes one law's
+    tasks build, factors included, are kept for its later tasks and dropped
+    after its last.  Every task is held to the cap before any runs, and a
+    repeated modulus is a ValueError, raised before any task is planned.
+    workers is accepted, for the callers that pass it, and changes nothing."""
     _check_moduli(n_values)
     reports: list[CrosscheckReport] = []
-    tasks: list[tuple] = []
-    owners: list[list[CrosscheckReport]] = []
-    work = 0
+    laws: list[tuple[Identity, list[tuple[int, list]]]] = []  # each law's (n, swept rows) tasks
     for entry, rows in selected:
         if entry.identity is None:
             raise ValueError(f"entry {entry.id!r} has no defining identity")
         law = [(row, CrosscheckReport(entry.id, row.table_number, row.variant, row.label(),
                                       _sweep_moduli(row, n_values))) for row in rows]
         reports.extend(report for _, report in law)
-        k = len(entry.identity.variables)
+        tasks = []
         for n in n_values:
             swept = [(row, report) for row, report in law if n in report.n_values]
             if swept:
-                _check_cap(n, k, cap)
-                tasks.append((entry.id, [row for row, _ in swept], n, cap))
-                owners.append([report for _, report in swept])
-                work += n ** (k + 2)
-    processes = min(workers, math.ceil(work / POOL_WORK))
-    for owned, tallies in zip(owners, _run_tasks(_crosscheck_task, tasks, processes)):
-        for report, (checked, na, mismatches) in zip(owned, tallies):
-            report.checked += checked
-            report.na_excluded += na
-            report.mismatches.extend(mismatches)
+                _check_cap(n, len(entry.identity.variables), cap)
+                tasks.append((n, swept))
+        laws.append((entry.identity, tasks))
+    for ident, tasks in laws:
+        cubes: dict = {}
+        for n, swept in tasks:
+            _crosscheck_task(ident, swept, n, cap, cubes)
     return reports
 
 

@@ -27,7 +27,6 @@ from linquas.groupoid import (LinearGroupoid, cayley_table, is_latin_square,
                               is_quasigroup, orthogonal, orthogonal_det)
 
 DATA = Path(__file__).resolve().parent / "data"
-WORKERS = 4
 CROSSCHECK_RANGE = list(range(2, 13))
 
 
@@ -50,7 +49,7 @@ def ledger():
 @pytest.fixture(scope="module")
 def crosscheck_reports():
     start = time.monotonic()
-    reports = engine.crosscheck_all(CROSSCHECK_RANGE, workers=WORKERS)
+    reports = engine.crosscheck_all(CROSSCHECK_RANGE)
     elapsed = time.monotonic() - start
     return {(r.table_number, r.variant): r for r in reports}, elapsed
 
@@ -158,7 +157,7 @@ def test_criterion_2_all_rows_match_pins_and_runtime(crosscheck_reports):
     ok = elapsed < 300.0
     _report("criterion 2 (full cross-check vs pins)", ok,
             f"{len(reports)} rows, {dirty} with pinned mismatches, "
-            f"{elapsed:.0f}s at {WORKERS} workers")
+            f"{elapsed:.0f}s")
     assert elapsed < 300.0
 
 
@@ -185,7 +184,7 @@ def test_criterion_3_latin_square_criterion():
 
 def test_criterion_4_universal_laws():
     ids = ["medial", "specialized_medial", "e_l", "e_r", "left_f", "right_f"]
-    violations = engine.universality_scan(ids, list(range(2, 16)), workers=WORKERS)
+    violations = engine.universality_scan(ids, list(range(2, 16)))
     _report("criterion 4 (universal laws hold whenever applicable, n<=15)",
             not violations, f"laws: {', '.join(ids)}")
     assert violations == []

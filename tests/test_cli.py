@@ -187,11 +187,11 @@ def test_cap_exceeded_exits_70(capsys, monkeypatch):
     assert code == 70 and "cap exceeded" in err
     # a cross-check holds every planned (law, n) to the cap before any runs
     oracle_calls, runs = [], []
-    holds_bruteforce, run_tasks = engine.holds_bruteforce, engine._run_tasks
+    holds_bruteforce, task = engine.holds_bruteforce, engine._crosscheck_task
     monkeypatch.setattr(engine, "holds_bruteforce",
                         lambda *args: oracle_calls.append(args) or holds_bruteforce(*args))
-    monkeypatch.setattr(engine, "_run_tasks",
-                        lambda *args: runs.append(args) or run_tasks(*args))
+    monkeypatch.setattr(engine, "_crosscheck_task",
+                        lambda *args: runs.append(args) or task(*args))
     for workers in ("1", "2"):
         code, out, err = _run(capsys, "crosscheck", "--entries", "medial", "--n", "2..6",
                               "--cap", "1000", "--workers", workers)
@@ -334,8 +334,8 @@ def test_crosscheck_repeated_entry_is_swept_once(capsys):
         assert code == 0 and twice == once
 
 
-def test_crosscheck_output_independent_of_workers(capsys, monkeypatch):
-    monkeypatch.setattr(engine, "POOL_WORK", 1)  # the 2-worker run forks
+def test_crosscheck_output_independent_of_workers(capsys):
+    # --workers is accepted and changes no byte
     args = ["crosscheck", "--entries", "unipotent,medial", "--n", "2..6",
             "--format", "json"]
     _, one, _ = _run(capsys, *args, "--workers", "1")

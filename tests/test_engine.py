@@ -1,8 +1,6 @@
 import json
-import multiprocessing
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -297,14 +295,14 @@ def test_crosscheck_requires_identity():
     slim = get_entry("slim")
     with pytest.raises(ValueError):
         crosscheck(slim, slim.rows[0], [2, 3])
-    for workers in (1, 2):  # raised before any task reaches the pool
+    for workers in (1, 2):  # raised before any task runs
         with pytest.raises(ValueError, match="no defining identity"):
             universality_scan(["slim"], [2, 3], workers=workers)
 
 
-def test_crosscheck_all_deterministic_across_workers(monkeypatch):
-    # stein_third and r_wip mix Z_n and Z_p rows, hypotheses and mismatches
-    monkeypatch.setattr(engine, "POOL_WORK", 1)  # the 2-worker sweeps fork
+def test_crosscheck_all_deterministic_across_workers():
+    # stein_third and r_wip mix Z_n and Z_p rows, hypotheses and mismatches;
+    # workers changes no byte
     ids = ["unipotent", "commutative", "abel_grassman", "stein_third", "r_wip"]
     n_values = list(range(2, 7))
     one = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=1)]
@@ -318,93 +316,6 @@ def test_crosscheck_all_deterministic_across_workers(monkeypatch):
     per_row = [crosscheck(get_entry(i), row, n_values).to_dict()
                for i in ids for row in get_entry(i).rows]
     assert per_row == one
-
-
-def _fake_pool(monkeypatch, cpus: int = 64) -> list[int]:
-    """Make every pool a fake one that runs its tasks in this process, with
-    `cpus` usable CPUs; the returned list records each pool's process count."""
-    started = []
-
-    class Pool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, func, tasks, chunksize):
-            return [func(task) for task in tasks]
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
-    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    return started
-
-
-def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
-    started = _fake_pool(monkeypatch)
-    monkeypatch.setattr(engine, "POOL_WORK", 1)  # a process per unit of planned work
-    ids, n_values = ["medial"], [2, 3]  # one task per (law, n): two tasks
-    wide = [r.to_dict() for r in crosscheck_all(n_values, ids, workers=64)]
-    assert started == [2]
-    assert wide == [r.to_dict() for r in crosscheck_all(n_values, ids, workers=1)]
-    assert engine._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
-    assert started == [2, 2]
-    # nor more than the usable CPUs
-    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
-    started.clear()
-    assert engine._run_tasks(abs, list(range(-667, 0)), 1000) == list(range(667, 0, -1))
-    assert started == [2]
-
-
-# The laws of the crosscheck benchmark's first seed, and the laws the
-# acceptance suite scans for universality.
-_BENCHMARK_LAWS = ["r_aip", "right_f", "cm_7", "left_alternative", "cyclic_associativity", "l_wip"]
-_UNIVERSAL_LAWS = ["medial", "specialized_medial", "e_l", "e_r", "left_f", "right_f"]
-
-
-def _whole_laws(ids):
-    return lambda n_values, workers: crosscheck_all(n_values, ids, workers=workers)
-
-
-def _universality(n_values, workers):
-    return universality_scan(_UNIVERSAL_LAWS, n_values, workers=workers)
-
-
-@pytest.mark.parametrize("sweep, n_values, workers, cpus, processes", [
-    (_whole_laws(_BENCHMARK_LAWS), range(2, 13), 2, 64, 1),  # 3.3e6 planned: no pool
-    (_whole_laws(None), range(2, 13), 4, 64, 4),  # the acceptance sweep, 7.5e7
-    (_universality, range(2, 16), 4, 64, 4),  # the acceptance scan, 4.2e7
-    (_universality, range(2, 16), 64, 64, 5),  # one process per POOL_WORK
-    (_universality, range(2, 25), 64, 3, 3),  # one per usable CPU
-    (_whole_laws(["medial"]), [40, 41], 64, 64, 2),  # one per task
-], ids=["benchmark", "acceptance-sweep", "acceptance-scan", "by-work", "by-cpus", "by-tasks"])
-def test_pool_is_sized_by_planned_work(monkeypatch, sweep, n_values, workers, cpus, processes):
-    # A pool of min(workers, tasks, usable CPUs, ceil(W / POOL_WORK))
-    # processes, where W sums n**(k+2) over the planned (law, n) tasks; one
-    # process starts no pool.  The tasks tally nothing: only the plan counts.
-    started = _fake_pool(monkeypatch, cpus)
-    planned = []
-    monkeypatch.setattr(engine, "_crosscheck_task",
-                        lambda task: planned.append(task) or [[0, 0, []] for _ in task[1]])
-    sweep(list(n_values), workers)
-    work = sum(n ** (len(get_entry(law).identity.variables) + 2) for law, _, n, _ in planned)
-    assert min(workers, len(planned), cpus, -(-work // engine.POOL_WORK)) == processes
-    assert started == ([processes] if processes > 1 else [])
-
-
-def test_a_rejected_plan_starts_no_pool(monkeypatch):
-    started = _fake_pool(monkeypatch)
-    monkeypatch.setattr(engine, "POOL_WORK", 1)  # any plan that ran would fork
-    planned = []
-    monkeypatch.setattr(engine, "_crosscheck_task", lambda task: planned.append(task))
-    with pytest.raises(CapExceeded):  # 6**4 assignments, planned last
-        crosscheck_all(list(range(2, 7)), ["medial"], cap=1000, workers=2)
-    with pytest.raises(ValueError, match="repeated"):
-        crosscheck_all([2, 3, 2], ["medial"], workers=2)
-    assert (started, planned) == ([], [])
 
 
 def test_search_witnesses_examples():
@@ -445,7 +356,7 @@ def test_search_rejects_a_limit_below_one_before_scanning(monkeypatch, limit):
 def test_crosscheck_rejects_a_repeated_modulus_before_any_task(monkeypatch):
     # [3, 3] would sweep the 27 triples of n = 3 twice (checked 54)
     tasks = []
-    monkeypatch.setattr(engine, "_run_tasks", lambda func, planned, workers: tasks.append(planned))
+    monkeypatch.setattr(engine, "_crosscheck_task", lambda *task: tasks.append(task))
     for n_values in ([3, 3], [2, 3, 4, 3]):
         with pytest.raises(ValueError, match=r"repeated: \[3\]"):
             crosscheck_all(n_values, ["commutative"])
@@ -465,8 +376,7 @@ def test_universality_scan_small():
     assert universality_scan(["medial", "e_l"], list(range(2, 7))) == []
 
 
-def test_universality_scan_lists_every_failing_triple(monkeypatch):
-    monkeypatch.setattr(engine, "POOL_WORK", 1)  # the 2-worker scan forks
+def test_universality_scan_lists_every_failing_triple():
     ids = ["associative", "commutative", "r_aip", "stein_third"]
     n_values = list(range(2, 9))
     expected = [(i, n, a, b, c) for i in ids for n in n_values
@@ -1078,12 +988,12 @@ def test_sweeps_keep_one_stack_alive_at_a_time(monkeypatch):
 
 
 def test_sweeps_keep_one_slice_of_groupoids_alive_at_a_time(monkeypatch):
-    # engine.BLOCK = 8 * 50: a (law, n) task builds its residue arrays and
-    # stack members 50 class representatives at a time, and each
-    # LinearGroupoid only at its own oracle call, so no oracle call sees
-    # another of the task's 72 alive.  Both laws admit all 216 triples, and
-    # each (b, c) has one class per divisor of gcd(b+c-1, 6) (see
-    # groupoid.affine_class): 6 * (4 + 1 + 2 + 2 + 2 + 1) = 72 classes, two
+    # engine.BLOCK = 8 * 50: a law's verdict cube at a prime power builds
+    # its residue arrays and stack members 50 class representatives at a
+    # time, and each LinearGroupoid only at its own oracle call, so no
+    # oracle call sees another of the cube's 56 alive.  Each (b, c) has one
+    # class per divisor of gcd(b+c-1, 7) (see groupoid.affine_class): 42
+    # pairs have one and the 7 with b + c = 1 have two, so 56 classes, two
     # slices.
     import gc
     import weakref
@@ -1100,17 +1010,17 @@ def test_sweeps_keep_one_slice_of_groupoids_alive_at_a_time(monkeypatch):
         alive.append(sum(ref() is not None for ref in refs))
         return oracle(g, ident, cap, tables=tables)
 
-    expected = [r.to_dict() for r in crosscheck_all([6], ["commutative", "medial"])]
+    expected = [r.to_dict() for r in crosscheck_all([7], ["commutative", "medial"])]
     monkeypatch.setattr(engine, "LinearGroupoid", built)
     monkeypatch.setattr(engine, "holds_bruteforce", counted)
     monkeypatch.setattr(engine, "BLOCK", 8 * 50)
     gc.disable()
     try:
-        got = [r.to_dict() for r in crosscheck_all([6], ["commutative", "medial"])]
+        got = [r.to_dict() for r in crosscheck_all([7], ["commutative", "medial"])]
     finally:
         gc.enable()
     assert got == expected
-    assert len(refs) == len(alive) == 2 * 72 and max(alive) == 1
+    assert len(refs) == len(alive) == 2 * 56 and max(alive) == 1
 
 
 def test_a_repeated_check_evaluates_nothing(monkeypatch):
@@ -1245,6 +1155,63 @@ def test_oracle_verdicts_follow_the_product_of_coprime_moduli(monkeypatch, small
     assert len(seen) == 9, seen  # every pair of factor verdicts occurs
 
 
+# The moduli with two distinct prime factors that the cube test composes,
+# with the coprime factors the sweep splits each into: every law at 6, 10
+# and 12, and the laws of at most three variables at 15.
+_FACTORS = {6: (2, 3), 10: (2, 5), 12: (4, 3), 15: (3, 5)}
+_COMPOSITE = [(entry, n) for entry in catalog_entries() if entry.identity is not None
+              for n in _FACTORS if n < 15 or len(entry.identity.variables) <= 3]
+
+
+@pytest.fixture(scope="module")
+def class_cubes():
+    """The oracle's verdict on every triple of each _COMPOSITE (law, n), as
+    (na, holds) cubes, from one single check per isomorphism class: its
+    first triple's, read back by class key (groupoid.affine_class)."""
+    cubes = {}
+    for entry, n in _COMPOSITE:
+        keys = groupoid.affine_class(n, *np.ix_(*[np.arange(n)] * 3))
+        na, holds, verdicts = np.zeros((n, n, n), bool), np.zeros((n, n, n), bool), {}
+        for triple in np.ndindex(n, n, n):
+            key = int(keys[triple])
+            if key not in verdicts:
+                verdicts[key] = holds_bruteforce(LinearGroupoid(n, *triple), entry.identity).verdict
+            na[triple] = verdicts[key] is Verdict.NOT_APPLICABLE
+            holds[triple] = verdicts[key] is Verdict.HOLDS
+        cubes[entry.id, n] = na, holds
+    return cubes
+
+
+@pytest.mark.parametrize("small_block", [False, True])
+def test_composed_cubes_equal_per_class_cubes(monkeypatch, class_cubes, small_block):
+    # At a modulus with two distinct prime factors the sweep's verdict cube
+    # is composed from its factors' cubes (see _FACTORS) and makes no oracle
+    # call at n; it must equal, on every triple, the cube of single checks,
+    # one per class.  With engine.BLOCK = 64 and groupoid.BLOCK = 0 the
+    # factors' cubes are built 8 class representatives at a time, on stacks
+    # of one.
+    if small_block:
+        monkeypatch.setattr(engine, "BLOCK", 64)
+        monkeypatch.setattr(groupoid, "BLOCK", 0)
+    oracle, checked = engine.holds_bruteforce, []
+    monkeypatch.setattr(engine, "holds_bruteforce",
+                        lambda g, *args, **kw: checked.append(g.n) or oracle(g, *args, **kw))
+    op_tables.cache_clear()
+    seen = set()
+    try:
+        for entry, n in _COMPOSITE:
+            cubes = {}
+            na, holds = engine._verdict_cube(entry.identity, n, engine.DEFAULT_CAP, cubes)
+            want_na, want_holds = class_cubes[entry.id, n]
+            assert (na == want_na).all() and (holds == want_holds).all(), (entry.id, n)
+            assert sorted(cubes) == sorted({n, *_FACTORS[n]})
+            seen.update(zip(na.ravel().tolist(), holds.ravel().tolist()))
+    finally:
+        op_tables.cache_clear()
+    assert set(checked) == {2, 3, 4, 5}
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
 def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
     # l_saip is NA-heavy and reads lam (scanned from mul through e_lam); cm_7
     # has 4 variables
@@ -1258,8 +1225,7 @@ def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
 
     one = reports(1)
     assert any(r["na_excluded"] for r in one)
-    monkeypatch.setattr(engine, "POOL_WORK", 1)  # the 2-worker sweep forks
-    assert reports(2) == one
+    assert reports(2) == one  # workers changes no byte
     monkeypatch.setattr(groupoid, "BLOCK", 0)  # one-groupoid stacks of int8 tables
     assert reports(1) == one
 
