@@ -389,9 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "cap", None) is None:
+        if "cap" in vars(args) and args.cap is None:  # catalog has no --cap
             args.cap = _default_cap()
-        if args.cap < 1000:
+        if getattr(args, "cap", 1000) < 1000:
             parser.error(f"--cap must be >= 1000, got {args.cap}")
         for flag, least in (("workers", 1), ("limit", 1), ("search_max", 2),
                             ("crosscheck_max", 2)):
@@ -408,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         return EX_DATAERR
     except CapExceeded as exc:
         print(f"linquas: cap exceeded: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
+    except MemoryError:  # e.g. an --n range too long to list; exit 1 is a verdict's
+        print("linquas: out of memory", file=sys.stderr)
         return EX_SOFTWARE
 
 

@@ -24,16 +24,15 @@ each member once a block decides it.  A single check reads (op_tables(g),
 
 A cross-check sweep runs in this process.  Each (law, n) task admits its
 triples with one mask per row (catalog.row_sweep_mask) and reads their
-verdicts from the law's verdict cube at n, na and holds over all n**3
-triples (_verdict_cube), memoized for the law's later tasks.  At a prime
-power the cube groups the triples into isomorphism classes
-(groupoid.affine_class) and checks one groupoid per class, the first:
-their stacks are built from residue arrays (groupoid.stacked_op_tables),
-and each makes one oracle call, which reads its result from its stack's
-scan.  At any other n, Z_n is a product of rings of coprime orders, and
-the cube is composed from the cubes of two coprime factors with no oracle
-call: the groupoid is the direct product of its reductions, so its verdict
-is the worse of theirs.  Rows are tallied from the verdicts as arrays.
+verdicts through one loop over the prime-power factors q of n
+(_verdicts): Z_n is the product of the rings Z_q, so the groupoid is the
+direct product of its reductions mod each q, and its verdict is the worst
+of theirs.  Mod q each admitted triple is reduced to its isomorphism
+class (groupoid.affine_class), and each class is checked once per law and
+q, at its first triple, when an admitted triple first needs it: the
+stacks are built from residue arrays (groupoid.stacked_op_tables), and
+each class makes one oracle call, which reads its result from its stack's
+scan.  Rows are tallied from the verdicts as arrays.
 
 Every evaluation is memoized on the stack it read (OpTables.flags), so a
 repeated check, as witness searches make, evaluates nothing.  A fails
@@ -317,8 +316,9 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     scanned (see _scan), slab first, so memory grows with max(BLOCK // 8,
     n**(k-1)) assignments per member, not with n**k, beside the
     (n+1)**2-cell operation tables the identity reads; the cap bounds
-    both.  A sweep calls once per isomorphism class at a prime power,
-    passing its first groupoid's member of a larger stack: the first call
+    both.  A sweep calls once per isomorphism class that its admitted
+    triples need at each prime-power factor of n (see _verdicts), passing
+    the class's first groupoid's member of a larger stack: the first call
     of a stack scans the whole stack, deciding most members on the slab
     where the leading variable is 0, and each call reads its member's
     result.
@@ -473,54 +473,49 @@ def _sweep_moduli(row: TableRow, n_values: list[int]) -> list[int]:
     return list(n_values)
 
 
-def _verdict_cube(ident: Identity, n: int, cap: int, cubes: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's verdicts on every triple of modulus n, as bool arrays
-    na and holds shaped (n, n, n) over (a, b, c), memoized in cubes by n.
+# A product groupoid's verdict is its worst factor's, in this order.
+_RANK = {Verdict.HOLDS: 1, Verdict.FAILS: 2, Verdict.NOT_APPLICABLE: 3}
 
-    At a prime power the oracle checks the first triple of each isomorphism
-    class (groupoid.affine_class), in lexicographic order, BLOCK // 8 at a
-    time (see holds_bruteforce), so that the residue arrays and stacks do
-    not grow with n**3; each groupoid is made at its oracle call.  Its
-    verdict goes to its class key's slot of na and holds, which, read back
-    by key, give every triple its class's verdict.  At any other n, with q
-    the largest power of its smallest prime, Z_n is Z_q x Z_(n//q), so the
-    groupoid is the direct product of its reductions mod q and mod n // q,
-    divisions and local elements taken componentwise: its verdict is the
-    worse factor's (holds < fails < not_applicable), read from the factors'
-    cubes through index maps, with no oracle call."""
-    if n in cubes:
-        return cubes[n]
-    p = next(d for d in range(2, n + 1) if n % d == 0)
-    q = math.gcd(n, p ** n)  # the largest power of p that divides n
-    if q < n:
-        (na_q, holds_q), (na_r, holds_r) = (_verdict_cube(ident, m, cap, cubes)
-                                            for m in (q, n // q))
-        at_q, at_r = (np.ix_(*[np.arange(n) % m] * 3) for m in (q, n // q))
-        na = na_q[at_q] | na_r[at_r]
-        cubes[n] = na, holds_q[at_q] & holds_r[at_r] & ~na
-        return cubes[n]
-    slots = n * n * (n + 1)  # every key is below it
-    # the smallest type that holds the keys halves them and np.unique's
-    # sorted copy at n = 60
-    keys = affine_class(n, *np.ix_(*[np.arange(n)] * 3)).astype(np.min_scalar_type(slots)).ravel()
-    first = np.sort(np.unique(keys, return_index=True)[1])  # each class's first triple
-    na, holds = np.zeros(slots, bool), np.zeros(slots, bool)
-    for start in range(0, len(first), BLOCK // 8):
-        at_first = first[start:start + BLOCK // 8]
-        part = np.unravel_index(at_first, (n, n, n))
-        triples = zip(*(axis.tolist() for axis in part))
-        for at, t, tables in zip(keys[at_first].tolist(), triples, stacked_op_tables(n, *part)):
-            verdict = holds_bruteforce(LinearGroupoid(n, *t), ident, cap, tables=tables).verdict
-            na[at], holds[at] = verdict is Verdict.NOT_APPLICABLE, verdict is Verdict.HOLDS
-    cubes[n] = na[keys].reshape(n, n, n), holds[keys].reshape(n, n, n)
-    return cubes[n]
+
+def _verdicts(ident: Identity, n: int, admitted: np.ndarray, cap: int,
+              ranks: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's verdicts at the admitted flat indices of the n x n x n
+    cube over (a, b, c), as bool arrays na and holds.
+
+    Z_n is the product of the rings Z_q over the prime-power factors q of n,
+    so the groupoid is the direct product of its reductions mod each q
+    (divisions and local elements componentwise), and its verdict is their
+    worst (see _RANK).  Mod q a triple takes its isomorphism class's
+    verdict, kept in the law's memo ranks[q] at the slot of the class's
+    first triple (groupoid.affine_class), 0 until checked.  The classes the
+    admitted triples need and the memo lacks are checked at their first
+    triples, in lexicographic order, BLOCK // 8 at a time (see
+    holds_bruteforce), each groupoid made at its oracle call."""
+    worst = np.zeros(len(admitted), np.int8)
+    # q is the largest power of each prime p that divides n
+    for q in (math.gcd(n, p**n) for p in range(2, n + 1) if n % p == 0 and is_prime(p)):
+        firsts = affine_class(q, *np.ix_(*[np.arange(q)] * 3)).astype(np.min_scalar_type(q**3))
+        keys = firsts[np.ix_(*[np.arange(n) % q] * 3)].ravel()[admitted]
+        rank = ranks.setdefault(q, np.zeros(q**3, np.int8))
+        todo = np.zeros(q**3, bool)
+        todo[keys] = True
+        todo = np.flatnonzero(todo & (rank == 0))
+        for start in range(0, len(todo), BLOCK // 8):
+            at = todo[start:start + BLOCK // 8]
+            part = np.unravel_index(at, (q, q, q))
+            triples = zip(*(axis.tolist() for axis in part))
+            for slot, t, tables in zip(at.tolist(), triples, stacked_op_tables(q, *part)):
+                rank[slot] = _RANK[holds_bruteforce(LinearGroupoid(q, *t), ident, cap,
+                                                    tables=tables).verdict]
+        np.maximum(worst, rank[keys], out=worst)
+    return worst == _RANK[Verdict.NOT_APPLICABLE], worst == _RANK[Verdict.HOLDS]
 
 
 def _crosscheck_task(ident: Identity, swept: list[tuple[TableRow, CrosscheckReport]], n: int,
-                     cap: int, cubes: dict) -> None:
+                     cap: int, ranks: dict) -> None:
     """Tally the swept rows of one law at one modulus into their reports,
-    from the law's verdict cube at n (see _verdict_cube, which memoizes in
-    cubes).
+    from the oracle's verdicts on the triples any row admits (see
+    _verdicts, which memoizes in ranks).
 
     Over the triples that any row admits (row_sweep_mask), each row's
     condition is evaluated once, and its int64 temporaries freed.  Each row
@@ -532,7 +527,7 @@ def _crosscheck_task(ident: Identity, swept: list[tuple[TableRow, CrosscheckRepo
     a, b, c = np.unravel_index(admitted, (n, n, n))
     conds = [row.condition.holds(n, a, b, c) for row, _ in swept]
     del a, b, c
-    na, holds = (cube.ravel()[admitted] for cube in _verdict_cube(ident, n, cap, cubes))
+    na, holds = _verdicts(ident, n, admitted, cap, ranks)
     for (_, report), admit, cond in zip(swept, masks[:, admitted], conds):
         checked = admit & ~na
         wrong = checked & (cond != holds)
@@ -548,9 +543,9 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
                     n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
     """Reports for the selected rows of each entry, in selection order, from
     one task per (law, n), all in this process: the selected rows of one law
-    share its verdict cube at n (see _verdict_cube), and the cubes one law's
-    tasks build, factors included, are kept for its later tasks and dropped
-    after its last.  Every task is held to the cap before any runs, and a
+    share its verdicts at n (see _verdicts), and the class verdicts one
+    law's tasks check, per prime-power factor, are kept for its later tasks
+    and dropped after its last.  Every task is held to the cap before any runs, and a
     repeated modulus is a ValueError, raised before any task is planned.
     workers is accepted, for the callers that pass it, and changes nothing."""
     _check_moduli(n_values)
@@ -570,9 +565,9 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
                 tasks.append((n, swept))
         laws.append((entry.identity, tasks))
     for ident, tasks in laws:
-        cubes: dict = {}
+        ranks: dict = {}
         for n, swept in tasks:
-            _crosscheck_task(ident, swept, n, cap, cubes)
+            _crosscheck_task(ident, swept, n, cap, ranks)
     return reports
 
 

@@ -77,20 +77,21 @@ def apply(g: LinearGroupoid, x: int, y: int) -> int:
 
 
 def affine_class(n: int, a, b, c):
-    """The key (b*n + c) * (n+1) + gcd(a, gcd(b+c-1, n)) of the triple
-    (n, a, b, c), reduced, or elementwise on arrays of residues (as
-    HypAtom.holds); triples with equal keys are isomorphic groupoids.
+    """The flat index (a0*n + b)*n + c of the first triple, in lexicographic
+    order, of the isomorphism class of the triple (n, a, b, c), reduced, or
+    elementwise on arrays of residues (as HypAtom.holds), where
+    a0 = gcd(a, d) mod d and d = gcd(b+c-1, n).
 
     For a unit u mod n and any t, x -> u*x + t maps (n, a, b, c) onto
     (n, u*a - (b+c-1)*t, b, c): u*(a + b*x + c*y) + t = (u*a - (b+c-1)*t)
     + b*(u*x + t) + c*(u*y + t).  A bijection that carries the operation
     carries every division, local element and undefined cell with it, so an
-    identity gets one verdict, not_applicable included, on both.  With
-    d = gcd(b+c-1, n), the shifts reach every multiple of d, and the units
-    mod n every unit mod d, so the images of a are exactly the a' with
-    gcd(a', d) = gcd(a, d): the key's last part, at most n."""
-    # the gcd first: on arrays, two temporaries are alive at a time, not three
-    return np.gcd(a, np.gcd(b + c - 1, n)) + (b * n + c) * (n + 1)
+    identity gets one verdict, not_applicable included, on both.  The
+    shifts reach every multiple of d, and the units mod n every unit mod d,
+    so the images of a are exactly the a' with gcd(a', d) = gcd(a, d), and
+    the least of them is that gcd, or 0 where it is d."""
+    d = np.gcd(b + c - 1, n)
+    return (np.gcd(a, d) % d * n + b) * n + c
 
 
 def is_quasigroup(g: LinearGroupoid) -> bool:

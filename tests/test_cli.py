@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from linquas import engine
+from linquas import cli, engine
 from linquas.catalog import ExampleStatus, catalog_entries
 from linquas.cli import main
 from linquas.groupoid import op_tables
@@ -247,6 +248,30 @@ def test_cap_env_override(capsys, monkeypatch):
                           "--entry", "medial")
     assert (code, out) == (65, "")
     assert err == "linquas: error: LINQUAS_CAP must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("cap", ["abc", "5"])
+def test_catalog_reads_no_cap(capsys, monkeypatch, cap):
+    # catalog has no --cap, so LINQUAS_CAP is neither read nor validated
+    expected = _run(capsys, "catalog")
+    monkeypatch.setenv("LINQUAS_CAP", cap)
+    assert _run(capsys, "catalog") == expected
+
+
+@pytest.mark.parametrize("command", [["search", "--entry", "medial"],
+                                     ["crosscheck", "--entries", "medial"]])
+def test_a_range_too_long_to_list_exits_70(capsys, monkeypatch, command):
+    # Listing 2..10**11 would take 800 GB; this list refuses any range past
+    # 10**6 items, as the allocator would, before allocating it.  Exit 1
+    # is the fails verdict's, so running out of memory exits 70.
+    def refusing(items=()):
+        if isinstance(items, range) and len(items) > 10**6:
+            raise MemoryError
+        return builtins.list(items)
+
+    monkeypatch.setattr(cli, "list", refusing, raising=False)
+    code, out, err = _run(capsys, *command, "--n", "2..100000000000")
+    assert (code, out, err) == (70, "", "linquas: out of memory\n")
 
 
 def test_table_csv_exact(capsys):

@@ -1,18 +1,19 @@
 import json
 import random
 from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
 
 from linquas import engine, groupoid, termlang
-from linquas.catalog import catalog_entries, get_entry
+from linquas.catalog import ModulusKind, catalog_entries, get_entry, row_sweep_mask
 from linquas.engine import (CapExceeded, CheckOutcome, Method, Verdict, crosscheck,
                             crosscheck_all, holds_bruteforce, holds_symbolic,
                             search_witnesses, universality_scan,
                             verify_examples)
 from linquas.groupoid import LinearGroupoid, OpTables, StackMember, op_tables, stacked_op_tables
-from linquas.modring import is_unit, poly_value
+from linquas.modring import is_prime, is_unit, poly_value
 from linquas.termlang import parse
 from test_groupoid import stacked
 
@@ -1156,8 +1157,8 @@ def test_oracle_verdicts_follow_the_product_of_coprime_moduli(monkeypatch, small
 
 
 # The moduli with two distinct prime factors that the cube test composes,
-# with the coprime factors the sweep splits each into: every law at 6, 10
-# and 12, and the laws of at most three variables at 15.
+# with the prime-power factors the sweep reduces each to: every law at 6,
+# 10 and 12, and the laws of at most three variables at 15.
 _FACTORS = {6: (2, 3), 10: (2, 5), 12: (4, 3), 15: (3, 5)}
 _COMPOSITE = [(entry, n) for entry in catalog_entries() if entry.identity is not None
               for n in _FACTORS if n < 15 or len(entry.identity.variables) <= 3]
@@ -1184,31 +1185,38 @@ def class_cubes():
 
 @pytest.mark.parametrize("small_block", [False, True])
 def test_composed_cubes_equal_per_class_cubes(monkeypatch, class_cubes, small_block):
-    # At a modulus with two distinct prime factors the sweep's verdict cube
-    # is composed from its factors' cubes (see _FACTORS) and makes no oracle
-    # call at n; it must equal, on every triple, the cube of single checks,
-    # one per class.  With engine.BLOCK = 64 and groupoid.BLOCK = 0 the
-    # factors' cubes are built 8 class representatives at a time, on stacks
-    # of one.
+    # At a modulus with two distinct prime factors the sweep's verdicts are
+    # the worst of its prime-power factors' (see _FACTORS), and it makes no
+    # oracle call at n; they must equal, on every triple, the cube of single
+    # checks, one per class.  Every seventh triple is asked for first, then
+    # every triple, with the law's memo kept: the second call checks only
+    # the classes the first did not need, so no class is checked twice.
+    # With engine.BLOCK = 64 and groupoid.BLOCK = 0 the factors' classes
+    # are checked 8 first triples at a time, on stacks of one.
     if small_block:
         monkeypatch.setattr(engine, "BLOCK", 64)
         monkeypatch.setattr(groupoid, "BLOCK", 0)
     oracle, checked = engine.holds_bruteforce, []
     monkeypatch.setattr(engine, "holds_bruteforce",
-                        lambda g, *args, **kw: checked.append(g.n) or oracle(g, *args, **kw))
+                        lambda g, ident, *args, **kw: checked.append((ident, g.triple()))
+                        or oracle(g, ident, *args, **kw))
     op_tables.cache_clear()
     seen = set()
     try:
         for entry, n in _COMPOSITE:
-            cubes = {}
-            na, holds = engine._verdict_cube(entry.identity, n, engine.DEFAULT_CAP, cubes)
-            want_na, want_holds = class_cubes[entry.id, n]
-            assert (na == want_na).all() and (holds == want_holds).all(), (entry.id, n)
-            assert sorted(cubes) == sorted({n, *_FACTORS[n]})
-            seen.update(zip(na.ravel().tolist(), holds.ravel().tolist()))
+            ranks, before = {}, len(checked)
+            want_na, want_holds = (cube.ravel() for cube in class_cubes[entry.id, n])
+            for admitted in (np.arange(0, n**3, 7), np.arange(n**3)):
+                na, holds = engine._verdicts(entry.identity, n, admitted, engine.DEFAULT_CAP,
+                                             ranks)
+                assert (na == want_na[admitted]).all(), (entry.id, n)
+                assert (holds == want_holds[admitted]).all(), (entry.id, n)
+            assert sorted(ranks) == sorted(_FACTORS[n])
+            assert len(set(checked[before:])) == len(checked) - before, (entry.id, n)
+            seen.update(zip(na.tolist(), holds.tolist()))
     finally:
         op_tables.cache_clear()
-    assert set(checked) == {2, 3, 4, 5}
+    assert {triple[0] for _, triple in checked} == {2, 3, 4, 5}
     assert seen == {(True, False), (False, True), (False, False)}
 
 
@@ -1249,6 +1257,41 @@ def test_class_sweep_keeps_every_verdict(oracle_up_to_6):
             assert report.checked == n**3 - report.na_excluded
 
 
+def test_sweep_checks_only_the_classes_its_admitted_triples_need(monkeypatch):
+    # Each oracle call of a sweep is on the first triple of a class, at a
+    # prime power q, that some admitted triple at a swept multiple n of q
+    # (n itself included, q and n // q coprime) reduces to mod q, and each
+    # such class is checked once per law.  Over n = 2..12 that makes no
+    # call at 6, 10 or 12, and fewer calls than checking every class at
+    # every prime power (30,718).
+    oracle, calls = engine.holds_bruteforce, []
+    monkeypatch.setattr(engine, "holds_bruteforce", lambda g, ident, *args, **kw: (
+        calls.append((ident, g.triple())) or oracle(g, ident, *args, **kw)))
+    n_values = list(range(2, 13))
+    crosscheck_all(n_values)
+    needed = Counter()  # two entries may share a law, and each checks it
+    for entry in catalog_entries():
+        if entry.identity is None:
+            continue
+        firsts = set()
+        for n in n_values:
+            masks = [row_sweep_mask(row, n) for row in entry.rows
+                     if row.modulus_kind is not ModulusKind.PRIME_P or is_prime(n)]
+            if not masks:
+                continue
+            a, b, c = np.unravel_index(np.flatnonzero(np.any(masks, axis=0)), (n, n, n))
+            for q in range(2, n + 1):
+                primes = [p for p in range(2, q + 1) if q % p == 0 and is_prime(p)]
+                if n % q == 0 and gcd(q, n // q) == 1 and len(primes) == 1:
+                    slots = np.unique(groupoid.affine_class(q, a % q, b % q, c % q))
+                    firsts.update((entry.identity, (q, *t))
+                                  for t in zip(*np.unravel_index(slots, (q, q, q))))
+        needed.update(firsts)
+    assert Counter(calls) == needed
+    assert len(calls) < 30_718
+    assert not {triple[0] for _, triple in calls} & {6, 10, 12}
+
+
 def _cause_builds(monkeypatch) -> Counter:
     """Count the calls that build a cause: engine._assignment (a
     counterexample dict, or the assignment an NA reason is read at),
@@ -1277,7 +1320,7 @@ def _eager(g, ident, undefined, failing) -> CheckOutcome:
 
 def test_no_counterexample_is_built_until_read(monkeypatch):
     # A sweep and a witness search read only verdicts: over every law at
-    # n = 2..9 neither builds a counterexample dict.  Each NA reason is built
+    # n = 2..13 neither builds a counterexample dict.  Each NA reason is built
     # at once, from its one assignment.  Once read, each outcome equals the
     # one built at once from the same indices.
     op_tables.cache_clear()
@@ -1291,7 +1334,7 @@ def test_no_counterexample_is_built_until_read(monkeypatch):
 
     monkeypatch.setattr(engine, "holds_bruteforce", recorded)
     calls = _cause_builds(monkeypatch)
-    n_values = list(range(2, 10))
+    n_values = list(range(2, 14))
     crosscheck_all(n_values, workers=1)
     for entry in catalog_entries():
         if entry.identity is not None and entry.rows:

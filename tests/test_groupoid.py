@@ -345,11 +345,14 @@ def test_affine_classes_are_the_orbits_of_a():
     # x -> u*x + t, u a unit, maps (n, a, b, c) onto (n, u*a - (b+c-1)*t, b,
     # c).  For every (n, b, c) with n <= 12 the orbit of each a under those
     # maps, enumerated, is exactly the set of a' that share its key, on ints
-    # and elementwise, and a key names its (b, c).
+    # and elementwise, and a key names its (b, c).  Each key is the flat
+    # index, in lexicographic order, of the least triple of its class.
     for n in range(2, 13):
         units = np.array([u for u in range(n) if gcd(u, n) == 1])
         shifts = np.arange(n)
         every = np.indices((n, n, n)).reshape(3, -1)
+        keys, firsts = np.unique(affine_class(n, *every), return_index=True)
+        assert keys.tolist() == firsts.tolist(), n
         keys = affine_class(n, *every).tolist()
         assert len(set(zip(keys, *every[1:].tolist()))) == len(set(keys))
         for b, c in itertools.product(range(n), repeat=2):

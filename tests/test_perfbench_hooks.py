@@ -11,7 +11,7 @@ from math import gcd
 from pathlib import Path
 
 from linquas import engine
-from linquas.catalog import ModulusKind, catalog_entries, get_entry
+from linquas.catalog import ModulusKind, catalog_entries, get_entry, row_sweep_admits
 from linquas.groupoid import LinearGroupoid
 from linquas.modring import is_prime
 from linquas.termlang import identity_text
@@ -60,39 +60,42 @@ def test_tracer_installs_and_uninstalls_on_current_modules(monkeypatch):
 def test_traced_crosscheck_calls_the_oracle_once_per_class(monkeypatch):
     # perfbench/tracer.py reads the per-layer oracle counts from the
     # holds_bruteforce calls it wraps; a sweep that batched them away would
-    # leave a traced crosscheck run nothing to count.  At a prime power the
-    # sweep checks one groupoid per isomorphism class: x -> u*x + t, u a
-    # unit, maps (n, a, b, c) onto (n, u*a - (b+c-1)*t, b, c), so it calls
-    # the oracle on the first triple of each orbit of a, over all n**3
-    # triples, enumerated here, in order, for each law that has a row swept
-    # at n.  At n = 6 it composes the cubes at 2 and 3, with no call.
+    # leave a traced crosscheck run nothing to count.  The sweep reduces
+    # each admitted triple mod each prime-power factor q of n and checks one
+    # groupoid per isomorphism class there: x -> u*x + t, u a unit, maps
+    # (q, a, b, c) onto (q, u*a - (b+c-1)*t, b, c), so it calls the oracle
+    # on the first triple of each orbit of a that an admitted triple
+    # reduces into, once per law and q, in order, when a task first needs
+    # it; enumerated here for each law, over the rows swept at each n.  At
+    # n = 6 it reads the classes at 2 and 3 and makes no call at 6.
     tracer = _perfbench_module(monkeypatch, "tracer")
     for owner, attr, _ in tracer.SPANNED + tracer.COUNTED:
         monkeypatch.setattr(owner, attr, getattr(owner, attr))
-    n_values = [2, 3, 4, 6]
+    n_values, factors = [2, 3, 4, 6], {2: [2], 3: [3], 4: [4], 6: [2, 3]}
     t = tracer.Tracer()
     t.install()
     engine.crosscheck_all(n_values, cap=10**7, workers=1)
     t.uninstall()
-    firsts = []
+    asked = []
     for entry in catalog_entries():
         if entry.identity is None:
             continue
-        for n in n_values[:-1]:
-            if all(row.modulus_kind is ModulusKind.PRIME_P and not is_prime(n)
-                   for row in entry.rows):
-                continue
-            units = [u for u in range(n) if gcd(u, n) == 1]
-            seen = set()
-            for a, b, c in product(range(n), repeat=3):
-                orbit = frozenset((u * a - (b + c - 1) * s) % n for u in units for s in range(n))
-                if (b, c, orbit) not in seen:
-                    seen.add((b, c, orbit))
-                    firsts.append((entry.identity, LinearGroupoid(n, a, b, c)))
-    assert [(ident, triple) for ident, triple, _ in t.oracle_calls] == \
-        [(ident, g.triple()) for ident, g in firsts]
+        done = set()
+        for n in n_values:
+            rows = [row for row in entry.rows
+                    if row.modulus_kind is not ModulusKind.PRIME_P or is_prime(n)]
+            admitted = [abc for abc in product(range(n), repeat=3)
+                        if any(row_sweep_admits(row, LinearGroupoid(n, *abc)) for row in rows)]
+            for q in factors[n]:
+                units = [u for u in range(q) if gcd(u, q) == 1]
+                firsts = {(q, min((u * a - (b + c - 1) * s) % q for u in units for s in range(q)),
+                           b % q, c % q) for a, b, c in admitted}
+                asked.extend((entry.identity, first) for first in sorted(firsts - done))
+                done |= firsts
+    assert [(ident, triple) for ident, triple, _ in t.oracle_calls] == asked
     assert all(triple[0] != 6 for _, triple, _ in t.oracle_calls)
-    direct = Counter(engine.holds_bruteforce(g, ident).verdict.value for ident, g in firsts)
+    direct = Counter(engine.holds_bruteforce(LinearGroupoid(*triple), ident).verdict.value
+                     for ident, triple in asked)
     assert tracer.oracle_stats(t.oracle_calls)["verdicts"] == \
         {v: direct[v] for v in ("holds", "fails", "not_applicable")}
 
