@@ -20,7 +20,12 @@ scan evaluates the slab where the leading variable is 0 first, for every
 member, and the rest only for the members that slab left undecided; it
 asks per member whether the tables it reads are total (_total), and drops
 each member once a block decides it.  A single check reads (op_tables(g),
-0), a stack of one through the groupoid.op_tables LRU cache.
+0), a stack of one through the groupoid.op_tables LRU cache, while its
+tables have at most 2**18 (n+1)**2 cells (n <= CACHED_N = 511); a larger
+one reads an uncached stack of one from stacked_op_tables, which dies
+with the check.  So the cache holds at most 4096 groupoids of at most
+2**18 cells per table kind, where a check near the cap builds a 20 MB
+int16 mul.
 
 A cross-check sweep runs in this process.  Each (law, n) task admits its
 triples with one mask per row (catalog.row_sweep_mask) and reads their
@@ -35,7 +40,8 @@ each class makes one oracle call, which reads its result from its stack's
 scan.  Rows are tallied from the verdicts as arrays.
 
 Every evaluation is memoized on the stack it read (OpTables.flags), so a
-repeated check, as witness searches make, evaluates nothing.  A fails
+repeated check on cached tables, as witness searches make, evaluates
+nothing; a repeated check past CACHED_N scans again.  A fails
 outcome's counterexample dict is built on first read (CheckOutcome), so
 the sweep and witness searches, which read only verdicts, build none; an
 NA reason is built with its outcome.
@@ -63,6 +69,12 @@ from .modring import is_prime
 from .termlang import Binary, Identity, NotApplicable, Var
 
 DEFAULT_CAP = 10**7
+
+# The largest n whose single check reads its tables through the op_tables
+# LRU: (n+1)**2 <= BLOCK = 2**18 cells, fixed at import (tests shrink
+# BLOCK).  Past it groupoid._table_blocks builds a table in row blocks, and
+# the check builds its tables for itself alone (see holds_bruteforce).
+CACHED_N = math.isqrt(BLOCK) - 1
 
 
 class CapExceeded(RuntimeError):
@@ -309,14 +321,21 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     assignment makes either side undefined the whole check is NotApplicable:
     skipping such tuples would silently weaken the universal quantifier.
 
-    The tables are a (stack, index) StackMember, g's (op_tables(g), 0)
-    unless given, read flat (see _eval_stack).  A stack of one whose n**k
-    assignments fit one chunk (BLOCK // 8) is one block (even a lean
-    chunked scan cost about 18 us more per check).  Every other stack is
-    scanned (see _scan), slab first, so memory grows with max(BLOCK // 8,
-    n**(k-1)) assignments per member, not with n**k, beside the
-    (n+1)**2-cell operation tables the identity reads; the cap bounds
-    both.  A sweep calls once per isomorphism class that its admitted
+    The tables are a (stack, index) StackMember, read flat (see
+    _eval_stack).  Unless given they are g's own: (op_tables(g), 0),
+    through the LRU cache, while they have at most 2**18 (n+1)**2 cells
+    (n <= CACHED_N), and past that a stack of one from stacked_op_tables,
+    built for this call and freed when it returns.  So the cache holds at
+    most 4096 groupoids of at most 2**18 cells per table kind, and a check
+    near the cap leaves none of its tables (a 20 MB int16 mul at n = 3162)
+    behind.
+
+    A stack of one whose n**k assignments fit one chunk (BLOCK // 8) is one
+    block (even a lean chunked scan cost about 18 us more per check).
+    Every other stack is scanned (see _scan), slab first, so memory grows
+    with max(BLOCK // 8, n**(k-1)) assignments per member, not with n**k,
+    beside the (n+1)**2-cell operation tables the identity reads; the cap
+    bounds both.  A sweep calls once per isomorphism class that its admitted
     triples need at each prime-power factor of n (see _verdicts), passing
     the class's first groupoid's member of a larger stack: the first call
     of a stack scans the whole stack, deciding most members on the slab
@@ -324,15 +343,21 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     result.
 
     Each evaluation is memoized in the stack's flags as indices, one pair
-    per member, so a repeated check evaluates nothing; each call, after the
-    cap, returns an outcome of its own.  A not_applicable outcome's reason
-    is built on every call; a fails outcome holds its deciding index, and
-    its counterexample dict, the caller's own, is built on first read (see
-    CheckOutcome).
+    per member, so a repeated check on the same stack, a cached one
+    included, evaluates nothing; a repeated check past CACHED_N scans
+    again.  Each call, after the cap, returns an outcome of its own.  A
+    not_applicable outcome's reason is built on every call; a fails
+    outcome holds its deciding index, and its counterexample dict, the
+    caller's own, is built on first read (see CheckOutcome).
     """
     n, k = g.n, len(ident.variables)
     _check_cap(n, k, cap)
-    stack, index = tables or (op_tables(g.triple()), 0)
+    if tables is not None:
+        stack, index = tables
+    elif n <= CACHED_N:
+        stack, index = op_tables(g.triple()), 0
+    else:
+        stack, index = next(stacked_op_tables(n, [g.a], [g.b], [g.c]))
     flags = stack.flags.get(ident)
     if flags is None:
         if len(stack.mul) == 1 and n ** k <= BLOCK // 8:

@@ -5,12 +5,17 @@ inverses, left/right division, and orthogonality of pairs of tables.
 
 The exhaustive checker reads operation tables scanned from the Cayley
 table: the divisions by inverting its rows (_invert_rows), the local
-elements by solving one target per row (_solve_rows).  Every OpTables is a
-stack of groupoids of one modulus along a leading member axis, and every
-check reads a (stack, index) StackMember of one: a single check reads
-(op_tables(triple), 0), a cached stack of one, and a cross-check sweep the
-members of stacked_op_tables, built from residue arrays in one numpy pass
-per kind; both build mul by one _cayley call.  Every table is stored in
+elements by solving one target per row (_solve_rows) or per column
+(_solve_columns).  Every OpTables is a stack of groupoids of one modulus
+along a leading member axis, and every check reads a (stack, index)
+StackMember of one.  A single check reads (op_tables(triple), 0), a cached
+stack of one, while its tables have at most 2**18 (n+1)**2 cells; past
+that, where _table_blocks builds a table in row blocks, it reads an
+uncached stack of one from stacked_op_tables (see engine.CACHED_N).
+So op_tables holds at most 4096 groupoids of at most 2**18 cells per table
+kind.  A cross-check sweep reads the members of stacked_op_tables, built
+from residue arrays in one numpy pass per kind.  All build mul by one
+_cayley call, as cayley_table does for its caller.  Every table is stored in
 the smallest signed type that holds -2n (see _padded).  Every check
 evaluates its identity over a stack's contiguous tables read flat, where
 each table's -1 padding keeps an undefined value undefined (see
@@ -30,8 +35,9 @@ import numpy as np
 from .modring import is_unit, solve_linear
 
 # Cells per numpy block of the table scans (_invert_rows, _solve_rows,
-# _cayley), whose arrays (2 MiB each at int64) stay in cache: faster than
-# 2**20-cell blocks, and than BLOCK // 8 (e_lam at n = 3162: 28 -> 78 ms).
+# _solve_columns, _cayley), whose arrays (2 MiB each at int64) stay in
+# cache: faster than 2**20-cell blocks, and than BLOCK // 8 (e_lam at
+# n = 3162: 4-6 ms, against 9-80 ms and 6.3 ms).
 # The exhaustive checker sizes all its work by one chunk of BLOCK // 8
 # (see engine): single checks, scans, sweep stacks and sweep slices.
 # Operation tables are stored compact (see _padded).
@@ -101,8 +107,10 @@ def is_quasigroup(g: LinearGroupoid) -> bool:
 
 def cayley_table(g: LinearGroupoid) -> np.ndarray:
     """Read-only n x n array with entry [x, y] = x*y, in the tables' compact
-    dtype (int8 up to n = 64); widen it before arithmetic that can pass it."""
-    return op_tables(g.triple()).mul[0, :g.n, :g.n]
+    dtype (int8 up to n = 64); widen it before arithmetic that can pass it.
+    Built for the caller by the _cayley call op_tables makes, and cached
+    nowhere: only the exhaustive checker decides what op_tables keeps."""
+    return _read_only(_cayley(g.n, [g.a], [g.b], [g.c])[0, :g.n, :g.n])
 
 
 def is_latin_square(table: np.ndarray) -> bool:
@@ -199,14 +207,15 @@ class OpTables:
     Only mul is given; the others are scanned from it on first access, for
     the whole stack at once, so a check builds just the tables its identity
     uses.  The divisions invert whole rows of mul; each local element solves
-    one target per row of mul (of its transpose for e_lam and lam, read a
-    block at a time), so e_rho and rho build no ldiv, nor e_lam and lam an
-    rdiv.  All are read-only and share mul's dtype.
+    one target per row of mul (e_rho and rho) or per column (e_lam and lam,
+    in one pass over its row blocks), so e_rho and rho build no ldiv, nor
+    e_lam and lam an rdiv.  All are read-only and share mul's dtype.
 
     flags is the exhaustive checker's memo (engine.holds_bruteforce): each
     identity checked maps to a tuple of each member's pair, the indices of
     its first undefined and first failing assignment, or -1.  It dies with
-    the tables (op_tables' LRU, a sweep's stack).
+    the tables (op_tables' LRU, a sweep's stack, or the one check of a
+    groupoid too large for the LRU).
     """
 
     def __init__(self, mul: np.ndarray) -> None:
@@ -233,7 +242,7 @@ class OpTables:
     @cached_property
     def e_lam(self) -> np.ndarray:
         """e_lam[t, x] = unique e with e*x = x, else -1."""
-        return _solve_rows(self.mul[:, :-1, :-1].swapaxes(1, 2), self._own())
+        return _solve_columns(self.mul[:, :-1, :-1], self._own())
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -243,7 +252,7 @@ class OpTables:
     @cached_property
     def lam(self) -> np.ndarray:
         """lam[t, x] = unique s with s*x = e_lam(x), else -1."""
-        return _solve_rows(self.mul[:, :-1, :-1].swapaxes(1, 2), self.e_lam)
+        return _solve_columns(self.mul[:, :-1, :-1], self.e_lam)
 
     def _own(self) -> np.ndarray:
         """own[t, x] = x for every member, in mul's dtype so that a scan
@@ -324,6 +333,30 @@ def _solve_rows(t: np.ndarray, target: np.ndarray) -> np.ndarray:
     return _read_only(out)
 
 
+def _solve_columns(t: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """out[i, y] = the unique w with t[i, w, y] = target[i, y], or -1, for a
+    stack of n x n tables; padded to n + 1 on the last axis.  A -1 target
+    matches no cell.  One pass over blocks of at most BLOCK cells (see
+    _table_blocks), each read as it lies, not strided down the columns: a
+    matmul of each block's hits with (1, w) row weights adds up, per
+    column, its count of hits and the sum of their rows w, which is the
+    row where the count is 1.  The count, and the sum where the count is
+    1, are integers below n < 2**24, so float32 holds them exactly.  At
+    n = 3161 this built e_lam in 3.3 ms, against 14-35 ms for _solve_rows
+    on the transpose, and a sweep stack at n <= 12 in half _solve_rows'
+    time."""
+    n = t.shape[-1]
+    sums = np.zeros((len(t), 2, n), np.float32)
+    goal = target[:, None, :n]
+    for members, rows in _table_blocks(len(t), n):
+        weights = np.ones((2, rows.stop - rows.start), np.float32)
+        weights[1] = np.arange(rows.start, rows.stop)
+        sums[members] += weights @ (t[members, rows] == goal[members]).astype(np.float32)
+    out = np.full((len(t), n + 1), -1, t.dtype)
+    np.copyto(out[:, :n], sums[:, 1], where=sums[:, 0] == 1, casting="unsafe")
+    return _read_only(out)
+
+
 def _cayley(n: int, a, b, c) -> np.ndarray:
     """The stack of padded Cayley tables of (n, a, b, c) for equal-length
     arrays of coefficients, in blocks of at most BLOCK cells (see
@@ -350,8 +383,10 @@ def _cayley(n: int, a, b, c) -> np.ndarray:
 def op_tables(triple: tuple[int, int, int, int]) -> OpTables:
     """Lookup tables for the groupoid (n, a, b, c), a stack of one: the
     Cayley table is written straight into mul, the others are scanned from
-    it.  Single checks read these through the cache; sweeps read
-    stacked_op_tables."""
+    it.  Single checks of at most 2**18 (n+1)**2 cells (engine.CACHED_N)
+    read these through the cache, so it holds at most 4096 groupoids of at
+    most 2**18 cells per table kind (512 KiB in int16, 2 GiB for 4096 muls);
+    larger checks and sweeps read stacked_op_tables."""
     n, a, b, c = LinearGroupoid(*triple).triple()
     return OpTables(_cayley(n, [a], [b], [c]))
 
@@ -359,8 +394,9 @@ def op_tables(triple: tuple[int, int, int, int]) -> OpTables:
 def stacked_op_tables(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """The tables of the groupoids (n, a[i], b[i], c[i]), from arrays of
     residues, in order, as StackMembers of stacks of at most BLOCK // 8 mul
-    cells (one groupoid a stack past that).  Each kind is scanned for a
-    whole stack on first use.
+    cells (one groupoid a stack past that, as a single check past the
+    cached size reads).  Each kind is scanned for a whole stack on first
+    use.
 
     A division's scan holds its table and three temporaries of the stack's
     size, where a local element's holds a few rows: at BLOCK cells, on

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -1025,13 +1026,13 @@ def test_sweeps_keep_one_slice_of_groupoids_alive_at_a_time(monkeypatch):
 
 
 def test_a_repeated_check_evaluates_nothing(monkeypatch):
-    # A one-block check, a check of several blocks (520**2 > BLOCK // 8) and a
+    # A one-block check, a check of several blocks (300**2 > BLOCK // 8) and a
     # sweep's members: the second check of each reads its tables' memo and
     # returns an equal outcome, with a counterexample of its own.
     op_tables.cache_clear()
     scans = _top_level_evals(monkeypatch)
     law = get_entry("commutative").identity
-    for g in (LinearGroupoid(6, 1, 2, 3), LinearGroupoid(520, 1, 2, 3)):
+    for g in (LinearGroupoid(6, 1, 2, 3), LinearGroupoid(300, 1, 2, 3)):
         first = holds_bruteforce(g, law)
         done = len(scans)
         second = holds_bruteforce(g, law)
@@ -1046,6 +1047,30 @@ def test_a_repeated_check_evaluates_nothing(monkeypatch):
     assert first[0].verdict is Verdict.FAILS and first[-1].verdict is Verdict.HOLDS
     assert [holds_bruteforce(g, law, tables=m) for g, m in zip(groupoids, members)] == first
     assert len(scans) == done
+
+
+def test_a_single_check_past_the_cached_size_leaves_no_tables():
+    # At n = 600 > CACHED_N a table has 601**2 > 2**18 cells, so a single
+    # check builds its tables for itself: the LRU keeps nothing, a repeated
+    # check scans again to an equal outcome, and three distinct checks end
+    # within 1 MiB of where they began, where each cached int16 mul took
+    # 0.7 MB.
+    law = get_entry("r_aaip").identity
+    g = LinearGroupoid(600, 1, 7, 11)
+    assert g.n > engine.CACHED_N == 511
+    cached = op_tables.cache_info().currsize
+    first = holds_bruteforce(g, law)
+    assert holds_bruteforce(g, law) == first
+    assert op_tables.cache_info().currsize == cached
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for a in (2, 3, 4):
+            holds_bruteforce(LinearGroupoid(600, a, 7, 11), law)
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert end - start < 2**20
 
 
 def test_a_memoized_check_is_still_held_to_the_cap():

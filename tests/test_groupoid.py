@@ -261,8 +261,7 @@ def test_op_tables_match_scalar_operations():
         for table in (t.mul, t.ldiv, t.rdiv, t.e_rho, t.e_lam, t.rho, t.lam):
             assert table.dtype == np.int8 and not table.flags.writeable
     # From n = 65 the tables are int16, and past BLOCK cells scanned in row
-    # blocks (82 rows a block at n = 3162; transposed ones for rdiv, e_lam
-    # and lam);
+    # blocks (82 rows a block at n = 3162; transposed ones for rdiv);
     # spot-check rows of quasigroups (every entry defined), of a groupoid
     # with non-unit b and c, and at the default cap of one with a non-unit
     # c and one with a non-unit b.
@@ -315,10 +314,11 @@ def test_stacked_tables_equal_op_tables(monkeypatch, block):
 
 def test_every_table_has_one_member_per_groupoid(monkeypatch):
     # op_tables builds a stack of one, stacked_op_tables a stack of its
-    # groupoids; cayley_table reads member 0 as a read-only n x n view.
-    # With groupoid.BLOCK = 3 * n, _solve_rows splits one table into row
-    # blocks of three, reading rows for e_rho and rho and columns for e_lam
-    # and lam, and still matches the scalar local elements.
+    # groupoids; cayley_table builds member 0's read-only n x n body and
+    # caches nothing.  With groupoid.BLOCK = 3 * n, _solve_rows and
+    # _solve_columns split one table into row blocks of three, solving along
+    # rows for e_rho and rho and down columns for e_lam and lam, and still
+    # match the scalar local elements.
     kinds = ("mul", "ldiv", "rdiv", "e_rho", "e_lam", "rho", "lam")
     groupoids = [LinearGroupoid(7, *t) for t in _all_triples(7)]
     single = op_tables.__wrapped__(groupoids[-1].triple())
@@ -326,9 +326,11 @@ def test_every_table_has_one_member_per_groupoid(monkeypatch):
     for tables, members in ((single, 1), (stack, len(groupoids))):
         for kind in kinds:
             assert len(getattr(tables, kind)) == members, kind
+    op_tables.cache_clear()
     table = cayley_table(groupoids[-1])
     assert table.shape == (7, 7) and not table.flags.writeable
-    assert np.shares_memory(table, op_tables(groupoids[-1].triple()).mul)
+    assert table.dtype == single.mul.dtype and np.array_equal(table, single.mul[0, :7, :7])
+    assert op_tables.cache_info().currsize == 0
     monkeypatch.setattr(groupoid, "BLOCK", 3 * 7)
     assert [rows for _, rows in groupoid._table_blocks(1, 7)] == [
         slice(0, 3), slice(3, 6), slice(6, 7)]
@@ -339,6 +341,40 @@ def test_every_table_has_one_member_per_groupoid(monkeypatch):
         for kind, element in scalar:
             want = [v.value if v.defined else -1 for v in (element(g, x) for x in range(7))]
             assert getattr(t, kind)[0, :7].tolist() == want, (g, kind)
+
+
+def _down_columns_by_transpose(tables):
+    """e_lam and lam as _solve_rows builds them on the transpose of mul."""
+    body = tables.mul[:, :-1, :-1].swapaxes(1, 2)
+    e_lam = groupoid._solve_rows(body, tables._own())
+    return e_lam, groupoid._solve_rows(body, e_lam)
+
+
+@pytest.mark.parametrize("block", [groupoid.BLOCK, 0])
+def test_columns_are_solved_as_the_transpose_s_rows(monkeypatch, block):
+    # e_lam and lam solve down the columns of mul in one pass over its row
+    # blocks (_solve_columns), and equal _solve_rows on the transpose: at
+    # n = 3161 (39 blocks of 82 rows; b a unit, a divisor of n, and 0), and
+    # on small stacks, linear and random, whose columns hold 0, 1 or more
+    # hits and whose lam targets are partly -1, as one block at the default
+    # BLOCK and one row of one member a block at BLOCK = 0.
+    monkeypatch.setattr(groupoid, "BLOCK", block)
+    stacks = []
+    if block:
+        stacks += [op_tables.__wrapped__((3161, 5, b, 11)) for b in (7, 29, 0)]
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 12):
+        a, b, c = (rng.integers(0, n, 50) for _ in range(3))
+        stacks.append(groupoid.OpTables(groupoid._cayley(n, a, b, c)))
+        mul = groupoid._padded(50, n)
+        mul[:, :n, :n] = rng.integers(0, n, (50, n, n))
+        stacks.append(groupoid.OpTables(mul))
+    for tables in stacks:
+        e_lam, lam = _down_columns_by_transpose(tables)
+        assert tables.e_lam.dtype == e_lam.dtype and np.array_equal(tables.e_lam, e_lam)
+        assert tables.lam.dtype == lam.dtype and np.array_equal(tables.lam, lam)
+    random_e_lam = stacks[-1].e_lam[:, :-1]
+    assert (random_e_lam >= 0).any() and (random_e_lam < 0).any()
 
 
 def test_affine_classes_are_the_orbits_of_a():
