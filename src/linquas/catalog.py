@@ -157,6 +157,15 @@ class TableRow:
             return (HypAtom.B_UNIT, HypAtom.C_UNIT, *self.hypothesis)
         return self.hypothesis
 
+    def admits(self, n: int, a: int, b: int, c: int) -> bool:
+        """Whether the reduced triple belongs in this row's sweep: a plain loop
+        over sweep_atoms (half the time of all()), run on every triple a
+        witness search visits."""
+        for atom in self.sweep_atoms:
+            if not atom.holds(n, a, b, c):
+                return False
+        return True
+
     def label(self) -> str:
         kind = "G" if self.structure_kind is StructureKind.GROUPOID else "Q"
         mod = "Zn" if self.modulus_kind is ModulusKind.ANY_N else "Zp"
@@ -669,18 +678,12 @@ def table_numbers_covered() -> set[int]:
 
 
 def row_sweep_admits(row: TableRow, g: LinearGroupoid) -> bool:
-    """Whether the groupoid's triple belongs in the sweep for this row (see
-    TableRow.sweep_atoms): a plain loop, half the time of all() over a
-    generator, as search_witnesses calls it on every triple it visits."""
-    n, a, b, c = g.triple()
-    for atom in row.sweep_atoms:
-        if not atom.holds(n, a, b, c):
-            return False
-    return True
+    """TableRow.admits on the groupoid's triple."""
+    return row.admits(*g.triple())
 
 
 def row_sweep_mask(row: TableRow, n: int) -> np.ndarray:
-    """row_sweep_admits for every triple of modulus n at once: a flat mask
+    """TableRow.admits for every triple of modulus n at once: a flat mask
     over (a, b, c) in lexicographic order, from the same atoms."""
     a, b, c = np.ix_(*[np.arange(n)] * 3)
     mask = np.ones((n, n, n), dtype=bool)

@@ -39,6 +39,9 @@ stacks are built from residue arrays (groupoid.stacked_op_tables), and
 each class makes one oracle call, which reads its result from its stack's
 scan.  Rows are tallied from the verdicts as arrays.
 
+A witness search admits each triple from its residues (TableRow.admits)
+and builds a LinearGroupoid only for an admitted one, for its oracle call.
+
 Every evaluation is memoized on the stack it read (OpTables.flags), so a
 repeated check on cached tables, as witness searches make, evaluates
 nothing; a repeated check past CACHED_N scans again.  A fails
@@ -61,8 +64,8 @@ import numpy as np
 from . import catalog as cat
 from . import termlang as tl
 from .catalog import (ExampleStatus, IdentityEntry, ModulusKind, StructureKind,
-                      TableRow, catalog_entries, get_entry, row_sweep_admits,
-                      row_sweep_mask)
+                      TableRow, catalog_entries, get_entry, row_sweep_mask)
+from .catalog import row_sweep_admits  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .groupoid import (BLOCK, LinearGroupoid, affine_class, is_quasigroup, op_tables,
                        stacked_op_tables)
 from .modring import is_prime
@@ -486,7 +489,10 @@ class CrosscheckReport:
 
 
 def _check_moduli(n_values: list[int]) -> None:
-    """Raise ValueError if a modulus repeats: its triples would be swept twice."""
+    """Raise ValueError if a modulus is below 2 (Z_1 has no prime-power factor
+    to read a verdict from) or repeats (its triples would be swept twice)."""
+    if min(n_values, default=2) < 2:
+        raise ValueError(f"modulus must be >= 2, got {min(n_values)}")
     if len(set(n_values)) < len(n_values):
         repeated = sorted({n for n in n_values if n_values.count(n) > 1})
         raise ValueError(f"each modulus may be given once, repeated: {repeated}")
@@ -571,7 +577,7 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
     share its verdicts at n (see _verdicts), and the class verdicts one
     law's tasks check, per prime-power factor, are kept for its later tasks
     and dropped after its last.  Every task is held to the cap before any runs, and a
-    repeated modulus is a ValueError, raised before any task is planned.
+    modulus below 2 or repeated is a ValueError, raised before any task is planned.
     workers is accepted, for the callers that pass it, and changes nothing."""
     _check_moduli(n_values)
     reports: list[CrosscheckReport] = []
@@ -639,9 +645,12 @@ def search_witnesses(entry: IdentityEntry, row: TableRow, n_values: list[int],
     """Smallest triples (lexicographic in (n, a, b, c)) satisfying the row's
     hypothesis and structure whose groupoid satisfies the identity outright.
 
+    Each triple is admitted from its residues (TableRow.admits), and a
+    groupoid is built only for an admitted one, for its oracle call.
     Witnesses are confirmed by the exhaustive oracle only, never by the
-    condition column; an empty result is itself a finding.  A limit below 1
-    and a repeated modulus are ValueErrors, raised before anything is scanned.
+    condition column; an empty result is itself a finding.  A limit below 1,
+    a modulus below 2 and a repeated modulus are ValueErrors, raised before
+    anything is scanned.
     """
     if entry.identity is None:
         raise ValueError(f"entry {entry.id!r} has no defining identity")
@@ -650,12 +659,10 @@ def search_witnesses(entry: IdentityEntry, row: TableRow, n_values: list[int],
     _check_moduli(n_values)
     found: list[Witness] = []
     for n in sorted(_sweep_moduli(row, n_values)):
-        for g in (LinearGroupoid(n, *abc) for abc in itertools.product(range(n), repeat=3)):
-            if not row_sweep_admits(row, g):
-                continue
-            if holds_bruteforce(g, entry.identity, cap).verdict is Verdict.HOLDS:
-                found.append(Witness(*g.triple(), entry.id, row.label(),
-                                     row.structure_kind.value))
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if row.admits(n, a, b, c) and holds_bruteforce(
+                    LinearGroupoid(n, a, b, c), entry.identity, cap).verdict is Verdict.HOLDS:
+                found.append(Witness(n, a, b, c, entry.id, row.label(), row.structure_kind.value))
                 if len(found) >= limit:
                     return found
     return found

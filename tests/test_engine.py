@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import tracemalloc
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from linquas import engine, groupoid, termlang
-from linquas.catalog import ModulusKind, catalog_entries, get_entry, row_sweep_mask
+from linquas.catalog import (ModulusKind, catalog_entries, get_entry, row_sweep_admits,
+                             row_sweep_mask)
 from linquas.engine import (CapExceeded, CheckOutcome, Method, Verdict, crosscheck,
                             crosscheck_all, holds_bruteforce, holds_symbolic,
                             search_witnesses, universality_scan,
@@ -362,6 +364,13 @@ def test_crosscheck_rejects_a_repeated_modulus_before_any_task(monkeypatch):
     for n_values in ([3, 3], [2, 3, 4, 3]):
         with pytest.raises(ValueError, match=r"repeated: \[3\]"):
             crosscheck_all(n_values, ["commutative"])
+    # Z_1 has no prime-power factor, so a sweep at n = 1 would read every
+    # triple as holds; no modulus below 2 is planned
+    for n_values in ([1], [0], [-3], [1, 2]):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {min(n_values)}"):
+            crosscheck_all(n_values, ["commutative"])
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            universality_scan(["idempotent"], n_values)
     assert tasks == []
 
 
@@ -371,7 +380,76 @@ def test_search_rejects_a_repeated_modulus_before_scanning(monkeypatch):
     entry = get_entry("commutative")
     with pytest.raises(ValueError, match=r"repeated: \[2, 3\]"):
         search_witnesses(entry, entry.rows[0], [3, 2, 3, 2], limit=5)
+    # c_law row 2 (a!=0) admits no triple at n = 1, and still n = 1 is refused
+    c_law = get_entry("c_law")
+    for n_values in ([1], [0], [-3], [1, 2]):
+        for searched, row in ((entry, entry.rows[0]), (c_law, c_law.rows[2])):
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {min(n_values)}"):
+                search_witnesses(searched, row, n_values)
     assert calls == []
+
+
+def _groupoid_per_triple_search(entry, row, n_values, limit):
+    """search_witnesses written as it was before triples were admitted from
+    their residues: a groupoid per visited triple, the row's hypothesis read
+    on it, then the oracle."""
+    found = []
+    for n in sorted(n_values):
+        if row.modulus_kind is ModulusKind.PRIME_P and not is_prime(n):
+            continue
+        for abc in itertools.product(range(n), repeat=3):
+            g = LinearGroupoid(n, *abc)
+            if (row_sweep_admits(row, g)
+                    and holds_bruteforce(g, entry.identity).verdict is Verdict.HOLDS):
+                found.append(engine.Witness(*g.triple(), entry.id, row.label(),
+                                            row.structure_kind.value))
+                if len(found) >= limit:
+                    return found
+    return found
+
+
+def test_search_equals_a_groupoid_per_triple_search():
+    n_values, seen = list(range(2, 7)), Counter()
+    for entry in catalog_entries():
+        if entry.identity is None:
+            continue
+        for row in entry.rows:
+            found = search_witnesses(entry, row, n_values, limit=3)
+            assert found == _groupoid_per_triple_search(entry, row, n_values, 3), row.label()
+            seen[row.modulus_kind, len(found)] += 1
+    # Zp rows, rows with no witness and rows that reach the limit are all met
+    assert seen[ModulusKind.PRIME_P, 3] and seen[ModulusKind.PRIME_P, 0]
+    assert seen[ModulusKind.ANY_N, 3] and seen[ModulusKind.ANY_N, 0]
+
+
+def test_search_builds_a_groupoid_only_for_each_admitted_triple(monkeypatch):
+    # the search admits a triple from its residues and builds its groupoid
+    # only for the oracle call: one groupoid per admitted triple it visits,
+    # counted from row_sweep_mask in lexicographic order up to its witness
+    built = []
+
+    class Counted(LinearGroupoid):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self.triple())
+
+    monkeypatch.setattr(engine, "LinearGroupoid", Counted)
+    n_values = list(range(2, 8))
+    for entry in catalog_entries():
+        if entry.identity is None:
+            continue
+        for row in entry.rows:
+            built.clear()
+            found = search_witnesses(entry, row, n_values, limit=1)
+            admitted = []
+            for n in n_values:
+                if row.modulus_kind is ModulusKind.ANY_N or is_prime(n):
+                    admitted += [(n, *map(int, np.unravel_index(i, (n,) * 3)))
+                                 for i in np.flatnonzero(row_sweep_mask(row, n))]
+            if found:
+                admitted = admitted[:admitted.index((found[0].n, found[0].a, found[0].b,
+                                                     found[0].c)) + 1]
+            assert built == admitted, row.label()
 
 
 def test_universality_scan_small():

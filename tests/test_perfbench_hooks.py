@@ -164,15 +164,20 @@ def test_benchmark_passes_run_on_current_engine(monkeypatch):
     assert [out.verdict.value for out in output[1]] == ["holds", "fails", "not_applicable"]
     assert onepass.check_large_n(spec, output) == []
 
+    # the small queries pass searches every pinned cell, as the benchmark's
+    # own output check (check_queries) requires, and it checks that pass:
+    # each witness against the first one holds_symbolic finds, each
+    # classify verdict against holds_bruteforce
     pins, spec = _queries_spec()
-    searches = [tuple(request[1:]) for request in spec["requests"][:3]]
+    spec = dict(spec, requests=[["search", *key] for key in pins] + spec["requests"][3:])
     _, (calls, results), extra = onepass.run_queries(spec, 1)
-    assert len(extra["latencies"]) == len(results) == 5
-    for key, witnesses in zip(searches, results):
-        assert [[w.n, w.a, w.b, w.c] for w in witnesses] == [pins[key]]
-    for (_, g), verdicts in zip(calls[3:], results[3:]):
+    assert len(extra["latencies"]) == len(results) == len(pins) + 2
+    for key, witnesses in zip(pins, results):
+        assert [[w.n, w.a, w.b, w.c] for w in witnesses] == ([pins[key]] if pins[key] else [])
+    for (_, g), verdicts in zip(calls[len(pins):], results[len(pins):]):
         assert all(outcome.verdict is engine.holds_bruteforce(g, get_entry(law).identity).verdict
                    for law, outcome in verdicts)
+    assert onepass.check_queries(spec, (calls, results)) == []
 
 
 def test_oracle_stats_read_counterexamples_built_on_first_read(monkeypatch):
