@@ -183,10 +183,10 @@ def _cmd_classify(args: argparse.Namespace) -> _Result:
 def _cmd_crosscheck(args: argparse.Namespace) -> _Result:
     entry_ids = _resolve_entries(args.entries)
     n_values = _parse_range(args.n)
-    reports = engine.crosscheck_all(n_values, entry_ids, args.cap, args.workers)
+    reports = engine.crosscheck_all(n_values, entry_ids, args.cap)
     rows = [report.to_dict() for report in reports]
-    # worker count deliberately not echoed: outputs must be byte-identical
-    # for identical inputs regardless of parallelism
+    # --workers is accepted, ignored by the engine and not echoed: the
+    # output is the same bytes whatever it is
     return _Result(
         {"entries": entry_ids, "n_values": n_values}, rows,
         ["entry", "row", "checked", "na_excluded", "mismatches"],
@@ -255,7 +255,7 @@ def _cmd_report(args: argparse.Namespace) -> _Result:
                                                 ExampleStatus.NOT_LISTED)])
              for entry in catalog_entries() if entry.identity is not None]
     reports = {(r.entry_id, r.table_number, r.variant): r for r in engine.crosscheck_rows(
-        swept, list(range(2, args.crosscheck_max + 1)), args.cap, args.workers)}
+        swept, list(range(2, args.crosscheck_max + 1)), args.cap)}
     ledger = engine.verify_examples(args.cap)
     findings = {f.source: f for f in ledger}
     rows = []

@@ -571,14 +571,13 @@ def _crosscheck_task(ident: Identity, swept: list[tuple[TableRow, CrosscheckRepo
 
 
 def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
-                    n_values: list[int], cap: int, workers: int) -> list[CrosscheckReport]:
+                    n_values: list[int], cap: int) -> list[CrosscheckReport]:
     """Reports for the selected rows of each entry, in selection order, from
     one task per (law, n), all in this process: the selected rows of one law
     share its verdicts at n (see _verdicts), and the class verdicts one
     law's tasks check, per prime-power factor, are kept for its later tasks
     and dropped after its last.  Every task is held to the cap before any runs, and a
-    modulus below 2 or repeated is a ValueError, raised before any task is planned.
-    workers is accepted, for the callers that pass it, and changes nothing."""
+    modulus below 2 or repeated is a ValueError, raised before any task is planned."""
     _check_moduli(n_values)
     reports: list[CrosscheckReport] = []
     laws: list[tuple[Identity, list[tuple[int, list]]]] = []  # each law's (n, swept rows) tasks
@@ -604,20 +603,22 @@ def crosscheck_rows(selected: list[tuple[IdentityEntry, list[TableRow]]],
 
 def crosscheck(entry: IdentityEntry, row: TableRow, n_values: list[int],
                cap: int = DEFAULT_CAP, workers: int = 1) -> CrosscheckReport:
-    """Compare the row's condition with the exhaustive oracle over the sweep."""
-    return crosscheck_rows([(entry, [row])], n_values, cap, workers)[0]
+    """Compare the row's condition with the exhaustive oracle over the sweep;
+    workers is accepted and ignored (see crosscheck_rows)."""
+    return crosscheck_rows([(entry, [row])], n_values, cap)[0]
 
 
 def crosscheck_all(n_values: list[int], entry_ids: list[str] | None = None,
                    cap: int = DEFAULT_CAP, workers: int = 1) -> list[CrosscheckReport]:
     """Cross-check every row of the selected entries; deterministic order.
 
-    The rows of one law share each triple's oracle verdict.
+    The rows of one law share each triple's oracle verdict.  workers is
+    accepted and ignored: every task runs in this process (see crosscheck_rows).
     """
     entries = ([get_entry(i) for i in entry_ids] if entry_ids is not None
                else list(catalog_entries()))
     return crosscheck_rows([(entry, entry.rows) for entry in entries
-                            if entry.identity is not None], n_values, cap, workers)
+                            if entry.identity is not None], n_values, cap)
 
 
 # --- witness search -------------------------------------------------------------
@@ -679,10 +680,11 @@ def universality_scan(entry_ids: list[str], n_values: list[int],
     outright: the mismatches of a cross-check against _UNIVERSAL.
 
     NotApplicable triples are not violations: the law is only claimed where
-    its local elements exist.
+    its local elements exist.  workers is accepted and ignored (see
+    crosscheck_rows).
     """
     reports = crosscheck_rows([(get_entry(i), [_UNIVERSAL]) for i in entry_ids],
-                              n_values, cap, workers)
+                              n_values, cap)
     return [(r.entry_id, m.n, m.a, m.b, m.c) for r in reports for m in r.mismatches]
 
 

@@ -5,10 +5,10 @@ inverses, left/right division, and orthogonality of pairs of tables.
 
 The exhaustive checker reads operation tables scanned from the Cayley
 table: the divisions by inverting its rows (_invert_rows), the local
-elements by solving one target per row (_solve_rows) or per column
-(_solve_columns).  Every OpTables is a stack of groupoids of one modulus
-along a leading member axis, and every check reads a (stack, index)
-StackMember of one.  A single check reads (op_tables(triple), 0), a cached
+elements by solving one target per row or per column with one matmul
+count per block (_solve).  Every OpTables is a stack of groupoids of one
+modulus along a leading member axis, and every check reads a (stack,
+index) StackMember of one.  A single check reads (op_tables(triple), 0), a cached
 stack of one, while its tables have at most 2**18 (n+1)**2 cells; past
 that, where _table_blocks builds a table in row blocks, it reads an
 uncached stack of one from stacked_op_tables (see engine.CACHED_N).
@@ -34,10 +34,11 @@ import numpy as np
 
 from .modring import is_unit, solve_linear
 
-# Cells per numpy block of the table scans (_invert_rows, _solve_rows,
-# _solve_columns, _cayley), whose arrays (2 MiB each at int64) stay in
-# cache: faster than 2**20-cell blocks, and than BLOCK // 8 (e_lam at
-# n = 3162: 4-6 ms, against 9-80 ms and 6.3 ms).
+# Cells per numpy block of the table scans (_invert_rows, _solve, _cayley),
+# whose arrays (2 MiB each at int64) stay in cache: faster than 2**20-cell
+# blocks, and than BLOCK // 8 (at n = 3161, e_rho in 6.7 ms and e_lam in
+# 7.9 ms, against 12.2 and 9.5 ms, and 8.0 and 8.7 ms; best of 9 on a
+# shared 2-vCPU host).
 # The exhaustive checker sizes all its work by one chunk of BLOCK // 8
 # (see engine): single checks, scans, sweep stacks and sweep slices.
 # Operation tables are stored compact (see _padded).
@@ -207,9 +208,10 @@ class OpTables:
     Only mul is given; the others are scanned from it on first access, for
     the whole stack at once, so a check builds just the tables its identity
     uses.  The divisions invert whole rows of mul; each local element solves
-    one target per row of mul (e_rho and rho) or per column (e_lam and lam,
-    in one pass over its row blocks), so e_rho and rho build no ldiv, nor
-    e_lam and lam an rdiv.  All are read-only and share mul's dtype.
+    one target per row of mul (e_rho and rho) or per column (e_lam and lam)
+    by the same pass over its row blocks (_solve), so e_rho and rho build no
+    ldiv, nor e_lam and lam an rdiv.  All are read-only and share mul's
+    dtype.
 
     flags is the exhaustive checker's memo (engine.holds_bruteforce): each
     identity checked maps to a tuple of each member's pair, the indices of
@@ -237,22 +239,22 @@ class OpTables:
     @cached_property
     def e_rho(self) -> np.ndarray:
         """e_rho[t, x] = unique e with x*e = x, else -1."""
-        return _solve_rows(self.mul[:, :-1, :-1], self._own())
+        return _solve(self.mul[:, :-1, :-1], self._own(), 2)
 
     @cached_property
     def e_lam(self) -> np.ndarray:
         """e_lam[t, x] = unique e with e*x = x, else -1."""
-        return _solve_columns(self.mul[:, :-1, :-1], self._own())
+        return _solve(self.mul[:, :-1, :-1], self._own(), 1)
 
     @cached_property
     def rho(self) -> np.ndarray:
         """rho[t, x] = unique s with x*s = e_rho(x), else -1."""
-        return _solve_rows(self.mul[:, :-1, :-1], self.e_rho)
+        return _solve(self.mul[:, :-1, :-1], self.e_rho, 2)
 
     @cached_property
     def lam(self) -> np.ndarray:
         """lam[t, x] = unique s with s*x = e_lam(x), else -1."""
-        return _solve_columns(self.mul[:, :-1, :-1], self.e_lam)
+        return _solve(self.mul[:, :-1, :-1], self.e_lam, 1)
 
     def _own(self) -> np.ndarray:
         """own[t, x] = x for every member, in mul's dtype so that a scan
@@ -315,43 +317,27 @@ def _invert_rows(t: np.ndarray) -> np.ndarray:
     return _read_only(inv)
 
 
-def _solve_rows(t: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """out[i, x] = the unique w with t[i, x, w] = target[i, x], or -1, for a
-    stack of n x n tables; padded to n + 1 on the last axis.  A -1 target
-    matches no cell.  Scans blocks of at most BLOCK cells (see
-    _table_blocks): a stack of stacked_op_tables is one block, a larger
-    table is split by rows."""
-    n = t.shape[-1]
-    out = np.empty((len(t), n + 1), t.dtype)
-    out[:, n] = -1
-    goal = target[:, :n, None]
-    for at_block in _table_blocks(len(t), n):
-        hit = t[at_block] == goal[at_block]
-        w = hit.argmax(axis=-1)
-        w[np.add.reduce(hit, -1) != 1] = -1
-        out[at_block] = w
-    return _read_only(out)
-
-
-def _solve_columns(t: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """out[i, y] = the unique w with t[i, w, y] = target[i, y], or -1, for a
-    stack of n x n tables; padded to n + 1 on the last axis.  A -1 target
-    matches no cell.  One pass over blocks of at most BLOCK cells (see
-    _table_blocks), each read as it lies, not strided down the columns: a
-    matmul of each block's hits with (1, w) row weights adds up, per
-    column, its count of hits and the sum of their rows w, which is the
-    row where the count is 1.  The count, and the sum where the count is
-    1, are integers below n < 2**24, so float32 holds them exactly.  At
-    n = 3161 this built e_lam in 3.3 ms, against 14-35 ms for _solve_rows
-    on the transpose, and a sweep stack at n <= 12 in half _solve_rows'
-    time."""
+def _solve(t: np.ndarray, target: np.ndarray, axis: int) -> np.ndarray:
+    """out[i, x] = the unique w with t[i, x, w] = target[i, x] (axis 2, along
+    each row) or t[i, w, x] = target[i, x] (axis 1, down each column), or -1,
+    for a stack of n x n tables; padded to n + 1 on the last axis.  A -1
+    target matches no cell.  One pass over blocks of at most BLOCK cells
+    (see _table_blocks), each read as it lies: a matmul of each block's hits
+    with (1, w) weights along `axis` adds up, per row or column, its count
+    of hits and the sum of their w, which is w where the count is 1.  The
+    count, and the sum where the count is 1, are integers below n < 2**24,
+    so float32 holds them exactly."""
     n = t.shape[-1]
     sums = np.zeros((len(t), 2, n), np.float32)
-    goal = target[:, None, :n]
+    weights = np.ones((2, n), np.float32)
+    weights[1] = np.arange(n)
     for members, rows in _table_blocks(len(t), n):
-        weights = np.ones((2, rows.stop - rows.start), np.float32)
-        weights[1] = np.arange(rows.start, rows.stop)
-        sums[members] += weights @ (t[members, rows] == goal[members]).astype(np.float32)
+        if axis == 2:  # w runs along each row of the block
+            hits = t[members, rows] == target[members, rows, None]
+            sums[members, :, rows] = weights @ hits.swapaxes(1, 2).astype(np.float32)
+        else:  # w runs down each column, over the block's rows
+            hits = t[members, rows] == target[members, None, :n]
+            sums[members] += weights[:, rows] @ hits.astype(np.float32)
     out = np.full((len(t), n + 1), -1, t.dtype)
     np.copyto(out[:, :n], sums[:, 1], where=sums[:, 0] == 1, casting="unsafe")
     return _read_only(out)
@@ -398,11 +384,11 @@ def stacked_op_tables(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     cached size reads).  Each kind is scanned for a whole stack on first
     use.
 
-    A division's scan holds its table and three temporaries of the stack's
-    size, where a local element's holds a few rows: at BLOCK cells, on
-    int64 tables (2 MiB each), a sweep that reads a division peaked about
-    7 MiB higher than one that does not.  At BLOCK // 8 cells that gap is
-    under 1 MiB, and every kind's scan of a stack stays one block."""
+    A division's scan holds int64 temporaries of the stack's size, a local
+    element's its hits as bool and as float32: on a stack of BLOCK cells
+    (1,820 groupoids at n = 12) ldiv's scan peaked at 4.5 MiB (tracemalloc)
+    and e_rho's and e_lam's at 1.5 MiB.  At BLOCK // 8 cells those are 0.6
+    and 0.2 MiB, and every kind's scan of a stack stays one block."""
     size = max(1, BLOCK // 8 // (n + 1) ** 2)
     for first in range(0, len(a), size):
         part = slice(first, first + size)

@@ -1327,12 +1327,11 @@ def test_crosscheck_reports_do_not_depend_on_workers_or_block(monkeypatch):
     # l_saip is NA-heavy and reads lam (scanned from mul through e_lam); cm_7
     # has 4 variables
     op_tables.cache_clear()
-    selected = [(get_entry(i), get_entry(i).rows) for i in ("l_saip", "cm_7")]
     n_values = list(range(2, 9))
 
     def reports(workers):
-        return [r.to_dict() for r in engine.crosscheck_rows(selected, n_values,
-                                                            engine.DEFAULT_CAP, workers)]
+        return [r.to_dict() for r in crosscheck_all(n_values, ["l_saip", "cm_7"],
+                                                    engine.DEFAULT_CAP, workers)]
 
     one = reports(1)
     assert any(r["na_excluded"] for r in one)
@@ -1350,7 +1349,7 @@ def test_class_sweep_keeps_every_verdict(oracle_up_to_6):
     laws = [e for e in catalog_entries() if e.identity is not None]
     for n in range(2, 7):
         reports = engine.crosscheck_rows([(entry, [engine._UNIVERSAL]) for entry in laws], [n],
-                                         engine.DEFAULT_CAP, 1)
+                                         engine.DEFAULT_CAP)
         for entry, report in zip(laws, reports):
             verdicts = [oracle_up_to_6[entry.id, (n, *t)].verdict for t in np.ndindex(n, n, n)]
             fails = [t for t, v in zip(np.ndindex(n, n, n), verdicts) if v is Verdict.FAILS]

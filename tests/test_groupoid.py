@@ -315,10 +315,9 @@ def test_stacked_tables_equal_op_tables(monkeypatch, block):
 def test_every_table_has_one_member_per_groupoid(monkeypatch):
     # op_tables builds a stack of one, stacked_op_tables a stack of its
     # groupoids; cayley_table builds member 0's read-only n x n body and
-    # caches nothing.  With groupoid.BLOCK = 3 * n, _solve_rows and
-    # _solve_columns split one table into row blocks of three, solving along
-    # rows for e_rho and rho and down columns for e_lam and lam, and still
-    # match the scalar local elements.
+    # caches nothing.  With groupoid.BLOCK = 3 * n, _solve splits one table
+    # into row blocks of three, solving along rows for e_rho and rho and down
+    # columns for e_lam and lam, and still matches the scalar local elements.
     kinds = ("mul", "ldiv", "rdiv", "e_rho", "e_lam", "rho", "lam")
     groupoids = [LinearGroupoid(7, *t) for t in _all_triples(7)]
     single = op_tables.__wrapped__(groupoids[-1].triple())
@@ -343,25 +342,33 @@ def test_every_table_has_one_member_per_groupoid(monkeypatch):
             assert getattr(t, kind)[0, :7].tolist() == want, (g, kind)
 
 
-def _down_columns_by_transpose(tables):
-    """e_lam and lam as _solve_rows builds them on the transpose of mul."""
-    body = tables.mul[:, :-1, :-1].swapaxes(1, 2)
-    e_lam = groupoid._solve_rows(body, tables._own())
-    return e_lam, groupoid._solve_rows(body, e_lam)
+def _solve_by_count(t, target):
+    """out[i, x] = the w where row x of member i of t holds target[i, x] once,
+    else -1, padded to n + 1: each row's cells equal to its target, counted."""
+    n = t.shape[-1]
+    out = np.full((len(t), n + 1), -1, t.dtype)
+    for i, x in np.ndindex(len(t), n):
+        (hits,) = np.nonzero(t[i, x] == target[i, x])
+        if len(hits) == 1:
+            out[i, x] = hits[0]
+    return out
 
 
 @pytest.mark.parametrize("block", [groupoid.BLOCK, 0])
-def test_columns_are_solved_as_the_transpose_s_rows(monkeypatch, block):
-    # e_lam and lam solve down the columns of mul in one pass over its row
-    # blocks (_solve_columns), and equal _solve_rows on the transpose: at
-    # n = 3161 (39 blocks of 82 rows; b a unit, a divisor of n, and 0), and
-    # on small stacks, linear and random, whose columns hold 0, 1 or more
-    # hits and whose lam targets are partly -1, as one block at the default
-    # BLOCK and one row of one member a block at BLOCK = 0.
+def test_local_elements_equal_a_count_per_row_and_column(monkeypatch, block):
+    # _solve builds e_rho and rho along the rows of mul and e_lam and lam down
+    # its columns, and each equals a count of the cells that hold the target
+    # in each row, or in each column (a row of the transpose), in dtype and
+    # values: at n = 3161 (39 blocks of 82 rows; b and c a unit, a divisor
+    # of n, and 0), and on small stacks, linear and random, whose rows and
+    # columns hold 0, 1 or more hits and whose rho and lam targets are
+    # partly -1, as one block at the default BLOCK and one row of one member
+    # a block at BLOCK = 0.
     monkeypatch.setattr(groupoid, "BLOCK", block)
     stacks = []
     if block:
         stacks += [op_tables.__wrapped__((3161, 5, b, 11)) for b in (7, 29, 0)]
+        stacks += [op_tables.__wrapped__((3161, 5, 11, c)) for c in (7, 29, 0)]
     rng = np.random.default_rng(7)
     for n in (2, 5, 12):
         a, b, c = (rng.integers(0, n, 50) for _ in range(3))
@@ -369,12 +376,18 @@ def test_columns_are_solved_as_the_transpose_s_rows(monkeypatch, block):
         mul = groupoid._padded(50, n)
         mul[:, :n, :n] = rng.integers(0, n, (50, n, n))
         stacks.append(groupoid.OpTables(mul))
+    kinds = (("e_rho", "rho", False), ("e_lam", "lam", True))
     for tables in stacks:
-        e_lam, lam = _down_columns_by_transpose(tables)
-        assert tables.e_lam.dtype == e_lam.dtype and np.array_equal(tables.e_lam, e_lam)
-        assert tables.lam.dtype == lam.dtype and np.array_equal(tables.lam, lam)
-    random_e_lam = stacks[-1].e_lam[:, :-1]
-    assert (random_e_lam >= 0).any() and (random_e_lam < 0).any()
+        for identity, inverse, down_columns in kinds:
+            body = tables.mul[:, :-1, :-1]
+            body = body.swapaxes(1, 2) if down_columns else body
+            e = _solve_by_count(body, tables._own())
+            for kind, want in ((identity, e), (inverse, _solve_by_count(body, e))):
+                got = getattr(tables, kind)
+                assert got.dtype == want.dtype and np.array_equal(got, want), kind
+    for kind in ("e_rho", "rho", "e_lam", "lam"):
+        table = getattr(stacks[-1], kind)[:, :-1]
+        assert (table >= 0).any() and (table < 0).any(), kind
 
 
 def test_affine_classes_are_the_orbits_of_a():
