@@ -46,8 +46,12 @@ Every evaluation is memoized on the stack it read (OpTables.flags), so a
 repeated check on cached tables, as witness searches make, evaluates
 nothing; a repeated check past CACHED_N scans again.  A fails
 outcome's counterexample dict is built on first read (CheckOutcome), so
-the sweep and witness searches, which read only verdicts, build none; an
-NA reason is built with its outcome.
+the sweep and witness searches, which read only verdicts, build none.  An
+NA outcome, with its reason, is built on its member's first NA check and
+memoized beside its pair: once per class in the sweep and per check past
+CACHED_N, and once per cached groupoid and law in witness searches.
+classify derives its NA reasons: each is read at the law's first
+operation that needs a missing unit (see classify).
 """
 
 from __future__ import annotations
@@ -316,6 +320,10 @@ def _scan(ident: Identity, stack) -> tuple[tuple[int, int], ...]:
     return tuple(zip(undefined.tolist(), failing.tolist()))
 
 
+# The one brute-force outcome that carries nothing but its verdict.
+_BRUTE_HOLDS = CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
+
+
 def holds_bruteforce(g: LinearGroupoid, ident: Identity,
                      cap: int = DEFAULT_CAP, tables=None) -> CheckOutcome:
     """Check the identity over every assignment of values to its variables.
@@ -348,10 +356,13 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
     Each evaluation is memoized in the stack's flags as indices, one pair
     per member, so a repeated check on the same stack, a cached one
     included, evaluates nothing; a repeated check past CACHED_N scans
-    again.  Each call, after the cap, returns an outcome of its own.  A
-    not_applicable outcome's reason is built on every call; a fails
-    outcome holds its deciding index, and its counterexample dict, the
-    caller's own, is built on first read (see CheckOutcome).
+    again.  Each call applies the cap first.  A holds outcome is the one
+    shared _BRUTE_HOLDS.  A not_applicable outcome, with its reason read at
+    its first undefined assignment, is built on the member's first NA call
+    and memoized in flags under (ident, index), so later calls on that
+    stack return it; neither carries anything mutable.  A fails outcome,
+    one per call, holds its deciding index, and its counterexample dict,
+    the caller's own, is built on first read (see CheckOutcome).
     """
     n, k = g.n, len(ident.variables)
     _check_cap(n, k, cap)
@@ -374,11 +385,15 @@ def holds_bruteforce(g: LinearGroupoid, ident: Identity,
         stack.flags[ident] = flags
     undefined, failing = flags[index]
     if undefined >= 0:
-        return CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
-                            na_reason=_na_reason(ident, _assignment(ident, n, undefined), g))
+        outcome = stack.flags.get((ident, index))
+        if outcome is None:
+            outcome = stack.flags[ident, index] = CheckOutcome(
+                Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
+                na_reason=_na_reason(ident, _assignment(ident, n, undefined), g))
+        return outcome
     if failing >= 0:
         return CheckOutcome._fails_at(ident, n, failing)
-    return CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
+    return _BRUTE_HOLDS
 
 
 def _na_reason(ident: Identity, env: dict[str, int], g: LinearGroupoid) -> str:
@@ -408,13 +423,55 @@ def holds_symbolic(g: LinearGroupoid, ident: Identity) -> CheckOutcome:
 # --- classification -----------------------------------------------------------
 
 
+# The division that defines each local element (see termlang._expand),
+# whose unit it needs.
+_DIVISION = {"er": "\\", "rho": "\\", "el": "/", "lam": "/"}
+
+
+def _first_undefined(term: tl.Term, missing: int) -> tl.Term | None:
+    """The first node of the term, in post-order, whose operation needs a
+    unit in the mask missing (termlang.missing_units), as termlang._RULES
+    names it, or None."""
+    if isinstance(term, Var):
+        return None
+    for operand in tl._operands(term):
+        node = _first_undefined(operand, missing)
+        if node is not None:
+            return node
+    unit = tl._RULES[_DIVISION.get(term.op, term.op)][0]
+    return term if tl._UNIT_BIT.get(unit, 0) & missing else None
+
+
 @lru_cache(maxsize=1)
-def _catalog_laws() -> tuple[tuple[tuple[str, Identity], ...], tl.Compiled]:
-    """The catalog's (id, identity) laws in id order, and their residuals
-    compiled over one shared basis; built on the first classify."""
+def _catalog_laws() -> tuple[tuple[tuple[str, Identity], ...], tl.Compiled, tuple]:
+    """The catalog's (id, identity) laws in id order, their residuals
+    compiled over one shared basis, and for each law its first undefined
+    node (see _first_undefined), lhs before rhs, under each mask of missing
+    units, 0 to 3: None where no operation needs one, and one object for
+    equal nodes of different laws.  Built on the first classify."""
     laws = tuple((entry.id, entry.identity) for entry in sorted(catalog_entries(), key=lambda e: e.id)
                  if entry.identity is not None)
-    return laws, tl.compile_expansions(ident.residual for _, ident in laws)
+    nodes: dict = {}
+    undefined = tuple(tuple(nodes.setdefault(node, node) for node in (
+        _first_undefined(ident.lhs, missing) or _first_undefined(ident.rhs, missing)
+        for missing in range(4))) for _, ident in laws)
+    return laws, tl.compile_expansions(ident.residual for _, ident in laws), undefined
+
+
+def _zero_reason(ident: Identity, node: tl.Term | None, g: LinearGroupoid) -> str:
+    """_na_reason(ident, zeros, g), read at the law's first undefined node:
+    only that node's operands are evaluated, at zero, and its operation
+    applied.  Raises RuntimeError where there is no such node, or it is
+    defined, rather than give a reason the oracle would not."""
+    if node is not None:
+        zeros = dict.fromkeys(ident.variables, 0)
+        values = [0 if isinstance(operand, Var) else tl.evaluate(operand, zeros, g)
+                  for operand in tl._operands(node)]
+        local = tl.apply_local(node.op, values, g)
+        if isinstance(local, NotApplicable):
+            return local.reason
+    raise RuntimeError(f"{tl.identity_text(ident)} is not_applicable on {g.triple()}, "
+                       "but no operation of it is undefined at zero")
 
 
 def classify(g: LinearGroupoid, cap: int = DEFAULT_CAP) -> list[tuple[str, CheckOutcome]]:
@@ -426,16 +483,28 @@ def classify(g: LinearGroupoid, cap: int = DEFAULT_CAP) -> list[tuple[str, Check
     not_applicable verdict is reported as the exhaustive checker's, without
     its n**k scan: every derived table of a linear groupoid is total or
     undefined throughout, so the first undefined assignment is the all-zero
-    one.  Nothing scans, so cap is unused; the signature keeps it because
-    perfbench/onepass.py still passes it.
+    one.  Its reason is derived, not evaluated side by side.  An operation
+    that needs a missing unit is undefined at every assignment, and every
+    other one is defined wherever its operands are; \\, er and rho need c
+    to be a unit, and /, el and lam need b (termlang._RULES).  So the
+    reason is that of the law's first such node in post-order, lhs before
+    rhs, precomputed per law and mask of missing units (_catalog_laws):
+    only its operands are evaluated, at zero, and its scalar operation
+    applied (_zero_reason).  Laws with equal first nodes share one outcome
+    in a call.  Nothing scans, so cap is unused; the signature keeps it
+    because perfbench/onepass.py still passes it.
     """
-    laws, compiled = _catalog_laws()
-    results = []
-    for (entry_id, ident), residue in zip(laws, tl.evaluate_compiled(compiled, g)):
+    laws, compiled, undefined = _catalog_laws()
+    results, shared, missing = [], {}, None
+    for (entry_id, ident), nodes, residue in zip(laws, undefined, tl.evaluate_compiled(compiled, g)):
         if isinstance(residue, NotApplicable):
-            zeros = dict.fromkeys(ident.variables, 0)
-            outcome = CheckOutcome(Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE,
-                                   na_reason=_na_reason(ident, zeros, g))
+            if missing is None:
+                missing = tl.missing_units(g)
+            node = nodes[missing]
+            outcome = shared.get(id(node))
+            if outcome is None:
+                outcome = shared[id(node)] = CheckOutcome(
+                    Verdict.NOT_APPLICABLE, Method.BRUTE_FORCE, na_reason=_zero_reason(ident, node, g))
         else:
             outcome = _FAILS if residue else _HOLDS
         results.append((entry_id, outcome))

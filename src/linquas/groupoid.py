@@ -215,7 +215,9 @@ class OpTables:
 
     flags is the exhaustive checker's memo (engine.holds_bruteforce): each
     identity checked maps to a tuple of each member's pair, the indices of
-    its first undefined and first failing assignment, or -1.  It dies with
+    its first undefined and first failing assignment, or -1, and each
+    (identity, index) of a member that identity is not_applicable on maps
+    to that outcome, its reason built on the first such check.  It dies with
     the tables (op_tables' LRU, a sweep's stack, or the one check of a
     groupoid too large for the LRU).
     """

@@ -245,8 +245,14 @@ def evaluate(term: Term, env: dict[str, int], g: LinearGroupoid) -> int | NotApp
         values.append(value)
     if term.op == "*":
         return gp.apply(g, *values)
-    op, what = _LOCAL[term.op]
-    local = op(g, *values)
+    return apply_local(term.op, values, g)
+
+
+def apply_local(op: str, values: list[int], g: LinearGroupoid) -> int | NotApplicable:
+    """The scalar operation op, any but "*", at its operands' values: its
+    value, or NotApplicable naming the operation, why it is undefined and g."""
+    fn, what = _LOCAL[op]
+    local = fn(g, *values)
     if local.defined:
         return local.value
     return NotApplicable(f"{what} undefined ({local.reason}) on {g.triple()}")
@@ -332,6 +338,11 @@ def compile_expansions(expansions: Iterable[Expansion]) -> Compiled:
     return Compiled(tuple(index), exponents, tuple(rows))
 
 
+def missing_units(g: LinearGroupoid) -> int:
+    """The mask (_UNIT_BIT) of the coefficients b and c that are not units mod n."""
+    return sum(bit for name, bit in _UNIT_BIT.items() if not is_unit(getattr(g, name), g.n))
+
+
 def evaluate_compiled(compiled: Compiled, g: LinearGroupoid) -> Iterator[int | NotApplicable]:
     """Each compiled expansion at g, in order: NotApplicable naming the first
     unit it needs that is not one mod n, else the first of its components
@@ -343,7 +354,7 @@ def evaluate_compiled(compiled: Compiled, g: LinearGroupoid) -> Iterator[int | N
     basis monomial is evaluated once.  A monomial with a negative power of a
     non-unit reads 0, and no expansion that needs that unit reads it."""
     n, a, b, c = g.n, g.a, g.b, g.c
-    missing = sum(bit for name, bit in _UNIT_BIT.items() if not is_unit(getattr(g, name), n))
+    missing = missing_units(g)
     exps_a, exps_b, exps_c = compiled.exponents
     powers_a = {e: pow(a, e, n) for e in exps_a}
     powers_b = {e: pow(b, e, n) if e >= 0 or not missing & 1 else 0 for e in exps_b}

@@ -167,6 +167,67 @@ def test_classify_at_a_huge_modulus_holds_no_solution_set():
     assert peak < 2**20, peak
 
 
+def _missing_units(g) -> int:
+    """The mask of b (1) and c (2) that are not units mod n."""
+    return (not is_unit(g.b, g.n)) | (not is_unit(g.c, g.n)) << 1
+
+
+_LARGE_NON_QUASIGROUPS = [(520, 2, 4, 2), (2**31 - 1, 0, 0, 0), (3162, 0, 2, 5)]
+
+
+def test_classify_reasons_equal_the_oracle_s_at_large_non_quasigroups():
+    # classify reads each NA reason at its law's first undefined node; it
+    # must equal, byte for byte, the scalar evaluation of both sides at the
+    # all-zero assignment.  Every triple up to n = 12 is compared in
+    # test_classify_and_holds_symbolic_equal_the_per_term_reference.
+    na = 0
+    for triple in _LARGE_NON_QUASIGROUPS:
+        g = LinearGroupoid(*triple)
+        for entry_id, outcome in engine.classify(g):
+            if outcome.verdict is Verdict.NOT_APPLICABLE:
+                ident = get_entry(entry_id).identity
+                zeros = dict.fromkeys(ident.variables, 0)
+                assert outcome.na_reason == engine._na_reason(ident, zeros, g), (entry_id, triple)
+                na += 1
+    assert na > 30, na
+
+
+def test_derived_reasons_equal_the_oracle_s_on_random_laws():
+    # On random laws of depth <= 4 over w, x, y, z and all seven operations,
+    # at non-quasigroups small and large: a law's residual is NA iff an
+    # operation of it needs a missing unit, and the reason read at the first
+    # such node in post-order, lhs before rhs, is _na_reason's at zero.  A
+    # law with no such node gets no text: _zero_reason raises.
+    from test_termlang import _random_term
+
+    rng = random.Random(1408_0991)
+    pool = [(n, a, b, c) for n in range(2, 13) for a in range(n) for b in range(n)
+            for c in range(n) if not (is_unit(b, n) and is_unit(c, n))]
+    checked = compound = defined = 0
+    for _ in range(2_400):
+        ident = termlang.Identity(_random_term(rng, 4), _random_term(rng, 4))
+        for triple in (rng.choice(pool), rng.choice(_LARGE_NON_QUASIGROUPS)):
+            g = LinearGroupoid(*triple)
+            missing = _missing_units(g)
+            node = (engine._first_undefined(ident.lhs, missing)
+                    or engine._first_undefined(ident.rhs, missing))
+            (residue,) = termlang.evaluate_compiled(ident.compiled, g)
+            assert (node is not None) == isinstance(residue, termlang.NotApplicable)
+            zeros = dict.fromkeys(ident.variables, 0)
+            if node is None:
+                assert engine._na_reason(ident, zeros, g) == "undefined subterm"
+                with pytest.raises(RuntimeError):
+                    engine._zero_reason(ident, node, g)
+                defined += 1
+                continue
+            reason = engine._zero_reason(ident, node, g)
+            assert reason == engine._na_reason(ident, zeros, g), (termlang.identity_text(ident), triple)
+            checked += 1
+            compound += not all(isinstance(operand, termlang.Var)
+                                for operand in termlang._operands(node))
+    assert checked > 3_000 and compound > 800 and defined > 500, (checked, compound, defined)
+
+
 _SYMBOLIC = {verdict: CheckOutcome(verdict, Method.SYMBOLIC)
              for verdict in (Verdict.HOLDS, Verdict.FAILS)}
 
@@ -1454,7 +1515,8 @@ def test_a_pending_counterexample_reads_as_a_built_one(monkeypatch):
     # An outcome whose counterexample is built on first read compares,
     # hashes and prints as one built with it, and as the frozen dataclass of
     # the four fields that CheckOutcome was; it builds its counterexample
-    # once.  An NA outcome carries its reason from the start.
+    # once.  An NA outcome carries its reason from the start, and a repeated
+    # NA check reads the reason its first one built and memoized.
     from dataclasses import field, make_dataclass
 
     frozen = make_dataclass("CheckOutcome", [
@@ -1469,7 +1531,7 @@ def test_a_pending_counterexample_reads_as_a_built_one(monkeypatch):
     g = LinearGroupoid(6, 2, 4, 2)
     na = [holds_bruteforce(g, get_entry("r_cip_1").identity) for _ in range(4)]
     holds = holds_bruteforce(g, get_entry("abel_grassman").identity)
-    assert (calls["_assignment"], calls["_na_reason"]) == (4, 4)
+    assert (calls["_assignment"], calls["_na_reason"]) == (1, 1)
     cases = [(fails, {"counterexample": {"x": 0, "y": 1}}),
              (na, {"na_reason": "right inverse undefined (NonUnique) on (6, 2, 4, 2)"})]
     for (eq, text, as_dict, hashed), cause in cases:
@@ -1486,10 +1548,10 @@ def test_a_pending_counterexample_reads_as_a_built_one(monkeypatch):
     assert repr(holds) == repr(frozen(Verdict.HOLDS, brute))
     assert hash(holds) == hash(frozen(Verdict.HOLDS, brute))
     # each of the four pending outcomes built its counterexample once, on its first read
-    assert (calls["_assignment"], calls["_na_reason"]) == (8, 4)
+    assert (calls["_assignment"], calls["_na_reason"]) == (5, 1)
     assert fails[0].counterexample is fails[0].counterexample
     assert na[0].na_reason is na[0].na_reason
-    assert (calls["_assignment"], calls["_na_reason"]) == (8, 4)
+    assert (calls["_assignment"], calls["_na_reason"]) == (5, 1)
     # causes that differ: another counterexample, another reason, another verdict
     other = holds_bruteforce(LinearGroupoid(6, 0, 1, 2), get_entry("idempotent").identity)
     assert other != CheckOutcome(Verdict.FAILS, brute, counterexample={"x": 0})
@@ -1500,3 +1562,29 @@ def test_a_pending_counterexample_reads_as_a_built_one(monkeypatch):
         fails[0].verdict = Verdict.HOLDS
     with pytest.raises(AttributeError):
         na[0].na_reason = None
+
+
+def test_a_repeated_na_check_builds_its_reason_once(monkeypatch):
+    # The oracle memoizes an NA outcome, reason included, beside its member's
+    # pair in the stack's flags: repeated checks on cached tables build the
+    # reason once and return equal outcomes, and after a cache clear the
+    # next check builds it again.  A
+    # check past CACHED_N keeps no tables, so each builds its own.  Every
+    # brute-force holds is the one shared outcome.
+    op_tables.cache_clear()
+    calls = _cause_builds(monkeypatch)
+    g, law = LinearGroupoid(6, 2, 4, 2), get_entry("r_cip_1").identity
+    first, *again = [holds_bruteforce(g, law) for _ in range(3)]
+    assert first.verdict is Verdict.NOT_APPLICABLE
+    assert again == [first, first] and {hash(out) for out in again} == {hash(first)}
+    assert (calls["_assignment"], calls["_na_reason"]) == (1, 1)
+    op_tables.cache_clear()
+    assert holds_bruteforce(g, law) == first
+    assert (calls["_assignment"], calls["_na_reason"]) == (2, 2)
+    large = LinearGroupoid(engine.CACHED_N + 9, 2, 4, 2)
+    assert holds_bruteforce(large, law) == holds_bruteforce(large, law)
+    assert (calls["_assignment"], calls["_na_reason"]) == (4, 4)
+    holds = get_entry("abel_grassman").identity
+    assert holds_bruteforce(g, holds) is holds_bruteforce(LinearGroupoid(5, 1, 2, 3),
+                                                          get_entry("medial").identity)
+    assert holds_bruteforce(g, holds) == CheckOutcome(Verdict.HOLDS, Method.BRUTE_FORCE)
